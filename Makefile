@@ -8,13 +8,19 @@ GO ?= go
 STATICCHECK := honnef.co/go/tools/cmd/staticcheck@2025.1.1
 GOVULNCHECK := golang.org/x/vuln/cmd/govulncheck@v1.1.4
 
-.PHONY: build test race lint static bench bench-ci bench-alloc bench-kernels bench-baseline scale-smoke scale-baseline trace-lint fault-lint profile-smoke fuzz matrix matrix-smoke daemon-smoke clean
+.PHONY: build test test-full-replan race lint static bench bench-ci bench-alloc bench-kernels bench-baseline scale-smoke scale-baseline trace-lint fault-lint profile-smoke fuzz matrix matrix-smoke daemon-smoke clean
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# The goldens and the simulator/daemon equivalence checks on the full-rebuild
+# scheduling path: SUNFLOW_FULL_REPLAN=1 disables plan-cache reuse, and every
+# pinned digest must hold either way. Same as the CI test job's second step.
+test-full-replan:
+	SUNFLOW_FULL_REPLAN=1 $(GO) test ./internal/sim ./internal/daemon -run 'Golden|EngineMatchesSimulator|RecoveryBitIdentical'
 
 race:
 	$(GO) test -race ./...
@@ -64,8 +70,9 @@ bench-baseline:
 # disk with tracegen (constant resident memory), run it twice end-to-end
 # through the bounded-memory archive path under a peak-RSS budget, and
 # require the two order-independent archive digests to be byte-identical.
-# A third run forces -full-replan (no incremental schedule reuse) and must
-# produce the same digest again — the reference-oracle check at full scale.
+# A third run sets SUNFLOW_FULL_REPLAN=1 (no incremental schedule reuse) and
+# must produce the same digest again — the reference-oracle check at full
+# scale.
 # Then the SUNFLOW_SCALE benchmark runs once and benchci gates wall time,
 # allocs/op and peak RSS against the committed scale baseline. Each 100k
 # run takes ~5 minutes; override SCALE_COFLOWS for a quicker local loop
@@ -80,7 +87,7 @@ scale-smoke:
 	bin/sunflow-scale -in scale-trace.txt -max-rss-mb $(SCALE_RSS_MB) -digest-out scale-digest-2.txt
 	cmp scale-digest-1.txt scale-digest-2.txt
 	@echo "scale-smoke: archive digest byte-identical across two runs"
-	bin/sunflow-scale -in scale-trace.txt -max-rss-mb $(SCALE_RSS_MB) -full-replan -digest-out scale-digest-full.txt
+	SUNFLOW_FULL_REPLAN=1 bin/sunflow-scale -in scale-trace.txt -max-rss-mb $(SCALE_RSS_MB) -digest-out scale-digest-full.txt
 	cmp scale-digest-1.txt scale-digest-full.txt
 	@echo "scale-smoke: incremental and full-replan archive digests byte-identical"
 	SUNFLOW_SCALE=1 $(GO) test -bench SunflowInter_100k -benchtime 1x -benchmem -run '^$$' . | $(GO) run ./cmd/benchci -out BENCH_scale.json -baseline BENCH_scale_baseline.json -gate-rss -require-all

@@ -235,8 +235,8 @@ func benchDenseTrace() *trace.Trace {
 
 // BenchmarkSunflowInter_Dense measures the end-to-end circuit simulator on
 // the dense workload with dirty-prefix schedule reuse enabled (the default);
-// its _FullReplan twin is the same run with the cache disabled, so the pair's
-// ns/op ratio is the optimization's wall-clock win.
+// its _FullReplan twin is the same run with SUNFLOW_FULL_REPLAN=1 disabling
+// the cache, so the pair's ns/op ratio is the optimization's wall-clock win.
 func BenchmarkSunflowInter_Dense(b *testing.B) {
 	tr := benchDenseTrace()
 	b.ReportAllocs()
@@ -249,11 +249,12 @@ func BenchmarkSunflowInter_Dense(b *testing.B) {
 }
 
 func BenchmarkSunflowInter_Dense_FullReplan(b *testing.B) {
+	b.Setenv("SUNFLOW_FULL_REPLAN", "1")
 	tr := benchDenseTrace()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.RunCircuit(tr.Coflows, sim.CircuitOptions{Ports: tr.Ports, LinkBps: 1e9, Delta: 0.01, FullReplan: true}); err != nil {
+		if _, err := sim.RunCircuit(tr.Coflows, sim.CircuitOptions{Ports: tr.Ports, LinkBps: 1e9, Delta: 0.01}); err != nil {
 			b.Fatal(err)
 		}
 	}

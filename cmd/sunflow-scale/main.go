@@ -11,12 +11,12 @@
 //
 // Usage:
 //
-//	sunflow-scale -in trace.txt [-link 1e9] [-delta 0.01] [-max-rss-mb 512] [-digest-out digest.txt] [-full-replan]
+//	sunflow-scale -in trace.txt [-link 1e9] [-delta 0.01] [-max-rss-mb 512] [-digest-out digest.txt]
 //	sunflow-scale -coflows 100000 [-ports 150] [-dist facebook] [-seed 1] [-horizon 0]
 //
-// -full-replan forces the reference scheduling path (no incremental schedule
-// reuse); the archive digest must be byte-identical either way, which the
-// scale-smoke CI job gates on.
+// SUNFLOW_FULL_REPLAN=1 in the environment forces the full-rebuild
+// scheduling path (no incremental schedule reuse); the archive digest must be
+// byte-identical either way, which the scale-smoke CI job gates on.
 //
 // With -max-rss-mb the command exits non-zero when VmHWM exceeds the budget.
 // A zero -horizon scales the generator's arrival span so arrival density
@@ -46,7 +46,6 @@ func main() {
 	delta := flag.Float64("delta", 0.01, "reconfiguration delay in seconds")
 	maxRSS := flag.Float64("max-rss-mb", 0, "fail when peak RSS exceeds this many MB (0: no budget)")
 	digestOut := flag.String("digest-out", "", "also write the digest line to this file")
-	fullReplan := flag.Bool("full-replan", false, "disable incremental schedule reuse: rerun the intra scheduler for every live Coflow on every pass (the reference oracle; the archive digest must not change)")
 	flag.Parse()
 
 	var (
@@ -83,11 +82,10 @@ func main() {
 	var dig sim.ArchiveDigest
 	start := time.Now()
 	res, err := sim.RunCircuitSource(src, sim.CircuitOptions{
-		Ports:      numPorts,
-		LinkBps:    *link,
-		Delta:      *delta,
-		OnArchive:  dig.Add,
-		FullReplan: *fullReplan,
+		Ports:     numPorts,
+		LinkBps:   *link,
+		Delta:     *delta,
+		OnArchive: dig.Add,
 	})
 	if err != nil {
 		fatal(err)

@@ -1,0 +1,549 @@
+// Package circuit is the deterministic circuit-scheduling state machine of
+// Sunflow's online algorithm (§4, Algorithm 1): a live set of Coflows whose
+// remaining demand is credited as planned circuits carry it, and a plan that
+// is rebuilt at every arrival and completion — established circuits keep
+// their reservations (non-preemption), everything else is rescheduled with
+// IntraCoflow in priority order on one reused PRT.
+//
+// Two drivers run it. internal/sim feeds it a Coflow Source and writes the
+// simulator's Result; internal/daemon feeds it accepted API events and
+// records completions, declared outages and a digest chain. The engine owns
+// every scheduling decision — crediting, retirement, the replan pass with its
+// plan cache, fault repair and stranding — so both drivers produce
+// bit-identical schedules from the same inputs (DESIGN.md §7).
+package circuit
+
+import (
+	"cmp"
+	"errors"
+	"fmt"
+	"math"
+	"os"
+	"slices"
+	"sort"
+
+	"sunflow/internal/coflow"
+	"sunflow/internal/core"
+	"sunflow/internal/fabric"
+	"sunflow/internal/obs"
+	"sunflow/internal/obs/span"
+)
+
+const (
+	// ByteEps is the residual demand below which a flow counts as finished.
+	ByteEps = 1.0
+	// TimeEps absorbs floating-point residue in event times.
+	TimeEps = 1e-9
+)
+
+// Config fixes the fabric and scheduling parameters of an Engine.
+type Config struct {
+	// Ports is the switch port count N.
+	Ports int
+	// LinkBps is the per-port bandwidth B in bits/s.
+	LinkBps float64
+	// Delta is the circuit reconfiguration delay δ in seconds.
+	Delta float64
+	// Policy orders live Coflows at each replan; nil selects
+	// shortest-Coflow-first by the remaining packet-switched lower bound.
+	// Priority classes (Live.Priority) order ahead of the policy.
+	Policy core.Policy
+	// Order is the intra-Coflow reservation ordering; Seed drives RandomOrder.
+	Order core.Order
+	Seed  int64
+	// Fair optionally enables the starvation-avoidance windows of §4.2.
+	Fair *core.FairWindows
+	// Reference plans with the scan-based reference scheduler loop and the
+	// full-rebuild pass; a test oracle, bit-identical to the default path.
+	Reference bool
+	// Obs and Prof optionally record metrics, trace events and profiling
+	// spans; neither ever influences state.
+	Obs  *obs.Observer
+	Prof *span.Stack
+	// Sink receives retired Coflows and stranded flows.
+	Sink Sink
+}
+
+// Sink is how a driver records what leaves the live set.
+type Sink interface {
+	// Retire reports a Coflow whose routable demand drained at finish.
+	// Retirements arrive in (instant, id) order.
+	Retire(c *Live, finish float64)
+	// Strand reports one flow quarantined at instant at because a permanent
+	// port failure left it unroutable; bytes is its unserved demand.
+	Strand(c *Live, k fabric.FlowKey, bytes, at float64)
+}
+
+// Live is one admitted, unfinished Coflow.
+type Live struct {
+	ID       int
+	Arrival  float64
+	Priority int
+	// Bytes is the Coflow's total positive demand at admission.
+	Bytes float64
+	// Rem is the unserved demand per flow, including demand in-flight
+	// circuits will deliver. Credited continuously, it drives the priority
+	// key, completion detection and stranded-byte accounting.
+	Rem map[fabric.FlowKey]float64
+	// Base is the scheduler's view of the same demand, kept drift-free: it
+	// ignores in-flight delivery and is debited exactly once per circuit, by
+	// its planned Bytes, at the pass after the circuit ends. Between
+	// establishment boundaries Base is bit-stable while Rem drifts with every
+	// credit window, so the plan cache can fingerprint scheduler inputs
+	// derived from it. nil until the first in-flight byte — until then it
+	// equals Rem and Rem stands in for it. Only full-rate fabrics build it: a
+	// degraded circuit carries less than its planned Bytes, and the folded
+	// remainder would drift from Rem until the two disagreed about whether a
+	// flow is done (TestFaultPathLivenessRegression); such Coflows schedule
+	// from Rem instead.
+	Base map[fabric.FlowKey]float64
+	// Keys holds Rem's keys in (Src, Dst) order, fixed at admission.
+	// Stranding deletes Rem entries without touching Keys, so readers skip
+	// keys absent from Rem.
+	Keys []fabric.FlowKey
+	// FlowFinish records actual flow completion instants.
+	FlowFinish map[fabric.FlowKey]float64
+	// Finish is the planned completion time under the current plan.
+	Finish float64
+	// Switches counts circuit establishments made on the Coflow's behalf.
+	Switches int
+	// Stranded marks a Coflow that lost at least one flow to a permanent port
+	// failure; StrandedBytes is the demand those flows could not deliver.
+	Stranded      bool
+	StrandedBytes float64
+	// flowStarted and demand serve flow_start/flow_finish trace events;
+	// allocated only when tracing is on.
+	flowStarted map[fabric.FlowKey]bool
+	demand      map[fabric.FlowKey]float64
+}
+
+// Engine is the circuit state machine. It is not safe for concurrent use.
+type Engine struct {
+	cfg    Config
+	policy core.Policy
+	now    float64
+	live   map[int]*Live
+	// plan holds all reservations not yet fully credited: circuits in flight
+	// plus the planned future.
+	plan []core.Reservation
+	// faults is the fault view; nil on a fault-free fabric, keeping every
+	// fault branch behind one nil check. fullRate caches faults.FullRate.
+	faults   Faults
+	fullRate bool
+	// prt is rebuilt by every replan and reused across passes, so replanning
+	// is allocation-free on the timelines.
+	prt *core.PRT
+	// incremental enables plan-cache reuse on fault-free passes. It is off
+	// under Reference or SUNFLOW_FULL_REPLAN, which force the retained
+	// full-rebuild pass (DESIGN.md §7).
+	incremental bool
+	// passes counts successful scheduling passes.
+	passes uint64
+	// cache holds the previous reusing pass's per-Coflow outcomes in
+	// priority order.
+	cache   []planCacheEntry
+	scratch replanScratch
+}
+
+// New returns an empty Engine whose clock starts at start.
+func New(cfg Config, start float64) *Engine {
+	policy := cfg.Policy
+	if policy == nil {
+		policy = core.ShortestFirst{LinkBps: cfg.LinkBps}
+	}
+	return &Engine{
+		cfg:         cfg,
+		policy:      policy,
+		now:         start,
+		fullRate:    true,
+		live:        map[int]*Live{},
+		prt:         core.NewPRT(cfg.Ports),
+		incremental: !cfg.Reference && os.Getenv("SUNFLOW_FULL_REPLAN") == "",
+	}
+}
+
+// Now returns the engine clock.
+func (e *Engine) Now() float64 { return e.now }
+
+// Len returns the number of live Coflows.
+func (e *Engine) Len() int { return len(e.live) }
+
+// Lookup returns the live Coflow with the id, or nil.
+func (e *Engine) Lookup(id int) *Live { return e.live[id] }
+
+// Plan returns the current plan. The slice is the engine's; callers must not
+// modify or retain it.
+func (e *Engine) Plan() []core.Reservation { return e.plan }
+
+// Passes returns the number of successful scheduling passes.
+func (e *Engine) Passes() uint64 { return e.passes }
+
+// SortedIDs returns the live Coflow ids in ascending order.
+func (e *Engine) SortedIDs() []int {
+	ids := make([]int, 0, len(e.live))
+	for id := range e.live {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	return ids
+}
+
+// Restore overwrites the engine with checkpointed state: the clock, the live
+// set, the plan and the pass count. The plan cache starts empty, which reuse
+// certification makes invisible in every schedule.
+func (e *Engine) Restore(now float64, live []*Live, plan []core.Reservation, passes uint64) {
+	e.now = now
+	e.live = make(map[int]*Live, len(live))
+	for _, lc := range live {
+		e.live[lc.ID] = lc
+	}
+	e.plan = append([]core.Reservation(nil), plan...)
+	e.passes = passes
+	e.dropCache()
+}
+
+// Admit adds c to the live set at the engine clock. It reports false, leaving
+// the engine untouched, when c has no positive demand: such a Coflow
+// completes at its arrival and the caller records it.
+func (e *Engine) Admit(c *coflow.Coflow, priority int) bool {
+	rem := make(map[fabric.FlowKey]float64, len(c.Flows))
+	total := 0.0
+	for _, f := range c.Flows {
+		if f.Bytes > 0 {
+			rem[fabric.FlowKey{Src: f.Src, Dst: f.Dst}] += f.Bytes
+			total += f.Bytes
+		}
+	}
+	if len(rem) == 0 {
+		return false
+	}
+	keys := make([]fabric.FlowKey, 0, len(rem))
+	for k := range rem {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, func(a, b fabric.FlowKey) int {
+		return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
+	})
+	lc := &Live{
+		ID:         c.ID,
+		Arrival:    c.Arrival,
+		Priority:   priority,
+		Bytes:      total,
+		Rem:        rem,
+		Keys:       keys,
+		FlowFinish: make(map[fabric.FlowKey]float64, len(rem)),
+		Finish:     math.Inf(1),
+	}
+	if o := e.cfg.Obs; o != nil {
+		o.CoflowsAdmitted.Inc()
+		if o.TraceEnabled() {
+			lc.flowStarted = make(map[fabric.FlowKey]bool, len(rem))
+			lc.demand = make(map[fabric.FlowKey]float64, len(rem))
+			for k, b := range rem {
+				lc.demand[k] = b
+			}
+			o.Emit(obs.Event{T: e.now, Kind: obs.KindCoflowAdmit, Coflow: c.ID, Src: -1, Dst: -1, Bytes: c.TotalBytes()})
+		}
+	}
+	e.live[c.ID] = lc
+	return true
+}
+
+// Remove takes a live Coflow out of the fabric without retiring it — an
+// external completion. Its established circuits keep their ports until they
+// end; the next replan drops its unestablished reservations.
+func (e *Engine) Remove(id int) *Live {
+	lc := e.live[id]
+	delete(e.live, id)
+	return lc
+}
+
+// NextEvent returns the next instant the engine must be stepped at: a planned
+// Coflow completion, a fair window end or a fault boundary (+Inf if none).
+func (e *Engine) NextEvent() float64 {
+	te := math.Inf(1)
+	for _, lc := range e.live {
+		te = math.Min(te, lc.Finish)
+	}
+	if e.cfg.Fair != nil {
+		te = math.Min(te, e.cfg.Fair.NextEnd(e.now))
+	}
+	if e.faults != nil {
+		te = math.Min(te, e.faults.NextBoundary(e.now))
+	}
+	return te
+}
+
+// Step moves the clock to the event instant t: transmission up to t is
+// credited, fault boundaries on the way are applied, newly dead flows are
+// quarantined and drained Coflows retire. The caller admits arrivals at t and
+// then calls Replan.
+func (e *Engine) Step(t float64) {
+	e.Credit(t)
+	if e.faults != nil {
+		e.quarantine(t)
+	}
+	e.retire(t)
+}
+
+// Credit moves the clock to t, crediting transmission in between and applying
+// the fault boundaries it passes, without retiring anything.
+func (e *Engine) Credit(t float64) {
+	if len(e.live) > 0 {
+		e.credit(e.now, t)
+	}
+	if e.faults != nil {
+		e.syncFaults(t)
+	}
+	e.now = t
+}
+
+// Replan rebuilds the plan at the engine clock. Under faults, flows a
+// permanent outage made unroutable are quarantined first, and a pass that
+// stalls strands the stalled Coflow's doomed flows and retries, so every
+// solvable workload still completes. Any other scheduler failure is returned.
+func (e *Engine) Replan() error {
+	now := e.now
+	if e.faults != nil {
+		e.quarantine(now)
+		e.retire(now)
+	}
+	for {
+		id, err := e.replanOnce(now)
+		if err == nil {
+			e.passes++
+			return nil
+		}
+		if e.faults != nil && errors.Is(err, core.ErrStalled) {
+			if lc := e.live[id]; lc != nil && e.strandFlows(lc, now, math.MaxFloat64) {
+				// Fully stranded Coflows must leave the live set before the
+				// retry or they would stall it again.
+				e.retire(now)
+				continue
+			}
+		}
+		return fmt.Errorf("coflow %d at t=%.6f: %w", id, now, err)
+	}
+}
+
+// credit applies all transmission occurring in [from, to): planned circuit
+// reservations plus shared service in fair windows. It also counts circuit
+// establishments whose setup begins in the interval.
+func (e *Engine) credit(from, to float64) {
+	if to <= from {
+		return
+	}
+	csp := e.cfg.Prof.Start("sim.credit")
+	defer csp.Finish()
+	// Reservations in start order so sequential reservations of one flow
+	// are credited in the order they deliver.
+	sort.Slice(e.plan, func(a, b int) bool { return e.plan[a].Start < e.plan[b].Start })
+	o := e.cfg.Obs
+	for idx := range e.plan {
+		r := &e.plan[idx]
+		lc := e.live[r.CoflowID]
+		if r.Start >= from-TimeEps && r.Start < to-TimeEps {
+			if lc != nil {
+				lc.Switches++
+			}
+			var retries []float64
+			delta := r.Setup
+			if e.faults != nil {
+				retries = e.establishFaulty(r)
+			}
+			if o != nil {
+				o.CircuitSetups.Inc()
+				o.SetupSeconds.Add(r.Setup)
+				o.HoldSeconds.Add(r.End - r.Start)
+				o.PlannedBytes.Add(r.Bytes)
+				o.InBusySeconds.Add(r.In, r.End-r.Start)
+				o.OutBusySeconds.Add(r.Out, r.End-r.Start)
+				if o.TraceEnabled() {
+					o.Emit(obs.Event{T: r.Start, Kind: obs.KindCircuitUp, Coflow: r.CoflowID, Src: r.In, Dst: r.Out, Bytes: r.Bytes, Dur: r.Setup})
+					// Retries follow the circuit_up that owns them so replay
+					// sees an open circuit; Dur carries the per-attempt δ.
+					for _, off := range retries {
+						o.Emit(obs.Event{T: r.Start + off, Kind: obs.KindCircuitRetry, Coflow: r.CoflowID, Src: r.In, Dst: r.Out, Dur: delta})
+					}
+				}
+			}
+		}
+		if o.TraceEnabled() && r.End > from+TimeEps && r.End <= to+TimeEps {
+			o.Emit(obs.Event{T: r.End, Kind: obs.KindCircuitDown, Coflow: r.CoflowID, Src: r.In, Dst: r.Out})
+		}
+		if lc == nil {
+			continue
+		}
+		bps := e.cfg.LinkBps
+		var d float64
+		if f := e.rateFactor(r); f != 1 {
+			bps *= f
+			d = deliveredBy(r, to, bps, true) - deliveredBy(r, from, bps, true)
+		} else {
+			d = r.TransmittedBy(to, bps) - r.TransmittedBy(from, bps)
+		}
+		if d <= 0 {
+			continue
+		}
+		key := fabric.FlowKey{Src: r.In, Dst: r.Out}
+		rem := lc.Rem[key]
+		if rem <= 0 {
+			continue
+		}
+		if lc.Base == nil && e.fullRate {
+			// First in-flight byte for this Coflow: snapshot the pristine
+			// demand before Rem starts drifting away from it.
+			lc.Base = make(map[fabric.FlowKey]float64, len(lc.Rem))
+			for k, v := range lc.Rem {
+				lc.Base[k] = v
+			}
+		}
+		if o != nil {
+			o.BytesDelivered.Add(math.Min(rem, d))
+		}
+		if lc.flowStarted != nil && !lc.flowStarted[key] {
+			lc.flowStarted[key] = true
+			o.Emit(obs.Event{T: math.Max(from, r.TransmitStart()), Kind: obs.KindFlowStart, Coflow: r.CoflowID, Src: r.In, Dst: r.Out})
+		}
+		if rem <= d+ByteEps {
+			// The flow drains inside this reservation; solve for the instant.
+			finish := math.Max(from, r.TransmitStart()) + rem*8/bps
+			lc.Rem[key] = 0
+			if _, done := lc.FlowFinish[key]; !done {
+				lc.FlowFinish[key] = finish
+				if o.TraceEnabled() {
+					o.Emit(obs.Event{T: finish, Kind: obs.KindFlowFinish, Coflow: r.CoflowID, Src: r.In, Dst: r.Out, Bytes: lc.demand[key]})
+				}
+			}
+		} else {
+			lc.Rem[key] = rem - d
+		}
+	}
+	if e.cfg.Fair != nil {
+		e.creditFairWindows(from, to)
+	}
+}
+
+// creditFairWindows applies the shared round-robin service of §4.2 within
+// [from, to): during each τ window, circuit [i, A_k(i)] serves the remaining
+// demand of all live Coflows on that port pair with equal instantaneous
+// shares.
+func (e *Engine) creditFairWindows(from, to float64) {
+	o := e.cfg.Obs
+	for _, w := range e.cfg.Fair.WindowsIn(from, to) {
+		if o.TraceEnabled() {
+			// Windows can straddle several credit intervals; emit each
+			// boundary only in the interval containing it.
+			if w.Start >= from-TimeEps && w.Start < to-TimeEps {
+				o.Emit(obs.Event{T: w.Start, Kind: obs.KindWindowOpen, Coflow: -1, Src: -1, Dst: -1, Dur: w.End - w.Start})
+			}
+			if w.End > from+TimeEps && w.End <= to+TimeEps {
+				o.Emit(obs.Event{T: w.End, Kind: obs.KindWindowClose, Coflow: -1, Src: -1, Dst: -1})
+			}
+		}
+		segStart := math.Max(from, w.Start+e.cfg.Delta)
+		segEnd := math.Min(to, w.End)
+		if segEnd <= segStart {
+			continue
+		}
+		for i, j := range w.Assign {
+			key := fabric.FlowKey{Src: i, Dst: j}
+			var ids []int
+			for id, lc := range e.live {
+				if lc.Rem[key] > ByteEps {
+					ids = append(ids, id)
+				}
+			}
+			if len(ids) == 0 {
+				continue
+			}
+			sort.Ints(ids)
+			rems := make([]float64, len(ids))
+			for idx, id := range ids {
+				rems[idx] = e.live[id].Rem[key]
+			}
+			served := core.ShareCircuit(rems, segEnd-segStart, e.cfg.LinkBps)
+			for idx, id := range ids {
+				lc := e.live[id]
+				if o != nil {
+					o.BytesDelivered.Add(math.Min(lc.Rem[key], served[idx]))
+				}
+				if lc.flowStarted != nil && served[idx] > 0 && !lc.flowStarted[key] {
+					lc.flowStarted[key] = true
+					o.Emit(obs.Event{T: segStart, Kind: obs.KindFlowStart, Coflow: id, Src: i, Dst: j})
+				}
+				if lc.Base != nil {
+					// Window delivery is real delivery: the drift-free
+					// remainder must not re-plan the shared bytes.
+					lc.Base[key] -= served[idx]
+				}
+				nr := lc.Rem[key] - served[idx]
+				if nr <= ByteEps {
+					lc.Rem[key] = 0
+					if _, done := lc.FlowFinish[key]; !done {
+						// Exact drain instants inside a shared window are
+						// not tracked; the window end bounds the error by τ.
+						lc.FlowFinish[key] = segEnd
+						if o.TraceEnabled() {
+							o.Emit(obs.Event{T: segEnd, Kind: obs.KindFlowFinish, Coflow: id, Src: i, Dst: j, Bytes: lc.demand[key]})
+						}
+					}
+				} else {
+					lc.Rem[key] = nr
+				}
+			}
+		}
+	}
+}
+
+// CloseTrace emits circuit_down for circuits still holding their ports at the
+// clock. Non-preemption commits an established circuit through its
+// reservation end, so when fair windows drain the last demand early the port
+// is still held past the final event; the down is stamped at the reservation
+// end, matching the HoldSeconds the counters accrued at setup.
+func (e *Engine) CloseTrace() {
+	o := e.cfg.Obs
+	if !o.TraceEnabled() {
+		return
+	}
+	for _, r := range e.plan {
+		if r.Start < e.now-TimeEps && r.End > e.now+TimeEps {
+			o.Emit(obs.Event{T: r.End, Kind: obs.KindCircuitDown, Coflow: r.CoflowID, Src: r.In, Dst: r.Out})
+		}
+	}
+}
+
+// retire hands Coflows whose routable demand has drained to the sink, in id
+// order so completions at one instant are reported identically on every run.
+func (e *Engine) retire(now float64) {
+	for _, id := range e.SortedIDs() {
+		lc := e.live[id]
+		done := true
+		for _, b := range lc.Rem {
+			if b > ByteEps {
+				done = false
+				break
+			}
+		}
+		if !done {
+			continue
+		}
+		// The Coflow finished at its latest flow finish, which can precede
+		// the event instant now.
+		finish := 0.0
+		for _, f := range lc.FlowFinish {
+			finish = math.Max(finish, f)
+		}
+		if finish == 0 {
+			finish = now
+		}
+		e.cfg.Sink.Retire(lc, finish)
+		delete(e.live, id)
+		if o := e.cfg.Obs; o != nil && !lc.Stranded {
+			o.CoflowsCompleted.Inc()
+			if o.TraceEnabled() {
+				o.Emit(obs.Event{T: finish, Kind: obs.KindCoflowComplete, Coflow: id, Src: -1, Dst: -1, Dur: finish - lc.Arrival})
+			}
+		}
+	}
+}

@@ -1,0 +1,257 @@
+package circuit
+
+import (
+	"math"
+
+	"sunflow/internal/core"
+	"sunflow/internal/fabric"
+	"sunflow/internal/fault"
+	"sunflow/internal/obs"
+)
+
+// Faults is the engine's view of a degraded fabric. *fault.Model (the
+// simulator's compiled fault plan) and the daemon's declared-outage index
+// both satisfy it.
+type Faults interface {
+	// Outages returns the downtime intervals of one port.
+	Outages(port int) []fault.Outage
+	// NextBoundary returns the first outage start or finite end strictly
+	// after t (beyond TimeEps), or +Inf.
+	NextBoundary(t float64) float64
+	// AnyPermanent reports whether any port fails permanently.
+	AnyPermanent() bool
+	// PermanentFrom returns the earliest permanent-outage start on the port,
+	// or +Inf.
+	PermanentFrom(port int) float64
+	// RateFactor returns the rate multiplier of the Coflow's (src, dst) flow.
+	RateFactor(coflowID, src, dst int) float64
+	// Setup plays out one circuit establishment of the given hold slot.
+	Setup(coflowID, src, dst int, slot, delta float64) fault.SetupOutcome
+	// FullRate reports whether RateFactor is 1 for every flow.
+	FullRate() bool
+}
+
+// SetFaults installs the fault view; nil restores the fault-free fabric.
+// Faulted passes never reuse cached schedules, so installing a view drops
+// the cache.
+func (e *Engine) SetFaults(f Faults) {
+	e.faults = f
+	e.fullRate = f == nil || f.FullRate()
+	if f != nil {
+		e.dropCache()
+	}
+}
+
+// rateFactor returns the effective bandwidth multiplier for the reservation's
+// flow: 1 on a fault-free fabric.
+func (e *Engine) rateFactor(r *core.Reservation) float64 {
+	if e.faults == nil {
+		return 1
+	}
+	return e.faults.RateFactor(r.CoflowID, r.In, r.Out)
+}
+
+// deliveredBy returns the bytes r has carried by t at effective rate bps.
+// A degraded circuit runs slower than it was sized for: its delivery clamps
+// at the reservation end rather than at Bytes, so it releases its ports with
+// demand unserved and the shortfall is replanned.
+func deliveredBy(r *core.Reservation, t, bps float64, degraded bool) float64 {
+	if !degraded {
+		return r.TransmittedBy(t, bps)
+	}
+	ts := r.TransmitStart()
+	if t <= ts {
+		return 0
+	}
+	return math.Min(r.Bytes, (math.Min(t, r.End)-ts)*bps/8)
+}
+
+// futureBytes returns how many bytes the locked reservation still delivers
+// after now, at its effective rate.
+func (e *Engine) futureBytes(r *core.Reservation, now float64) float64 {
+	f := e.rateFactor(r)
+	if f == 1 {
+		return r.Bytes - r.TransmittedBy(now, e.cfg.LinkBps)
+	}
+	bps := e.cfg.LinkBps * f
+	return deliveredBy(r, r.End, bps, true) - deliveredBy(r, now, bps, true)
+}
+
+// establishFaulty consults the fault view at the instant a circuit pays its
+// setup: failed attempts each re-pay δ (with backoff), stretching the
+// effective setup and shrinking the capacity the hold has left. It mutates
+// the reservation before the establishment is counted, so counters and the
+// circuit_up event see the stretched values, and returns the offsets of the
+// failed attempts for circuit_retry events.
+func (e *Engine) establishFaulty(r *core.Reservation) []float64 {
+	out := e.faults.Setup(r.CoflowID, r.In, r.Out, r.End-r.Start, r.Setup)
+	if out.Established && len(out.Retries) == 0 {
+		return nil
+	}
+	extra := out.Setup - r.Setup
+	bytes := r.Bytes - extra*e.cfg.LinkBps/8
+	if !out.Established || bytes < 0 {
+		bytes = 0
+	}
+	if o := e.cfg.Obs; o != nil {
+		o.CircuitRetries.Add(int64(len(out.Retries)))
+		o.RetrySeconds.Add(extra)
+	}
+	r.Setup = out.Setup
+	r.Bytes = bytes
+	return out.Retries
+}
+
+// syncFaults applies every outage boundary in (now, upTo]: port up/down
+// events are emitted and circuits in flight across a failing port are
+// truncated at the failure instant.
+func (e *Engine) syncFaults(upTo float64) {
+	for t := e.now; ; {
+		bt := e.faults.NextBoundary(t)
+		if math.IsInf(bt, 1) || bt > upTo+TimeEps {
+			return
+		}
+		t = bt
+		o := e.cfg.Obs
+		var down []fault.Outage
+		for port := 0; port < e.cfg.Ports; port++ {
+			for _, og := range e.faults.Outages(port) {
+				if math.Abs(og.Start-bt) <= TimeEps {
+					down = append(down, og)
+				}
+				if !og.Permanent() && math.Abs(og.End-bt) <= TimeEps && o.TraceEnabled() {
+					o.Emit(obs.Event{T: bt, Kind: obs.KindPortUp, Coflow: -1, Src: og.Port, Dst: -1})
+				}
+			}
+		}
+		for _, og := range down {
+			e.portDown(og, bt)
+		}
+	}
+}
+
+// PortDown applies an outage declared while already in effect at the engine
+// clock: circuits in flight across its port release now.
+func (e *Engine) PortDown(og fault.Outage) { e.portDown(og, e.now) }
+
+func (e *Engine) portDown(og fault.Outage, bt float64) {
+	if o := e.cfg.Obs; o != nil {
+		o.PortDowns.Inc()
+		if o.TraceEnabled() {
+			dur := 0.0
+			if !og.Permanent() {
+				dur = og.End - og.Start
+			}
+			o.Emit(obs.Event{T: bt, Kind: obs.KindPortDown, Coflow: -1, Src: og.Port, Dst: -1, Dur: dur})
+		}
+	}
+	e.truncatePort(og.Port, bt)
+}
+
+// truncatePort invalidates the in-flight portion of every established circuit
+// touching a port that just failed: the circuit is released at bt, its
+// undelivered capacity returns to the replanner, and the counters are
+// corrected for the hold time that will never happen.
+func (e *Engine) truncatePort(port int, bt float64) {
+	o := e.cfg.Obs
+	for idx := range e.plan {
+		r := &e.plan[idx]
+		if r.In != port && r.Out != port {
+			continue
+		}
+		// Only circuits already established and still holding past bt; the
+		// replan following this boundary discards un-established ones.
+		if r.Start >= bt-TimeEps || r.End <= bt+TimeEps {
+			continue
+		}
+		f := e.rateFactor(r)
+		delivered := deliveredBy(r, bt, e.cfg.LinkBps*f, f != 1)
+		if o != nil {
+			o.HoldSeconds.Add(bt - r.End)
+			o.PlannedBytes.Add(delivered - r.Bytes)
+			o.InBusySeconds.Add(r.In, bt-r.End)
+			o.OutBusySeconds.Add(r.Out, bt-r.End)
+			if o.TraceEnabled() {
+				o.Emit(obs.Event{T: bt, Kind: obs.KindCircuitDown, Coflow: r.CoflowID, Src: r.In, Dst: r.Out})
+			}
+		}
+		r.End = bt
+		if delivered < r.Bytes {
+			r.Bytes = delivered
+		}
+		if r.Setup > bt-r.Start {
+			// The port died during reconfiguration: the truncated hold is all
+			// setup and the circuit never carried a byte.
+			if o != nil {
+				o.SetupSeconds.Add((bt - r.Start) - r.Setup)
+			}
+			r.Setup = bt - r.Start
+		}
+	}
+}
+
+// repairTable seeds the freshly reset table with the locked circuits
+// defensively — a circuit that no longer fits is invalidated rather than
+// crashing the run, and what it already delivered leaves Base — then blocks
+// every port interval a fault keeps down. It returns the circuits kept.
+func (e *Engine) repairTable(locked []core.Reservation, now float64) []core.Reservation {
+	fsp := e.cfg.Prof.Start("fault.repair")
+	defer fsp.Finish()
+	kept := locked[:0]
+	for _, r := range locked {
+		if e.prt.TryReserve(r) == nil {
+			kept = append(kept, r)
+		} else if lc := e.live[r.CoflowID]; lc != nil && lc.Base != nil {
+			lc.Base[fabric.FlowKey{Src: r.In, Dst: r.Out}] -= r.TransmittedBy(now, e.cfg.LinkBps)
+		}
+	}
+	for port := 0; port < e.cfg.Ports; port++ {
+		for _, og := range e.faults.Outages(port) {
+			if og.End > now+TimeEps {
+				e.prt.Block(port, math.Max(og.Start, now), og.End)
+			}
+		}
+	}
+	return kept
+}
+
+// quarantine strands every live flow whose source or destination port is
+// permanently dead as of now.
+func (e *Engine) quarantine(now float64) {
+	if !e.faults.AnyPermanent() {
+		return
+	}
+	for _, id := range e.SortedIDs() {
+		e.strandFlows(e.live[id], now, now+TimeEps)
+	}
+}
+
+// strandFlows removes from the live Coflow, in (Src, Dst) order, every
+// unfinished flow touching a port that fails permanently by dead, reporting
+// each to the sink. Quarantine passes dead = now; the repair of last resort
+// when a pass stalls against the degraded table passes +Inf, stranding flows
+// on any port with a permanent failure anywhere on the horizon. It reports
+// whether anything was stranded (false means a stall has another cause).
+func (e *Engine) strandFlows(lc *Live, now, dead float64) bool {
+	any := false
+	for _, k := range lc.Keys {
+		b, ok := lc.Rem[k]
+		if !ok || b <= ByteEps || (e.faults.PermanentFrom(k.Src) > dead && e.faults.PermanentFrom(k.Dst) > dead) {
+			continue
+		}
+		any = true
+		lc.Stranded = true
+		lc.StrandedBytes += b
+		delete(lc.Rem, k)
+		delete(lc.Base, k)
+		e.cfg.Sink.Strand(lc, k, b, now)
+		if o := e.cfg.Obs; o != nil {
+			o.FlowsStranded.Inc()
+			o.StrandedBytes.Add(b)
+			if o.TraceEnabled() {
+				o.Emit(obs.Event{T: now, Kind: obs.KindFlowStranded, Coflow: lc.ID, Src: k.Src, Dst: k.Dst, Bytes: b})
+			}
+		}
+	}
+	return any
+}

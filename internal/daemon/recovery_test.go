@@ -262,6 +262,47 @@ func TestStoreRejectsConfigMismatch(t *testing.T) {
 	}
 }
 
+// TestStoreOpensRetiredFullReplanConfig: snapshots written while
+// EngineConfig still carried the full_replan switch record it in their
+// config; the switch is gone (SUNFLOW_FULL_REPLAN replaced it), and such a
+// data directory must open under the same fabric parameters.
+func TestStoreOpensRetiredFullReplanConfig(t *testing.T) {
+	dir := t.TempDir()
+	cfg := EngineConfig{Ports: 4, LinkBps: 1e9, Delta: 0.01}
+	s, err := Open(dir, cfg, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.Accept(Event{Kind: KindRegister, At: 0, Coflow: 1, Flows: []FlowSpec{{Src: 0, Dst: 1, Bytes: 1e6}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	want := s.Engine().Digest()
+	s.Close()
+	path := filepath.Join(dir, snapshotName)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := bytes.Replace(raw, []byte(`"seed":0}`), []byte(`"seed":0,"full_replan":true}`), 1)
+	if bytes.Equal(old, raw) {
+		t.Fatalf("snapshot config not found in %s", raw)
+	}
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := Open(dir, cfg, nil, nil)
+	if err != nil {
+		t.Fatalf("open snapshot with full_replan set: %v", err)
+	}
+	defer rec.Close()
+	if rec.Engine().Digest() != want {
+		t.Fatal("recovered digest changed")
+	}
+}
+
 // TestWALTornTailTruncated: recovery drops a damaged tail and subsequent
 // appends land on a clean record boundary.
 func TestWALTornTailTruncated(t *testing.T) {

@@ -7,8 +7,10 @@ import (
 	"math"
 	"sort"
 
+	"sunflow/internal/circuit"
 	"sunflow/internal/core"
 	"sunflow/internal/fabric"
+	"sunflow/internal/fault"
 )
 
 // This file encodes and restores Engine state for checkpoints. Two rules make
@@ -113,47 +115,31 @@ type engineState struct {
 // State exports the Engine for a checkpoint.
 func (e *Engine) State() engineState {
 	st := engineState{
-		Now:     e.now,
-		Live:    make([]liveState, 0, len(e.live)),
-		Plan:    append([]core.Reservation(nil), e.plan...),
+		Now:     e.Now(),
+		Live:    make([]liveState, 0, e.eng.Len()),
+		Plan:    canonicalPlan(e.eng.Plan()),
 		Done:    make([]doneState, 0, len(e.done)),
 		Digest:  hex.EncodeToString(e.digest[:]),
-		Replans: e.replans,
+		Replans: e.eng.Passes(),
 	}
-	// Plan order is scheduler-determined but serialization must be canonical;
-	// restore re-sorts by Start before crediting anyway (credit always does),
-	// so a stable canonical order here is free.
-	sort.SliceStable(st.Plan, func(a, b int) bool {
-		ra, rb := st.Plan[a], st.Plan[b]
-		if ra.Start != rb.Start {
-			return ra.Start < rb.Start
-		}
-		if ra.CoflowID != rb.CoflowID {
-			return ra.CoflowID < rb.CoflowID
-		}
-		if ra.In != rb.In {
-			return ra.In < rb.In
-		}
-		return ra.Out < rb.Out
-	})
-	for _, id := range sortedIDs(e.live) {
-		lc := e.live[id]
+	for _, id := range e.eng.SortedIDs() {
+		lc := e.eng.Lookup(id)
 		ls := liveState{
-			ID:            lc.id,
-			Arrival:       lc.arrival,
-			Priority:      lc.priority,
-			Spec:          append([]FlowSpec(nil), lc.spec...),
-			Rem:           sortedFlowBytes(lc.rem),
-			FlowFinish:    sortedFlowTimes(lc.flowFinish),
-			Finish:        infFloat(lc.finish),
-			Switches:      lc.switches,
-			Stranded:      lc.stranded,
-			StrandedBytes: lc.strandedBytes,
+			ID:            lc.ID,
+			Arrival:       lc.Arrival,
+			Priority:      lc.Priority,
+			Spec:          append([]FlowSpec(nil), e.specs[id].flows...),
+			Rem:           flowsIn(lc.Keys, lc.Rem, newFlowBytes),
+			FlowFinish:    flowsIn(lc.Keys, lc.FlowFinish, newFlowTime),
+			Finish:        infFloat(lc.Finish),
+			Switches:      lc.Switches,
+			Stranded:      lc.Stranded,
+			StrandedBytes: lc.StrandedBytes,
 		}
-		if lc.base != nil {
-			// base is never empty while set (it clones a rem with in-flight
+		if lc.Base != nil {
+			// Base is never empty while set (it clones a Rem with in-flight
 			// demand), so omitempty cannot conflate it with unset.
-			ls.Base = sortedFlowBytes(lc.base)
+			ls.Base = flowsIn(lc.Keys, lc.Base, newFlowBytes)
 		}
 		st.Live = append(st.Live, ls)
 	}
@@ -165,14 +151,16 @@ func (e *Engine) State() engineState {
 	for _, id := range doneIDs {
 		st.Done = append(st.Done, doneState{ID: id, Completion: e.done[id]})
 	}
-	for _, og := range e.outages {
-		os := outageState{Port: og.Port, Start: og.Start}
-		if og.permanent() {
-			os.Permanent = true
-		} else {
-			os.End = og.End
+	for _, ogs := range e.outages.byPort {
+		for _, og := range ogs {
+			os := outageState{Port: og.Port, Start: og.Start}
+			if og.Permanent() {
+				os.Permanent = true
+			} else {
+				os.End = og.End
+			}
+			st.Outages = append(st.Outages, os)
 		}
-		st.Outages = append(st.Outages, os)
 	}
 	return st
 }
@@ -184,93 +172,84 @@ func (e *Engine) restoreState(st engineState) error {
 	if err != nil || len(digest) != len(e.digest) {
 		return fmt.Errorf("daemon: snapshot digest %q malformed", st.Digest)
 	}
-	live := make(map[int]*liveEntry, len(st.Live))
+	live := make([]*circuit.Live, 0, len(st.Live))
+	specs := make(map[int]liveSpec, len(st.Live))
 	for _, ls := range st.Live {
-		lc := &liveEntry{
-			id:            ls.ID,
-			arrival:       ls.Arrival,
-			priority:      ls.Priority,
-			spec:          append([]FlowSpec(nil), ls.Spec...),
-			specHash:      hashSpec(ls.Priority, ls.Spec),
-			rem:           make(map[fabric.FlowKey]float64, len(ls.Rem)),
-			flowFinish:    make(map[fabric.FlowKey]float64, len(ls.FlowFinish)),
-			finish:        float64(ls.Finish),
-			switches:      ls.Switches,
-			stranded:      ls.Stranded,
-			strandedBytes: ls.StrandedBytes,
+		if _, dup := specs[ls.ID]; dup {
+			return fmt.Errorf("daemon: snapshot lists coflow %d twice", ls.ID)
+		}
+		specs[ls.ID] = liveSpec{flows: append([]FlowSpec(nil), ls.Spec...), hash: hashSpec(ls.Priority, ls.Spec)}
+		lc := &circuit.Live{
+			ID:            ls.ID,
+			Arrival:       ls.Arrival,
+			Priority:      ls.Priority,
+			Rem:           make(map[fabric.FlowKey]float64, len(ls.Rem)),
+			FlowFinish:    make(map[fabric.FlowKey]float64, len(ls.FlowFinish)),
+			Finish:        float64(ls.Finish),
+			Switches:      ls.Switches,
+			Stranded:      ls.Stranded,
+			StrandedBytes: ls.StrandedBytes,
 		}
 		// Rem was serialized in (src, dst) order, so it doubles as the sorted
-		// key list remainderInto iterates. It lacks keys stranded before the
-		// checkpoint, but those are absent from rem on a live engine too and
-		// readers skip them either way.
-		lc.keys = make([]fabric.FlowKey, 0, len(ls.Rem))
+		// key list. It lacks keys stranded before the checkpoint, but those
+		// are absent from Rem on a live engine too and readers skip them.
+		lc.Keys = make([]fabric.FlowKey, 0, len(ls.Rem))
 		for _, fb := range ls.Rem {
 			k := fabric.FlowKey{Src: fb.Src, Dst: fb.Dst}
-			lc.rem[k] = fb.Bytes
-			lc.keys = append(lc.keys, k)
+			lc.Rem[k] = fb.Bytes
+			lc.Keys = append(lc.Keys, k)
 		}
 		if len(ls.Base) > 0 {
-			lc.base = make(map[fabric.FlowKey]float64, len(ls.Base))
+			lc.Base = make(map[fabric.FlowKey]float64, len(ls.Base))
 			for _, fb := range ls.Base {
-				lc.base[fabric.FlowKey{Src: fb.Src, Dst: fb.Dst}] = fb.Bytes
+				lc.Base[fabric.FlowKey{Src: fb.Src, Dst: fb.Dst}] = fb.Bytes
 			}
 		}
 		for _, ft := range ls.FlowFinish {
-			lc.flowFinish[fabric.FlowKey{Src: ft.Src, Dst: ft.Dst}] = ft.T
+			lc.FlowFinish[fabric.FlowKey{Src: ft.Src, Dst: ft.Dst}] = ft.T
 		}
-		if _, dup := live[ls.ID]; dup {
-			return fmt.Errorf("daemon: snapshot lists coflow %d twice", ls.ID)
-		}
-		live[ls.ID] = lc
+		live = append(live, lc)
 	}
 	done := make(map[int]Completion, len(st.Done))
 	for _, ds := range st.Done {
 		done[ds.ID] = ds.Completion
 	}
-	outages := make([]outage, 0, len(st.Outages))
+	outages := newOutageIndex(e.cfg.Ports)
 	for _, os := range st.Outages {
+		if os.Port < 0 || os.Port >= e.cfg.Ports {
+			return fmt.Errorf("daemon: snapshot outage names port %d outside [0,%d)", os.Port, e.cfg.Ports)
+		}
 		end := os.End
 		if os.Permanent {
 			end = math.Inf(1)
 		}
-		outages = append(outages, outage{Port: os.Port, Start: os.Start, End: end})
+		outages.add(fault.Outage{Port: os.Port, Start: os.Start, End: end})
 	}
-	e.now = st.Now
-	e.live = live
-	e.plan = append([]core.Reservation(nil), st.Plan...)
+	e.eng.Restore(st.Now, live, st.Plan, st.Replans)
+	e.specs = specs
 	e.outages = outages
+	if outages.n > 0 {
+		e.eng.SetFaults(&e.outages)
+	}
 	e.done = done
 	copy(e.digest[:], digest)
-	e.replans = st.Replans
 	return nil
 }
 
-// sortedFlowBytes serializes a demand map in (src, dst) order.
-func sortedFlowBytes(m map[fabric.FlowKey]float64) []flowBytes {
-	out := make([]flowBytes, 0, len(m))
-	for k, b := range m {
-		out = append(out, flowBytes{Src: k.Src, Dst: k.Dst, Bytes: b})
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Src != out[b].Src {
-			return out[a].Src < out[b].Src
+// flowsIn serializes the entries of a per-flow map in keys order — the
+// live Coflow's (src, dst)-sorted key list, which covers every map it holds.
+func flowsIn[T any](keys []fabric.FlowKey, m map[fabric.FlowKey]float64, mk func(fabric.FlowKey, float64) T) []T {
+	out := make([]T, 0, len(m))
+	for _, k := range keys {
+		if v, ok := m[k]; ok {
+			out = append(out, mk(k, v))
 		}
-		return out[a].Dst < out[b].Dst
-	})
+	}
 	return out
 }
 
-// sortedFlowTimes serializes a finish map in (src, dst) order.
-func sortedFlowTimes(m map[fabric.FlowKey]float64) []flowTime {
-	out := make([]flowTime, 0, len(m))
-	for k, t := range m {
-		out = append(out, flowTime{Src: k.Src, Dst: k.Dst, T: t})
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Src != out[b].Src {
-			return out[a].Src < out[b].Src
-		}
-		return out[a].Dst < out[b].Dst
-	})
-	return out
+func newFlowBytes(k fabric.FlowKey, b float64) flowBytes {
+	return flowBytes{Src: k.Src, Dst: k.Dst, Bytes: b}
 }
+
+func newFlowTime(k fabric.FlowKey, t float64) flowTime { return flowTime{Src: k.Src, Dst: k.Dst, T: t} }

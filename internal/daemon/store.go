@@ -104,13 +104,7 @@ func Open(dir string, cfg EngineConfig, o *obs.Observer, m *obs.DaemonMetrics) (
 		if snap.Version != snapshotVersion {
 			return nil, fmt.Errorf("daemon: snapshot %s has version %d, want %d", s.snapPath, snap.Version, snapshotVersion)
 		}
-		// FullReplan is a performance knob that cannot change schedules (the
-		// differential property tests pin bit-identity), so it is excluded
-		// from config identity: a data directory may be reopened with it
-		// toggled.
-		sc, oc := snap.Config, cfg
-		sc.FullReplan, oc.FullReplan = false, false
-		if sc != oc {
+		if snap.Config != cfg {
 			return nil, fmt.Errorf("%w: snapshot has %+v", ErrConfigMismatch, snap.Config)
 		}
 		if err := eng.restoreState(snap.State); err != nil {

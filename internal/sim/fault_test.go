@@ -250,9 +250,7 @@ func TestQuickReferencePathBitExact(t *testing.T) {
 			opts.Fair = &core.FairWindows{N: 5, T: 1, Tau: 0.05}
 		}
 		fast, fastEv := tracedCircuit(t, cs, opts)
-		ref := opts
-		ref.Reference = true
-		want, wantEv := tracedCircuit(t, cs, ref)
+		want, wantEv := tracedCircuit(t, cs, withReference(opts))
 		if !sameResult(fast, want) || !sameEvents(fastEv, wantEv) {
 			t.Logf("seed %d: fast/reference divergence", seed)
 			return false

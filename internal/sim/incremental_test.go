@@ -31,7 +31,7 @@ func observedCircuit(t *testing.T, cs []*coflow.Coflow, opts CircuitOptions) (Re
 // replanner stands on: across arrival-dense random workloads — with fair
 // windows, seeded fault plans, or the reference intra path mixed in — a run
 // with dirty-prefix schedule reuse must be bit-identical to one with
-// FullReplan forced, down to the full Result and the trace event stream.
+// SUNFLOW_FULL_REPLAN=1, down to the full Result and the trace event stream.
 func TestQuickIncrementalBitExact(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -55,12 +55,12 @@ func TestQuickIncrementalBitExact(t *testing.T) {
 		case 2:
 			opts.Faults = &fault.Plan{Seed: seed} // zero plan: fault machinery on, no faults
 		case 3:
-			opts.Reference = true
+			opts = withReference(opts)
 		}
-		full := opts
-		full.FullReplan = true
+		setFullReplan(t, false)
 		got, gotEv, _ := observedCircuit(t, cs, opts)
-		want, wantEv, _ := observedCircuit(t, cs, full)
+		setFullReplan(t, true)
+		want, wantEv, _ := observedCircuit(t, cs, opts)
 		if !reflect.DeepEqual(got, want) {
 			t.Logf("seed %d: results diverge", seed)
 			return false
@@ -78,8 +78,8 @@ func TestQuickIncrementalBitExact(t *testing.T) {
 
 // TestQuickIntraSkippedReconciles pins sched.intra_skipped to ground truth:
 // on any fault-free workload, the incremental run's IntraPasses plus
-// IntraSkipped must equal the IntraPasses of a FullReplan run over the same
-// schedule passes, and a FullReplan run must never skip.
+// IntraSkipped must equal the IntraPasses of a full-replan run over the same
+// schedule passes, and a full-replan run must never skip.
 func TestQuickIntraSkippedReconciles(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -88,12 +88,12 @@ func TestQuickIntraSkippedReconciles(t *testing.T) {
 		if rng.Intn(3) == 0 {
 			opts.Fair = &core.FairWindows{N: 5, T: 1, Tau: 0.05}
 		}
-		full := opts
-		full.FullReplan = true
+		setFullReplan(t, false)
 		_, _, oi := observedCircuit(t, cs, opts)
-		_, _, of := observedCircuit(t, cs, full)
+		setFullReplan(t, true)
+		_, _, of := observedCircuit(t, cs, opts)
 		if of.IntraSkipped.Load() != 0 {
-			t.Logf("seed %d: FullReplan run skipped %d intra passes", seed, of.IntraSkipped.Load())
+			t.Logf("seed %d: full-replan run skipped %d intra passes", seed, of.IntraSkipped.Load())
 			return false
 		}
 		if oi.SchedPasses.Load() != of.SchedPasses.Load() {
@@ -138,9 +138,8 @@ func TestShardedIncrementalBitExact(t *testing.T) {
 	}
 	for _, workers := range []int{2, 4} {
 		for _, fullReplan := range []bool{false, true} {
-			o := opts
-			o.FullReplan = fullReplan
-			res, err := RunCircuitSharded(tr.Coflows, o, workers)
+			setFullReplan(t, fullReplan)
+			res, err := RunCircuitSharded(tr.Coflows, opts, workers)
 			if err != nil {
 				t.Fatalf("workers=%d full=%v: %v", workers, fullReplan, err)
 			}

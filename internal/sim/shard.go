@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 
@@ -223,33 +224,20 @@ func RunCircuitSharded(coflows []*coflow.Coflow, opts CircuitOptions, workers in
 	// the serial admit would record them; archive them (or record them) first
 	// so their order is fixed before any component merges.
 	for _, c := range trivial {
-		if onArchive != nil {
-			onArchive(Archived{ID: c.ID, Arrival: c.Arrival, Finish: c.Arrival})
-		} else {
-			res.CCT[c.ID] = 0
-			res.Finish[c.ID] = c.Arrival
-		}
+		recordInstant(&res, onArchive, c)
 	}
 
 	for i := range outs {
 		out := &outs[i]
-		for id, v := range out.res.CCT {
-			res.CCT[id] = v
-		}
-		for id, v := range out.res.Finish {
-			res.Finish[id] = v
-		}
-		for id, v := range out.res.SwitchCount {
-			res.SwitchCount[id] = v
-		}
+		maps.Copy(res.CCT, out.res.CCT)
+		maps.Copy(res.Finish, out.res.Finish)
+		maps.Copy(res.SwitchCount, out.res.SwitchCount)
 		res.Events += out.res.Events
 		if p := out.res.Partial; p != nil {
-			dst := resPartial(&res)
+			dst := partialOf(&res)
 			dst.Stranded = append(dst.Stranded, p.Stranded...)
 			dst.Bytes += p.Bytes
-			for id, v := range p.Finish {
-				dst.Finish[id] = v
-			}
+			maps.Copy(dst.Finish, p.Finish)
 		}
 	}
 
@@ -267,14 +255,6 @@ func RunCircuitSharded(coflows []*coflow.Coflow, opts CircuitOptions, workers in
 		}
 	}
 	return res, nil
-}
-
-// resPartial mirrors circuitState.partial for the merged result.
-func resPartial(res *Result) *PartialResult {
-	if res.Partial == nil {
-		res.Partial = &PartialResult{Finish: map[int]float64{}}
-	}
-	return res.Partial
 }
 
 // sortStranded orders stranded flows by (At, Coflow, Src, Dst) — the

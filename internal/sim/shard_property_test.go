@@ -282,7 +282,7 @@ func TestQuickShardedMatchesComponentRuns(t *testing.T) {
 			}
 			want.Events += r.Events
 			if p := r.Partial; p != nil {
-				dst := resPartial(&want)
+				dst := partialOf(&want)
 				dst.Stranded = append(dst.Stranded, p.Stranded...)
 				dst.Bytes += p.Bytes
 				for id, v := range p.Finish {
