@@ -81,10 +81,15 @@ type Live struct {
 	Priority int
 	// Bytes is the Coflow's total positive demand at admission.
 	Bytes float64
+	// Keys holds the Coflow's flows in (Src, Dst) order, fixed at admission;
+	// Rem and Base are dense slices aligned with it, and Index finds a flow's
+	// position. Stranding splices the flow out of all three, so a later debit
+	// for one of its circuits finds no entry to touch.
+	Keys []fabric.FlowKey
 	// Rem is the unserved demand per flow, including demand in-flight
 	// circuits will deliver. Credited continuously, it drives the priority
 	// key, completion detection and stranded-byte accounting.
-	Rem map[fabric.FlowKey]float64
+	Rem []float64
 	// Base is the scheduler's view of the same demand, kept drift-free: it
 	// ignores in-flight delivery and is debited exactly once per circuit, by
 	// its planned Bytes, at the pass after the circuit ends. Between
@@ -96,12 +101,9 @@ type Live struct {
 	// remainder would drift from Rem until the two disagreed about whether a
 	// flow is done (TestFaultPathLivenessRegression); such Coflows schedule
 	// from Rem instead.
-	Base map[fabric.FlowKey]float64
-	// Keys holds Rem's keys in (Src, Dst) order, fixed at admission.
-	// Stranding deletes Rem entries without touching Keys, so readers skip
-	// keys absent from Rem.
-	Keys []fabric.FlowKey
-	// FlowFinish records actual flow completion instants.
+	Base []float64
+	// FlowFinish records actual flow completion instants. Written once per
+	// flow, off the replan path, it stays keyed by flow.
 	FlowFinish map[fabric.FlowKey]float64
 	// Finish is the planned completion time under the current plan.
 	Finish float64
@@ -115,6 +117,18 @@ type Live struct {
 	// allocated only when tracing is on.
 	flowStarted map[fabric.FlowKey]bool
 	demand      map[fabric.FlowKey]float64
+}
+
+// Index returns the position of flow k in Keys, Rem and Base, by binary
+// search; ok is false for a flow the Coflow does not hold (never had, or
+// stranded).
+func (lc *Live) Index(k fabric.FlowKey) (i int, ok bool) {
+	return slices.BinarySearchFunc(lc.Keys, k, compareKeys)
+}
+
+// compareKeys orders flow keys by (Src, Dst).
+func compareKeys(a, b fabric.FlowKey) int {
+	return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
 }
 
 // Engine is the circuit state machine. It is not safe for concurrent use.
@@ -206,24 +220,26 @@ func (e *Engine) Restore(now float64, live []*Live, plan []core.Reservation, pas
 // the engine untouched, when c has no positive demand: such a Coflow
 // completes at its arrival and the caller records it.
 func (e *Engine) Admit(c *coflow.Coflow, priority int) bool {
-	rem := make(map[fabric.FlowKey]float64, len(c.Flows))
+	demand := make(map[fabric.FlowKey]float64, len(c.Flows))
 	total := 0.0
 	for _, f := range c.Flows {
 		if f.Bytes > 0 {
-			rem[fabric.FlowKey{Src: f.Src, Dst: f.Dst}] += f.Bytes
+			demand[fabric.FlowKey{Src: f.Src, Dst: f.Dst}] += f.Bytes
 			total += f.Bytes
 		}
 	}
-	if len(rem) == 0 {
+	if len(demand) == 0 {
 		return false
 	}
-	keys := make([]fabric.FlowKey, 0, len(rem))
-	for k := range rem {
+	keys := make([]fabric.FlowKey, 0, len(demand))
+	for k := range demand {
 		keys = append(keys, k)
 	}
-	slices.SortFunc(keys, func(a, b fabric.FlowKey) int {
-		return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
-	})
+	slices.SortFunc(keys, compareKeys)
+	rem := make([]float64, len(keys))
+	for i, k := range keys {
+		rem[i] = demand[k]
+	}
 	lc := &Live{
 		ID:         c.ID,
 		Arrival:    c.Arrival,
@@ -238,10 +254,7 @@ func (e *Engine) Admit(c *coflow.Coflow, priority int) bool {
 		o.CoflowsAdmitted.Inc()
 		if o.TraceEnabled() {
 			lc.flowStarted = make(map[fabric.FlowKey]bool, len(rem))
-			lc.demand = make(map[fabric.FlowKey]float64, len(rem))
-			for k, b := range rem {
-				lc.demand[k] = b
-			}
+			lc.demand = demand
 			o.Emit(obs.Event{T: e.now, Kind: obs.KindCoflowAdmit, Coflow: c.ID, Src: -1, Dst: -1, Bytes: c.TotalBytes()})
 		}
 	}
@@ -337,7 +350,7 @@ func (e *Engine) credit(from, to float64) {
 	defer csp.Finish()
 	// Reservations in start order so sequential reservations of one flow
 	// are credited in the order they deliver.
-	sort.Slice(e.plan, func(a, b int) bool { return e.plan[a].Start < e.plan[b].Start })
+	slices.SortFunc(e.plan, func(a, b core.Reservation) int { return cmp.Compare(a.Start, b.Start) })
 	o := e.cfg.Obs
 	for idx := range e.plan {
 		r := &e.plan[idx]
@@ -386,17 +399,15 @@ func (e *Engine) credit(from, to float64) {
 			continue
 		}
 		key := fabric.FlowKey{Src: r.In, Dst: r.Out}
-		rem := lc.Rem[key]
-		if rem <= 0 {
+		ki, ok := lc.Index(key)
+		if !ok || lc.Rem[ki] <= 0 {
 			continue
 		}
+		rem := lc.Rem[ki]
 		if lc.Base == nil && e.fullRate {
 			// First in-flight byte for this Coflow: snapshot the pristine
 			// demand before Rem starts drifting away from it.
-			lc.Base = make(map[fabric.FlowKey]float64, len(lc.Rem))
-			for k, v := range lc.Rem {
-				lc.Base[k] = v
-			}
+			lc.Base = slices.Clone(lc.Rem)
 		}
 		if o != nil {
 			o.BytesDelivered.Add(math.Min(rem, d))
@@ -408,7 +419,7 @@ func (e *Engine) credit(from, to float64) {
 		if rem <= d+ByteEps {
 			// The flow drains inside this reservation; solve for the instant.
 			finish := math.Max(from, r.TransmitStart()) + rem*8/bps
-			lc.Rem[key] = 0
+			lc.Rem[ki] = 0
 			if _, done := lc.FlowFinish[key]; !done {
 				lc.FlowFinish[key] = finish
 				if o.TraceEnabled() {
@@ -416,7 +427,7 @@ func (e *Engine) credit(from, to float64) {
 				}
 			}
 		} else {
-			lc.Rem[key] = rem - d
+			lc.Rem[ki] = rem - d
 		}
 	}
 	if e.cfg.Fair != nil {
@@ -429,6 +440,9 @@ func (e *Engine) credit(from, to float64) {
 // demand of all live Coflows on that port pair with equal instantaneous
 // shares.
 func (e *Engine) creditFairWindows(from, to float64) {
+	// sharer is a live Coflow with demand on a window circuit: its id and
+	// the position of the flow in its slices.
+	type sharer struct{ id, ki int }
 	o := e.cfg.Obs
 	for _, w := range e.cfg.Fair.WindowsIn(from, to) {
 		if o.TraceEnabled() {
@@ -448,25 +462,26 @@ func (e *Engine) creditFairWindows(from, to float64) {
 		}
 		for i, j := range w.Assign {
 			key := fabric.FlowKey{Src: i, Dst: j}
-			var ids []int
+			var sharers []sharer
 			for id, lc := range e.live {
-				if lc.Rem[key] > ByteEps {
-					ids = append(ids, id)
+				if ki, ok := lc.Index(key); ok && lc.Rem[ki] > ByteEps {
+					sharers = append(sharers, sharer{id, ki})
 				}
 			}
-			if len(ids) == 0 {
+			if len(sharers) == 0 {
 				continue
 			}
-			sort.Ints(ids)
-			rems := make([]float64, len(ids))
-			for idx, id := range ids {
-				rems[idx] = e.live[id].Rem[key]
+			slices.SortFunc(sharers, func(a, b sharer) int { return cmp.Compare(a.id, b.id) })
+			rems := make([]float64, len(sharers))
+			for idx, sh := range sharers {
+				rems[idx] = e.live[sh.id].Rem[sh.ki]
 			}
 			served := core.ShareCircuit(rems, segEnd-segStart, e.cfg.LinkBps)
-			for idx, id := range ids {
+			for idx, sh := range sharers {
+				id, ki := sh.id, sh.ki
 				lc := e.live[id]
 				if o != nil {
-					o.BytesDelivered.Add(math.Min(lc.Rem[key], served[idx]))
+					o.BytesDelivered.Add(math.Min(lc.Rem[ki], served[idx]))
 				}
 				if lc.flowStarted != nil && served[idx] > 0 && !lc.flowStarted[key] {
 					lc.flowStarted[key] = true
@@ -475,11 +490,11 @@ func (e *Engine) creditFairWindows(from, to float64) {
 				if lc.Base != nil {
 					// Window delivery is real delivery: the drift-free
 					// remainder must not re-plan the shared bytes.
-					lc.Base[key] -= served[idx]
+					lc.Base[ki] -= served[idx]
 				}
-				nr := lc.Rem[key] - served[idx]
+				nr := lc.Rem[ki] - served[idx]
 				if nr <= ByteEps {
-					lc.Rem[key] = 0
+					lc.Rem[ki] = 0
 					if _, done := lc.FlowFinish[key]; !done {
 						// Exact drain instants inside a shared window are
 						// not tracked; the window end bounds the error by τ.
@@ -489,7 +504,7 @@ func (e *Engine) creditFairWindows(from, to float64) {
 						}
 					}
 				} else {
-					lc.Rem[key] = nr
+					lc.Rem[ki] = nr
 				}
 			}
 		}

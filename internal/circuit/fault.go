@@ -2,6 +2,7 @@ package circuit
 
 import (
 	"math"
+	"slices"
 
 	"sunflow/internal/core"
 	"sunflow/internal/fabric"
@@ -202,7 +203,9 @@ func (e *Engine) repairTable(locked []core.Reservation, now float64) []core.Rese
 		if e.prt.TryReserve(r) == nil {
 			kept = append(kept, r)
 		} else if lc := e.live[r.CoflowID]; lc != nil && lc.Base != nil {
-			lc.Base[fabric.FlowKey{Src: r.In, Dst: r.Out}] -= r.TransmittedBy(now, e.cfg.LinkBps)
+			if ki, ok := lc.Index(fabric.FlowKey{Src: r.In, Dst: r.Out}); ok {
+				lc.Base[ki] -= r.TransmittedBy(now, e.cfg.LinkBps)
+			}
 		}
 	}
 	for port := 0; port < e.cfg.Ports; port++ {
@@ -228,22 +231,28 @@ func (e *Engine) quarantine(now float64) {
 
 // strandFlows removes from the live Coflow, in (Src, Dst) order, every
 // unfinished flow touching a port that fails permanently by dead, reporting
-// each to the sink. Quarantine passes dead = now; the repair of last resort
-// when a pass stalls against the degraded table passes +Inf, stranding flows
-// on any port with a permanent failure anywhere on the horizon. It reports
-// whether anything was stranded (false means a stall has another cause).
+// each to the sink. The flow is spliced out of Keys, Rem and Base together,
+// so a later debit of one of its circuits finds no entry to touch.
+// Quarantine passes dead = now; the repair of last resort when a pass stalls
+// against the degraded table passes +Inf, stranding flows on any port with a
+// permanent failure anywhere on the horizon. It reports whether anything was
+// stranded (false means a stall has another cause).
 func (e *Engine) strandFlows(lc *Live, now, dead float64) bool {
 	any := false
-	for _, k := range lc.Keys {
-		b, ok := lc.Rem[k]
-		if !ok || b <= ByteEps || (e.faults.PermanentFrom(k.Src) > dead && e.faults.PermanentFrom(k.Dst) > dead) {
+	for i := 0; i < len(lc.Keys); {
+		k, b := lc.Keys[i], lc.Rem[i]
+		if b <= ByteEps || (e.faults.PermanentFrom(k.Src) > dead && e.faults.PermanentFrom(k.Dst) > dead) {
+			i++
 			continue
 		}
 		any = true
 		lc.Stranded = true
 		lc.StrandedBytes += b
-		delete(lc.Rem, k)
-		delete(lc.Base, k)
+		lc.Keys = slices.Delete(lc.Keys, i, i+1)
+		lc.Rem = slices.Delete(lc.Rem, i, i+1)
+		if lc.Base != nil {
+			lc.Base = slices.Delete(lc.Base, i, i+1)
+		}
 		e.cfg.Sink.Strand(lc, k, b, now)
 		if o := e.cfg.Obs; o != nil {
 			o.FlowsStranded.Inc()

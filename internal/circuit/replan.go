@@ -45,13 +45,13 @@ type planCacheEntry struct {
 // replanScratch pools the per-pass buffers of replanOnce, making a
 // steady-state replan allocation-free outside IntraCoflow itself.
 type replanScratch struct {
-	// lockedFuture maps Coflow id -> flow key -> demand its in-flight
-	// circuits cover. Subtracted from the drift-free Base it yields the
-	// demand still unplanned — neither side moves with delivery, so the
-	// scheduler input is bit-stable while a circuit holds. Inner maps recycle
-	// through exclPool.
-	lockedFuture map[int]map[fabric.FlowKey]float64
-	exclPool     []map[fabric.FlowKey]float64
+	// lockedFuture maps Coflow id to the demand its in-flight circuits
+	// cover, per flow, aligned with the Coflow's Keys. Subtracted from the
+	// drift-free Base it yields the demand still unplanned — neither side
+	// moves with delivery, so the scheduler input is bit-stable while a
+	// circuit holds. The slices recycle through exclPool.
+	lockedFuture map[int][]float64
+	exclPool     [][]float64
 	// tmps holds reusable remainder-Coflow headers, one per live Coflow; the
 	// header doubles as the IntraCoflow input when the remainders coincide.
 	tmps []*coflow.Coflow
@@ -116,7 +116,9 @@ func (e *Engine) replanOnce(now float64) (id int, err error) {
 			continue
 		}
 		if lc := e.live[r.CoflowID]; lc != nil && lc.Base != nil {
-			lc.Base[fabric.FlowKey{Src: r.In, Dst: r.Out}] -= r.Bytes
+			if ki, ok := lc.Index(fabric.FlowKey{Src: r.In, Dst: r.Out}); ok {
+				lc.Base[ki] -= r.Bytes
+			}
 		}
 	}
 
@@ -133,20 +135,26 @@ func (e *Engine) replanOnce(now float64) (id int, err error) {
 	lockedFuture := sc.takeLockedFuture()
 	for i := range locked {
 		r := &locked[i]
-		if lc := e.live[r.CoflowID]; lc != nil {
-			m := lockedFuture[r.CoflowID]
-			if m == nil {
-				m = sc.takeExcl()
-				lockedFuture[r.CoflowID] = m
-			}
-			// Exclusions are in the units of the view the scheduler reads:
-			// against Base (which ignores in-flight delivery) the circuit's
-			// full planned bytes, against Rem only what it still delivers.
-			if lc.Base != nil {
-				m[fabric.FlowKey{Src: r.In, Dst: r.Out}] += r.Bytes
-			} else {
-				m[fabric.FlowKey{Src: r.In, Dst: r.Out}] += e.futureBytes(r, now)
-			}
+		lc := e.live[r.CoflowID]
+		if lc == nil {
+			continue
+		}
+		ki, ok := lc.Index(fabric.FlowKey{Src: r.In, Dst: r.Out})
+		if !ok {
+			continue // the flow was stranded; nothing schedules it
+		}
+		m := lockedFuture[r.CoflowID]
+		if m == nil {
+			m = sc.takeExcl(len(lc.Keys))
+			lockedFuture[r.CoflowID] = m
+		}
+		// Exclusions are in the units of the view the scheduler reads:
+		// against Base (which ignores in-flight delivery) the circuit's full
+		// planned bytes, against Rem only what it still delivers.
+		if lc.Base != nil {
+			m[ki] += r.Bytes
+		} else {
+			m[ki] += e.futureBytes(r, now)
 		}
 	}
 
@@ -417,47 +425,45 @@ func newCacheEntry(id int, flows []coflow.Flow, res []core.Reservation) planCach
 	return ce
 }
 
-// takeLockedFuture returns the pooled outer exclusion map, emptied, with the
-// inner maps recycled into the pool.
-func (sc *replanScratch) takeLockedFuture() map[int]map[fabric.FlowKey]float64 {
+// takeLockedFuture returns the pooled exclusion map, emptied, with its
+// slices recycled into the pool.
+func (sc *replanScratch) takeLockedFuture() map[int][]float64 {
 	if sc.lockedFuture == nil {
-		sc.lockedFuture = map[int]map[fabric.FlowKey]float64{}
+		sc.lockedFuture = map[int][]float64{}
 		return sc.lockedFuture
 	}
-	for id, m := range sc.lockedFuture {
-		clear(m)
+	for _, m := range sc.lockedFuture {
 		sc.exclPool = append(sc.exclPool, m)
-		delete(sc.lockedFuture, id)
 	}
+	clear(sc.lockedFuture)
 	return sc.lockedFuture
 }
 
-// takeExcl returns an empty inner exclusion map, pooled when available.
-func (sc *replanScratch) takeExcl() map[fabric.FlowKey]float64 {
-	if n := len(sc.exclPool); n > 0 {
-		m := sc.exclPool[n-1]
-		sc.exclPool = sc.exclPool[:n-1]
-		return m
+// takeExcl returns n zeroed exclusions, pooled when available.
+func (sc *replanScratch) takeExcl(n int) []float64 {
+	var m []float64
+	if k := len(sc.exclPool); k > 0 {
+		m = sc.exclPool[k-1]
+		sc.exclPool = sc.exclPool[:k-1]
 	}
-	return map[fabric.FlowKey]float64{}
+	m = slices.Grow(m[:0], n)[:n]
+	clear(m)
+	return m
 }
 
 // remainderFrom rebuilds tmp as the Coflow's remaining demand read from src,
-// optionally excluding demand that locked reservations will serve. Flows
-// come out in (Src, Dst) order without sorting: lc.Keys was sorted once at
-// admission and keys stranded out of the map are skipped on read.
-func remainderFrom(tmp *coflow.Coflow, lc *Live, src, exclude map[fabric.FlowKey]float64) *coflow.Coflow {
+// optionally excluding demand that locked reservations will serve; src and
+// exclude are aligned with lc.Keys. Flows come out in (Src, Dst) order
+// without sorting: lc.Keys was sorted once at admission.
+func remainderFrom(tmp *coflow.Coflow, lc *Live, src, exclude []float64) *coflow.Coflow {
 	tmp.ID, tmp.Arrival = lc.ID, lc.Arrival
 	flows := tmp.Flows[:0]
-	for _, k := range lc.Keys {
-		b, ok := src[k]
-		if !ok {
-			continue
-		}
+	for i, b := range src {
 		if exclude != nil {
-			b -= exclude[k]
+			b -= exclude[i]
 		}
 		if b > ByteEps {
+			k := lc.Keys[i]
 			flows = append(flows, coflow.Flow{Src: k.Src, Dst: k.Dst, Bytes: b})
 		}
 	}

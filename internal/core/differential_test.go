@@ -24,9 +24,11 @@ const quickCount = 200
 
 // prtScenario deterministically prepares one PRT for the given seed:
 // preloaded reservations, optional blackout windows, optional fault-style
-// Block calls (including permanent +Inf outages), and optional compaction.
-// Called twice per trial, it yields two independently built but identical
-// tables.
+// Block calls (including permanent +Inf outages), and optional compaction at
+// a horizon that can lie past the search start — so the intra search meets
+// archived intervals after its start instant, reserves into the archive and
+// queries instants preceding the live window. Called twice per trial, it
+// yields two independently built but identical tables.
 func prtScenario(rng *rand.Rand, ports int) *PRT {
 	prt := NewPRT(ports)
 	blackout := rng.Intn(2) == 0
@@ -59,6 +61,9 @@ func prtScenario(rng *rand.Rand, ports int) *PRT {
 			end = math.Inf(1)
 		}
 		prt.Block(rng.Intn(ports), start, end)
+	}
+	if rng.Intn(2) == 0 {
+		prt.CompactBefore(rng.Float64() * 3)
 	}
 	return prt
 }
@@ -108,14 +113,25 @@ func samePRT(a, b *PRT) bool {
 func sameSchedule(a, b *Schedule) bool { return reflect.DeepEqual(a, b) }
 
 // TestQuickFastMatchesReferenceIntra is the core acceptance property: over
-// random Coflows, preloads, blackouts and fault-degraded tables, the
-// event-driven fast path and the scan-based reference produce bit-identical
-// Schedules and leave bit-identical PRTs behind.
+// random Coflows, preloads, blackouts, fault-degraded and compacted tables,
+// the event-driven fast path and the scan-based reference produce
+// bit-identical Schedules and leave bit-identical PRTs behind. A share of the
+// trials draws wide Coflows — up to ports² demands on up to 24 ports — so
+// the wake bitset spans several words.
 func TestQuickFastMatchesReferenceIntra(t *testing.T) {
+	wide := 0 // trials with more than two words of demands
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		ports := 3 + rng.Intn(8)
-		c := randomCoflow(rng, ports, 2*ports)
+		maxFlows := 2 * ports
+		if rng.Intn(4) == 0 {
+			ports = 12 + rng.Intn(13)
+			maxFlows = ports * ports
+		}
+		c := randomCoflow(rng, ports, maxFlows)
+		if len(c.Flows) > 128 {
+			wide++
+		}
 		opts := randomOptions(rng)
 
 		build := rand.New(rand.NewSource(seed + 1))
@@ -147,6 +163,9 @@ func TestQuickFastMatchesReferenceIntra(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: quickCount}); err != nil {
 		t.Fatal(err)
+	}
+	if wide == 0 {
+		t.Fatal("no trial drew a Coflow with more than 128 demands")
 	}
 }
 

@@ -5,10 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"sunflow/internal/coflow"
@@ -394,19 +394,45 @@ func evPop(ev *[]portEvent) portEvent {
 }
 
 // intraScratch is the reusable working set of one fast-path scheduling pass.
-// Pooling it makes IntraCoflow near-zero-alloc per pass in the inter-Coflow
-// driver, which calls it once per live Coflow per replan.
+// Each PRT keeps one (PRT.intraScratch), which makes IntraCoflow
+// near-zero-alloc per pass in the inter-Coflow driver and the circuit engine,
+// which call it once per live Coflow per replan on one reused table.
 type intraScratch struct {
 	pending []demand
-	byIn    [][]int32 // pending-demand indices per input port
-	byOut   [][]int32 // pending-demand indices per output port
-	events  []portEvent
-	cand    []int32
-	woken   []bool
-	ends    []float64
+	// byIn[p] (byOut[p]) lists the unfinished demands on input (output) port
+	// p in ascending order: disjoint windows of flat, sized by counts.
+	byIn, byOut [][]int32
+	flat        []int32
+	counts      []int32
+	events      []portEvent
+	// wake is the ordered wake set: bit di%64 of word di/64 marks demand di
+	// for the next round. Draining the words low to high with
+	// TrailingZeros64 visits the woken demands in slice order, the order the
+	// reference scan examines them in, without a sort. lo and hi bound the
+	// words set this round (lo > hi when none is).
+	wake   []uint64
+	lo, hi int
+	cur    cursors
+	ends   []float64
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(intraScratch) }}
+// wakeOn marks every unfinished demand in list for the next round and
+// returns list with the finished ones dropped, so later releases on the same
+// port do not walk them again. The list is in ascending demand order, so its
+// first and last survivors bound the words touched.
+func (s *intraScratch) wakeOn(list []int32, pending []demand) []int32 {
+	live := list[:0]
+	for _, di := range list {
+		if pending[di].p > timeEps {
+			s.wake[di>>6] |= 1 << (uint(di) & 63)
+			live = append(live, di)
+		}
+	}
+	if n := len(live); n > 0 {
+		s.lo, s.hi = min(s.lo, int(live[0]>>6)), max(s.hi, int(live[n-1]>>6))
+	}
+	return live
+}
 
 // intraFast is the event-driven implementation of the Algorithm 1 loop.
 // Pending demands are indexed by input and output port; a circuit release
@@ -415,12 +441,12 @@ var scratchPool = sync.Pool{New: func() any { return new(intraScratch) }}
 // unschedulable at one round — port busy, gap to the next commitment at most
 // δ, blackout — stays unschedulable until one of its ports releases or a
 // blackout window ends, so waking that (super)set reproduces the reference
-// path's reservation sequence exactly.
+// path's reservation sequence exactly. Round instants strictly increase, so
+// the port queries run through monotone cursors (see cursors).
 func intraFast(prt *PRT, c *coflow.Coflow, opts Options) (*Schedule, error) {
-	s := scratchPool.Get().(*intraScratch)
-	defer scratchPool.Put(s)
+	s := prt.intraScratch()
 
-	pending := buildPending(s.pending[:0], c, opts)
+	pending := buildPending(slices.Grow(s.pending[:0], len(c.Flows)), c, opts)
 	s.pending = pending
 	sched := newSchedule(c, opts, len(pending))
 	if len(pending) == 0 {
@@ -428,73 +454,98 @@ func intraFast(prt *PRT, c *coflow.Coflow, opts Options) (*Schedule, error) {
 	}
 	sched.Reservations = make([]Reservation, 0, len(pending))
 
+	// Index live demands by port: count them per port, then carve each
+	// port's list out of one flat buffer, so indexing allocates nothing once
+	// the buffers have grown. A demand already at the noise floor is dropped
+	// up front — the reference scan never reserves for it and records no
+	// finish — so remaining counts exactly the schedulable work.
 	n := prt.n
 	if cap(s.byIn) < n {
-		s.byIn = make([][]int32, n)
-		s.byOut = make([][]int32, n)
+		s.byIn, s.byOut = make([][]int32, n), make([][]int32, n)
+		s.cur.in, s.cur.out = make([]int, n), make([]int, n)
 	}
 	byIn, byOut := s.byIn[:n], s.byOut[:n]
-	for p := 0; p < n; p++ {
-		byIn[p] = byIn[p][:0]
-		byOut[p] = byOut[p][:0]
-	}
-	// Index live demands by port. A demand already at the noise floor is
-	// dropped up front — the reference scan never reserves for it and
-	// records no finish — so remaining counts exactly the schedulable work.
+	s.counts = slices.Grow(s.counts[:0], 2*n)[:2*n]
+	clear(s.counts)
 	remaining := 0
 	for di := range pending {
-		if pending[di].p <= timeEps {
-			continue
+		if pending[di].p > timeEps {
+			remaining++
+			s.counts[pending[di].i]++
+			s.counts[n+pending[di].j]++
 		}
-		remaining++
-		byIn[pending[di].i] = append(byIn[pending[di].i], int32(di))
-		byOut[pending[di].j] = append(byOut[pending[di].j], int32(di))
 	}
 	if remaining == 0 {
 		return sched, nil
 	}
+	s.flat = slices.Grow(s.flat[:0], 2*remaining)[:2*remaining]
+	off := 0
+	for p := 0; p < 2*n; p++ {
+		list := s.flat[off : off : off+int(s.counts[p])]
+		off += int(s.counts[p])
+		if p < n {
+			byIn[p] = list
+		} else {
+			byOut[p-n] = list
+		}
+	}
+	for di := range pending {
+		if d := &pending[di]; d.p > timeEps {
+			byIn[d.i] = append(byIn[d.i], int32(di))
+			byOut[d.j] = append(byOut[d.j], int32(di))
+		}
+	}
 
-	// Seed the event heap with existing commitments on the touched ports and
-	// pre-grow their timelines for the reservations this pass will insert.
-	events := s.events[:0]
+	// Seed the event heap with existing commitments on the touched ports,
+	// pre-grow their timelines and the heap for the reservations this pass
+	// will insert, and place the ports' cursors at the pass start; the
+	// cursors of untouched ports are never read.
+	s.events = slices.Grow(s.events[:0], 2*remaining)
 	for p := 0; p < n; p++ {
 		if len(byIn[p]) > 0 {
 			tl := &prt.in[p]
 			tl.grow(2*len(byIn[p]) + 2)
+			s.cur.in[p] = tl.searchAfter(opts.Start)
 			s.ends = tl.endsAfter(opts.Start, s.ends[:0])
 			for _, e := range s.ends {
-				evPush(&events, portEvent{t: e, in: int32(p), out: -1})
+				evPush(&s.events, portEvent{t: e, in: int32(p), out: -1})
 			}
 		}
 		if len(byOut[p]) > 0 {
 			tl := &prt.out[p]
 			tl.grow(2*len(byOut[p]) + 2)
+			s.cur.out[p] = tl.searchAfter(opts.Start)
 			s.ends = tl.endsAfter(opts.Start, s.ends[:0])
 			for _, e := range s.ends {
-				evPush(&events, portEvent{t: e, in: -1, out: int32(p)})
+				evPush(&s.events, portEvent{t: e, in: -1, out: int32(p)})
 			}
 		}
 	}
 
-	if cap(s.woken) < len(pending) {
-		s.woken = make([]bool, len(pending))
+	words := (len(pending) + 63) / 64
+	if cap(s.wake) < words {
+		s.wake = make([]uint64, words)
 	}
-	woken := s.woken[:len(pending)]
-	clear(woken)
-	cand := s.cand[:0]
+	s.wake = s.wake[:words]
+	clear(s.wake)
+	s.lo, s.hi = words, -1
 
 	t := opts.Start
 	wakeAll := true // the first round examines every demand
 	for {
 		if wakeAll {
 			for di := range pending {
-				remaining = examine(prt, c, &opts, sched, &pending[di], &events, t, remaining)
+				remaining = s.examine(prt, c, &opts, sched, &pending[di], t, remaining)
 			}
 		} else {
-			for _, di := range cand {
-				woken[di] = false
-				remaining = examine(prt, c, &opts, sched, &pending[di], &events, t, remaining)
+			for w := s.lo; w <= s.hi; w++ {
+				for word := s.wake[w]; word != 0; word &= word - 1 {
+					di := w<<6 | bits.TrailingZeros64(word)
+					remaining = s.examine(prt, c, &opts, sched, &pending[di], t, remaining)
+				}
+				s.wake[w] = 0
 			}
+			s.lo, s.hi = words, -1
 		}
 		if remaining == 0 {
 			break
@@ -504,8 +555,8 @@ func intraFast(prt *PRT, c *coflow.Coflow, opts Options) (*Schedule, error) {
 		// reference does; then wake the demands that instant can unblock.
 		blk := prt.nextBlackoutEnd(t)
 		next := blk
-		if len(events) > 0 && events[0].t < next {
-			next = events[0].t
+		if len(s.events) > 0 && s.events[0].t < next {
+			next = s.events[0].t
 		}
 		if math.IsInf(next, 1) {
 			return nil, fmt.Errorf("%w: %d flows blocked at t=%.6f for %v", ErrStalled, remaining, t, c)
@@ -514,35 +565,20 @@ func intraFast(prt *PRT, c *coflow.Coflow, opts Options) (*Schedule, error) {
 		// A blackout end frees every port at once: all demands may have
 		// become schedulable, so this round examines them all.
 		wakeAll = blk <= t+timeEps
-		cand = cand[:0]
-		for len(events) > 0 && events[0].t <= t+timeEps {
-			e := evPop(&events)
+		for len(s.events) > 0 && s.events[0].t <= t+timeEps {
+			e := evPop(&s.events)
 			if wakeAll {
 				continue
 			}
 			if e.in >= 0 {
-				for _, di := range byIn[e.in] {
-					if !woken[di] && pending[di].p > timeEps {
-						woken[di] = true
-						cand = append(cand, di)
-					}
-				}
+				byIn[e.in] = s.wakeOn(byIn[e.in], pending)
 			}
 			if e.out >= 0 {
-				for _, di := range byOut[e.out] {
-					if !woken[di] && pending[di].p > timeEps {
-						woken[di] = true
-						cand = append(cand, di)
-					}
-				}
+				byOut[e.out] = s.wakeOn(byOut[e.out], pending)
 			}
 		}
-		if !wakeAll {
-			// The reference examines demands in slice order; restore it.
-			slices.Sort(cand)
-		}
 	}
-	s.cand, s.events = cand, events[:0]
+	s.events = s.events[:0]
 	return sched, nil
 }
 
@@ -550,11 +586,11 @@ func intraFast(prt *PRT, c *coflow.Coflow, opts Options) (*Schedule, error) {
 // reserve the longest admissible slot if the ports are free, mirroring
 // intraScan's inner loop statement for statement. It returns the updated
 // count of unfinished demands.
-func examine(prt *PRT, c *coflow.Coflow, opts *Options, sched *Schedule, d *demand, events *[]portEvent, t float64, remaining int) int {
-	if d.p <= timeEps || !prt.FreeAt(d.i, d.j, t) {
+func (s *intraScratch) examine(prt *PRT, c *coflow.Coflow, opts *Options, sched *Schedule, d *demand, t float64, remaining int) int {
+	if d.p <= timeEps || !prt.freeAtFrom(&s.cur, d.i, d.j, t) {
 		return remaining
 	}
-	tm := prt.NextCommitment(d.i, d.j, t)
+	tm := prt.nextCommitmentFrom(&s.cur, d.i, d.j, t)
 	lm := tm - t
 	ld := opts.Delta + d.p
 	// A slot shorter than δ (or exactly δ, which would carry no data) is
@@ -585,7 +621,7 @@ func examine(prt *PRT, c *coflow.Coflow, opts *Options, sched *Schedule, d *dema
 	// The release frees both ports; one event wakes the demands on either
 	// side. Reservations carry data (l > δ+eps), so r.End is strictly after
 	// this round and per-port release instants never collide.
-	evPush(events, portEvent{t: r.End, in: int32(d.i), out: int32(d.j)})
+	evPush(&s.events, portEvent{t: r.End, in: int32(d.i), out: int32(d.j)})
 	d.p -= l - opts.Delta // remaining demand: ld - l
 	if d.p <= timeEps {
 		d.p = 0

@@ -97,8 +97,11 @@ func (tl *timeline) searchOldAfter(t float64) int {
 
 // freeAt reports whether the port is free at time t, i.e. no interval
 // contains t.
-func (tl *timeline) freeAt(t float64) bool {
-	i := tl.searchAfter(t)
+func (tl *timeline) freeAt(t float64) bool { return tl.freeFrom(tl.searchAfter(t), t) }
+
+// freeFrom is freeAt given i, the index of the first live interval with
+// start > t.
+func (tl *timeline) freeFrom(i int, t float64) bool {
 	if i > 0 {
 		// The candidate containing interval is the one before index i; any
 		// archived interval ends at or before this one's start.
@@ -113,17 +116,29 @@ func (tl *timeline) freeAt(t float64) bool {
 
 // nextStart returns the start of the earliest interval beginning after t, or
 // +Inf when the port has no later commitment.
-func (tl *timeline) nextStart(t float64) float64 {
+func (tl *timeline) nextStart(t float64) float64 { return tl.nextStartFrom(tl.searchAfter(t), t) }
+
+// nextStartFrom is nextStart given i, the index of the first live interval
+// with start > t.
+func (tl *timeline) nextStartFrom(i int, t float64) float64 {
 	// Archived intervals all start before live ones, so if any archived start
 	// lies after t it is the answer.
 	if n := len(tl.old); n > 0 && tl.old[n-1].start > t {
 		return tl.old[tl.searchOldAfter(t)].start
 	}
-	i := tl.searchAfter(t)
 	if i == len(tl.iv) {
 		return math.Inf(1)
 	}
 	return tl.iv[i].start
+}
+
+// seek advances i, an index into the live window at or before the first
+// interval with start > t, to exactly that interval.
+func (tl *timeline) seek(i int, t float64) int {
+	for i < len(tl.iv) && tl.iv[i].start <= t {
+		i++
+	}
+	return i
 }
 
 // insert adds the interval [start, end) and reports whether it was free of
@@ -336,6 +351,20 @@ type PRT struct {
 	// bulk counts reservations appended by BulkAdd but not yet committed by
 	// FinishBulk.
 	bulk int
+	// intra is the fast intra search's working set, allocated on first use.
+	// It lives with the table because searches on one table are serialized
+	// (each mutates it) and callers reuse their table pass after pass; unlike
+	// a sync.Pool, no GC cycle drops it, so a pass allocates the same
+	// whatever the heap does.
+	intra *intraScratch
+}
+
+// intraScratch returns the table's intra search working set.
+func (p *PRT) intraScratch() *intraScratch {
+	if p.intra == nil {
+		p.intra = new(intraScratch)
+	}
+	return p.intra
 }
 
 // NewPRT returns an empty PRT for an n-port switch.
@@ -412,6 +441,48 @@ func (p *PRT) FreeAt(i, j int, t float64) bool {
 // window.
 func (p *PRT) NextCommitment(i, j int, t float64) float64 {
 	tm := math.Min(p.in[i].nextStart(t), p.out[j].nextStart(t))
+	if p.blackout != nil {
+		tm = math.Min(tm, p.blackout.NextStart(t))
+	}
+	return tm
+}
+
+// cursors holds one monotone finger per port side into a PRT's live windows
+// for a caller whose query instants never decrease — one intra pass. in[p]
+// (out[p]) is at most the index of the first live interval on input (output)
+// port p starting after the latest query instant; each query seeks it forward
+// from there, so freeAt and nextStart cost amortised O(1) instead of a binary
+// search. Reservations the caller makes at its current instant t need no
+// finger adjustment: one landing in the live window is inserted at the first
+// start > t, at or after every finger, and the next seek steps past it; one
+// spliced into the archive leaves the live window untouched. A query instant
+// preceding the whole live window falls back to the archive search, as the
+// uncursored queries do.
+type cursors struct{ in, out []int }
+
+// freeAtFrom is FreeAt through the fingers; t must be at or after every
+// earlier query instant on them.
+func (p *PRT) freeAtFrom(cs *cursors, i, j int, t float64) bool {
+	if p.blackout != nil && p.blackout.Covers(t) {
+		return false
+	}
+	ci := p.in[i].seek(cs.in[i], t)
+	cs.in[i] = ci
+	if !p.in[i].freeFrom(ci, t) {
+		return false
+	}
+	co := p.out[j].seek(cs.out[j], t)
+	cs.out[j] = co
+	return p.out[j].freeFrom(co, t)
+}
+
+// nextCommitmentFrom is NextCommitment through the fingers, under the same
+// monotonicity contract as freeAtFrom.
+func (p *PRT) nextCommitmentFrom(cs *cursors, i, j int, t float64) float64 {
+	ci := p.in[i].seek(cs.in[i], t)
+	co := p.out[j].seek(cs.out[j], t)
+	cs.in[i], cs.out[j] = ci, co
+	tm := math.Min(p.in[i].nextStartFrom(ci, t), p.out[j].nextStartFrom(co, t))
 	if p.blackout != nil {
 		tm = math.Min(tm, p.blackout.NextStart(t))
 	}

@@ -278,8 +278,8 @@ func (e *Engine) Live() []LiveStatus {
 	for _, id := range e.eng.SortedIDs() {
 		lc := e.eng.Lookup(id)
 		rem := 0.0
-		for _, k := range lc.Keys {
-			rem += lc.Rem[k]
+		for _, b := range lc.Rem {
+			rem += b
 		}
 		out = append(out, LiveStatus{
 			Coflow: id, Arrival: lc.Arrival, Priority: lc.Priority,

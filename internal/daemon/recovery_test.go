@@ -159,39 +159,85 @@ func boolToInt(b bool) int {
 	return 0
 }
 
-// TestSnapshotRoundTrip: State → restore → State is byte-stable mid-run,
-// while live Coflows, a plan, outages and completions all exist.
+// TestSnapshotRoundTrip checkpoints an engine mid-stream: State →
+// restoreState → State must be a fixed point, and the restored engine must
+// continue exactly like the original. The strand stream checkpoints right
+// after a permanent fault strands a flow whose circuit the same outage
+// truncated; the next pass debits that circuit's planned bytes, which must
+// not resurrect the stranded flow in Base.
 func TestSnapshotRoundTrip(t *testing.T) {
-	evs := buildWorkload(3)
-	cfg := EngineConfig{Ports: 8, LinkBps: 1e9, Delta: 0.01}
-	e, err := NewEngine(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
+	workload := buildWorkload(3)
+	strand := []Event{
+		{Kind: KindRegister, At: 0, Coflow: 1, Flows: []FlowSpec{{Src: 0, Dst: 1, Bytes: 1e9}, {Src: 2, Dst: 3, Bytes: 4e9}}},
+		{Kind: KindAdvance, At: 0.5},
+		{Kind: KindFault, At: 0.5, Port: 0},
+		{Kind: KindAdvance, At: 1},
+		{Kind: KindAdvance, At: 1e4},
 	}
-	for _, ev := range evs[:len(evs)/2] {
-		_, _ = e.Apply(ev)
-	}
-	if e.LiveCount() == 0 {
-		t.Fatal("workload half-point has no live coflows; test is vacuous")
-	}
-	st := e.State()
-	clone, err := NewEngine(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := clone.restoreState(st); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(clone.State(), st) {
-		t.Fatal("State → restoreState → State is not a fixed point")
-	}
-	// The clone must continue exactly like the original.
-	for _, ev := range evs[len(evs)/2:] {
-		_, _ = e.Apply(ev)
-		_, _ = clone.Apply(ev)
-	}
-	if e.Digest() != clone.Digest() {
-		t.Fatalf("restored engine diverged: %s vs %s", e.Digest(), clone.Digest())
+	for _, tc := range []struct {
+		name  string
+		cfg   EngineConfig
+		evs   []Event
+		split int
+	}{
+		{"workload", EngineConfig{Ports: 8, LinkBps: 1e9, Delta: 0.01}, workload, len(workload) / 2},
+		{"strand", EngineConfig{Ports: 4, LinkBps: 1e9, Delta: 0.01}, strand, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, err := NewEngine(tc.cfg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ev := range tc.evs[:tc.split] {
+				_, _ = e.Apply(ev)
+			}
+			if e.LiveCount() == 0 {
+				t.Fatal("checkpoint has no live coflows; test is vacuous")
+			}
+			st := e.State()
+			for _, ls := range st.Live {
+				if len(ls.Base) > 0 && len(ls.Base) != len(ls.Rem) {
+					t.Fatalf("coflow %d: Base lists %d flows, Rem %d: %+v vs %+v", ls.ID, len(ls.Base), len(ls.Rem), ls.Base, ls.Rem)
+				}
+			}
+			clone, err := NewEngine(tc.cfg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := clone.restoreState(st); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(clone.State(), st) {
+				t.Fatal("State → restoreState → State is not a fixed point")
+			}
+			if tc.name == "strand" {
+				// Earlier versions wrote the stranded flow's debit into the
+				// snapshot's Base; such a data directory must still load, with
+				// the stray entry dropped.
+				stray := st
+				stray.Live = append([]liveState(nil), st.Live...)
+				ls := &stray.Live[0]
+				ls.Base = append([]flowBytes{{Src: 0, Dst: 1, Bytes: -6.125e7}}, ls.Base...)
+				old, err := NewEngine(tc.cfg, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := old.restoreState(stray); err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(old.State(), st) {
+					t.Fatal("a stray Base entry survived restoreState")
+				}
+			}
+			// The clone must continue exactly like the original.
+			for _, ev := range tc.evs[tc.split:] {
+				_, _ = e.Apply(ev)
+				_, _ = clone.Apply(ev)
+			}
+			if e.Digest() != clone.Digest() {
+				t.Fatalf("restored engine diverged: %s vs %s", e.Digest(), clone.Digest())
+			}
+		})
 	}
 }
 

@@ -129,8 +129,8 @@ func (e *Engine) State() engineState {
 			Arrival:       lc.Arrival,
 			Priority:      lc.Priority,
 			Spec:          append([]FlowSpec(nil), e.specs[id].flows...),
-			Rem:           flowsIn(lc.Keys, lc.Rem, newFlowBytes),
-			FlowFinish:    flowsIn(lc.Keys, lc.FlowFinish, newFlowTime),
+			Rem:           flowBytesOf(lc.Keys, lc.Rem),
+			FlowFinish:    flowTimesIn(lc.Keys, lc.FlowFinish),
 			Finish:        infFloat(lc.Finish),
 			Switches:      lc.Switches,
 			Stranded:      lc.Stranded,
@@ -139,7 +139,7 @@ func (e *Engine) State() engineState {
 		if lc.Base != nil {
 			// Base is never empty while set (it clones a Rem with in-flight
 			// demand), so omitempty cannot conflate it with unset.
-			ls.Base = flowsIn(lc.Keys, lc.Base, newFlowBytes)
+			ls.Base = flowBytesOf(lc.Keys, lc.Base)
 		}
 		st.Live = append(st.Live, ls)
 	}
@@ -183,7 +183,6 @@ func (e *Engine) restoreState(st engineState) error {
 			ID:            ls.ID,
 			Arrival:       ls.Arrival,
 			Priority:      ls.Priority,
-			Rem:           make(map[fabric.FlowKey]float64, len(ls.Rem)),
 			FlowFinish:    make(map[fabric.FlowKey]float64, len(ls.FlowFinish)),
 			Finish:        float64(ls.Finish),
 			Switches:      ls.Switches,
@@ -191,18 +190,24 @@ func (e *Engine) restoreState(st engineState) error {
 			StrandedBytes: ls.StrandedBytes,
 		}
 		// Rem was serialized in (src, dst) order, so it doubles as the sorted
-		// key list. It lacks keys stranded before the checkpoint, but those
-		// are absent from Rem on a live engine too and readers skip them.
-		lc.Keys = make([]fabric.FlowKey, 0, len(ls.Rem))
-		for _, fb := range ls.Rem {
-			k := fabric.FlowKey{Src: fb.Src, Dst: fb.Dst}
-			lc.Rem[k] = fb.Bytes
-			lc.Keys = append(lc.Keys, k)
+		// key list; flows stranded before the checkpoint are absent from it,
+		// as they are from a live engine's.
+		lc.Keys = make([]fabric.FlowKey, len(ls.Rem))
+		lc.Rem = make([]float64, len(ls.Rem))
+		for i, fb := range ls.Rem {
+			lc.Keys[i] = fabric.FlowKey{Src: fb.Src, Dst: fb.Dst}
+			lc.Rem[i] = fb.Bytes
 		}
 		if len(ls.Base) > 0 {
-			lc.Base = make(map[fabric.FlowKey]float64, len(ls.Base))
+			// Base entries align with Rem's keys. An entry for a flow Rem
+			// lacks is dropped: earlier versions could debit a stranded
+			// flow's circuit into Base after stranding it, leaving a stray
+			// negative entry no schedule ever read.
+			lc.Base = make([]float64, len(lc.Keys))
 			for _, fb := range ls.Base {
-				lc.Base[fabric.FlowKey{Src: fb.Src, Dst: fb.Dst}] = fb.Bytes
+				if i, ok := lc.Index(fabric.FlowKey{Src: fb.Src, Dst: fb.Dst}); ok {
+					lc.Base[i] = fb.Bytes
+				}
 			}
 		}
 		for _, ft := range ls.FlowFinish {
@@ -236,20 +241,24 @@ func (e *Engine) restoreState(st engineState) error {
 	return nil
 }
 
-// flowsIn serializes the entries of a per-flow map in keys order — the
-// live Coflow's (src, dst)-sorted key list, which covers every map it holds.
-func flowsIn[T any](keys []fabric.FlowKey, m map[fabric.FlowKey]float64, mk func(fabric.FlowKey, float64) T) []T {
-	out := make([]T, 0, len(m))
-	for _, k := range keys {
-		if v, ok := m[k]; ok {
-			out = append(out, mk(k, v))
-		}
+// flowBytesOf serializes a per-flow slice aligned with the live Coflow's
+// (src, dst)-sorted keys.
+func flowBytesOf(keys []fabric.FlowKey, v []float64) []flowBytes {
+	out := make([]flowBytes, len(keys))
+	for i, k := range keys {
+		out[i] = flowBytes{Src: k.Src, Dst: k.Dst, Bytes: v[i]}
 	}
 	return out
 }
 
-func newFlowBytes(k fabric.FlowKey, b float64) flowBytes {
-	return flowBytes{Src: k.Src, Dst: k.Dst, Bytes: b}
+// flowTimesIn serializes the flow finish instants recorded for keys, in keys
+// order.
+func flowTimesIn(keys []fabric.FlowKey, m map[fabric.FlowKey]float64) []flowTime {
+	out := make([]flowTime, 0, len(m))
+	for _, k := range keys {
+		if t, ok := m[k]; ok {
+			out = append(out, flowTime{Src: k.Src, Dst: k.Dst, T: t})
+		}
+	}
+	return out
 }
-
-func newFlowTime(k fabric.FlowKey, t float64) flowTime { return flowTime{Src: k.Src, Dst: k.Dst, T: t} }
