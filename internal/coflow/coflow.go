@@ -91,9 +91,15 @@ func New(id int, arrival float64, flows []Flow) *Coflow {
 // [0, numPorts), or if two flows share the same (Src, Dst) pair. Schedulers
 // assume at most one flow per port pair; merge duplicates with Normalize
 // first if needed.
+//
+// Scheduler inputs are normally (Src, Dst)-sorted, so duplicates are found by
+// comparing each flow with its predecessor while the flows stay strictly
+// ascending; only from the first out-of-order flow on does Validate fall back
+// to a set of the pairs seen. The checks and their per-flow order are the
+// same either way.
 func (c *Coflow) Validate(numPorts int) error {
-	seen := make(map[[2]int]bool, len(c.Flows))
-	for _, f := range c.Flows {
+	var seen map[[2]int]bool // nil while c.Flows[:k] is strictly ascending
+	for k, f := range c.Flows {
 		if f.Src < 0 || f.Src >= numPorts {
 			return fmt.Errorf("coflow %d: src port %d out of range [0,%d)", c.ID, f.Src, numPorts)
 		}
@@ -103,6 +109,16 @@ func (c *Coflow) Validate(numPorts int) error {
 		if f.Bytes < 0 || math.IsNaN(f.Bytes) || math.IsInf(f.Bytes, 0) {
 			return fmt.Errorf("coflow %d: flow %d->%d has invalid size %v", c.ID, f.Src, f.Dst, f.Bytes)
 		}
+		if seen == nil {
+			if k == 0 || pairLess(c.Flows[k-1], f) {
+				continue // above every earlier pair
+			}
+			// The first out-of-order or repeated pair: fall back to a set.
+			seen = make(map[[2]int]bool, len(c.Flows))
+			for _, g := range c.Flows[:k] {
+				seen[[2]int{g.Src, g.Dst}] = true
+			}
+		}
 		key := [2]int{f.Src, f.Dst}
 		if seen[key] {
 			return fmt.Errorf("coflow %d: duplicate flow for port pair %d->%d", c.ID, f.Src, f.Dst)
@@ -110,6 +126,11 @@ func (c *Coflow) Validate(numPorts int) error {
 		seen[key] = true
 	}
 	return nil
+}
+
+// pairLess orders flows by (Src, Dst).
+func pairLess(a, b Flow) bool {
+	return a.Src < b.Src || a.Src == b.Src && a.Dst < b.Dst
 }
 
 // Normalize returns a copy of the Coflow with zero-byte flows dropped and

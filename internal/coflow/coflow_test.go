@@ -1,8 +1,11 @@
 package coflow
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -45,6 +48,76 @@ func TestValidate(t *testing.T) {
 			err := c.Validate(tc.ports)
 			if (err == nil) != tc.ok {
 				t.Fatalf("Validate = %v, want ok=%v", err, tc.ok)
+			}
+		})
+	}
+}
+
+// validateWithSet is the set-based duplicate check Validate falls back to,
+// applied from the first flow: the oracle for its sorted fast path.
+func validateWithSet(c *Coflow, numPorts int) error {
+	seen := make(map[[2]int]bool, len(c.Flows))
+	for _, f := range c.Flows {
+		if f.Src < 0 || f.Src >= numPorts {
+			return fmt.Errorf("coflow %d: src port %d out of range [0,%d)", c.ID, f.Src, numPorts)
+		}
+		if f.Dst < 0 || f.Dst >= numPorts {
+			return fmt.Errorf("coflow %d: dst port %d out of range [0,%d)", c.ID, f.Dst, numPorts)
+		}
+		if f.Bytes < 0 || math.IsNaN(f.Bytes) || math.IsInf(f.Bytes, 0) {
+			return fmt.Errorf("coflow %d: flow %d->%d has invalid size %v", c.ID, f.Src, f.Dst, f.Bytes)
+		}
+		key := [2]int{f.Src, f.Dst}
+		if seen[key] {
+			return fmt.Errorf("coflow %d: duplicate flow for port pair %d->%d", c.ID, f.Src, f.Dst)
+		}
+		seen[key] = true
+	}
+	return nil
+}
+
+// TestValidateSortedAndShuffled holds Validate's error, string for string, to
+// the set-based check on (Src, Dst)-sorted input — the adjacent-pair fast
+// path — and on shuffles of it, which leave that path at the first
+// out-of-order flow.
+func TestValidateSortedAndShuffled(t *testing.T) {
+	cases := []struct {
+		name  string
+		flows []Flow
+		want  string // substring of the error on the sorted input; "" for none
+	}{
+		{"valid", []Flow{{0, 1, 10}, {1, 0, 5}, {1, 2, 1}, {2, 2, 3}, {3, 0, 4}}, ""},
+		{"duplicate", []Flow{{0, 1, 1}, {1, 3, 2}, {2, 0, 1}, {1, 3, 4}, {3, 3, 5}}, "duplicate flow for port pair 1->3"},
+		{"duplicate at the start", []Flow{{0, 0, 1}, {0, 0, 2}, {2, 1, 1}, {3, 2, 1}}, "duplicate flow for port pair 0->0"},
+		{"two duplicates", []Flow{{0, 1, 1}, {2, 2, 1}, {0, 1, 2}, {2, 2, 3}, {1, 1, 1}}, "duplicate flow for port pair 0->1"},
+		{"src out of range", []Flow{{0, 1, 1}, {1, 1, 1}, {4, 0, 1}, {2, 3, 1}}, "src port 4 out of range"},
+		{"dst out of range", []Flow{{0, 1, 1}, {2, 7, 1}, {3, 0, 1}}, "dst port 7 out of range"},
+		{"negative src", []Flow{{1, 1, 1}, {-1, 0, 1}, {2, 2, 1}}, "src port -1 out of range"},
+		{"nan size", []Flow{{0, 1, 1}, {1, 2, math.NaN()}, {3, 3, 1}}, "invalid size NaN"},
+		{"inf size", []Flow{{0, 1, 1}, {2, 0, math.Inf(1)}, {3, 3, 1}}, "invalid size +Inf"},
+		{"nan and duplicate", []Flow{{0, 1, 1}, {0, 1, 2}, {1, 2, math.NaN()}, {3, 3, 1}}, "duplicate flow for port pair 0->1"},
+		{"range and duplicate", []Flow{{0, 1, 1}, {1, 1, 1}, {1, 1, 2}, {3, 9, 1}}, "duplicate flow for port pair 1->1"},
+	}
+	const ports = 4
+	rng := rand.New(rand.NewSource(1))
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sorted := New(1, 0, tc.flows)
+			sort.SliceStable(sorted.Flows, func(a, b int) bool { return pairLess(sorted.Flows[a], sorted.Flows[b]) })
+			err := sorted.Validate(ports)
+			if (err == nil) != (tc.want == "") || err != nil && !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("sorted: Validate = %v, want %q", err, tc.want)
+			}
+			for k := 0; k < 20; k++ {
+				c := sorted
+				if k > 0 {
+					c = sorted.Clone()
+					rng.Shuffle(len(c.Flows), func(a, b int) { c.Flows[a], c.Flows[b] = c.Flows[b], c.Flows[a] })
+				}
+				got, want := c.Validate(ports), validateWithSet(c, ports)
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("flows %v: Validate = %v, set-based check = %v", c.Flows, got, want)
+				}
 			}
 		})
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -13,8 +14,8 @@ import (
 // This file is the differential harness for the event-driven fast path: every
 // property drives the fast and the scan-based reference implementations over
 // the same inputs and requires bit-identical results — reflect.DeepEqual on
-// whole Schedule structs (reservation sequences, FlowFinish maps, Finish
-// instants) and on the merged port timelines left behind. Determinism is
+// whole Schedule structs (reservation sequences, and with them every flow's
+// finish, and Finish instants) and on the merged port timelines left behind. Determinism is
 // load-bearing for the fault subsystem's reproducibility guarantees, so exact
 // equality, not approximate equality, is the bar.
 
@@ -109,24 +110,42 @@ func samePRT(a, b *PRT) bool {
 }
 
 // sameSchedule is bit-exact equality of schedules. reflect.DeepEqual covers
-// the reservation slice, the FlowFinish map and every float field.
+// the reservation slice — which FlowFinish derives each flow's finish from —
+// and every float field.
 func sameSchedule(a, b *Schedule) bool { return reflect.DeepEqual(a, b) }
 
 // TestQuickFastMatchesReferenceIntra is the core acceptance property: over
 // random Coflows, preloads, blackouts, fault-degraded and compacted tables,
 // the event-driven fast path and the scan-based reference produce
-// bit-identical Schedules and leave bit-identical PRTs behind. A share of the
-// trials draws wide Coflows — up to ports² demands on up to 24 ports — so
-// the wake bitset spans several words.
+// bit-identical Schedules and leave bit-identical PRTs behind. The trials
+// draw the table shapes the fast path's bitsets must handle, and the test
+// fails if any shape goes undrawn:
+//   - wide: up to ports² demands on 12–24 ports, so the wake bitset spans
+//     several words;
+//   - many ports: sparse Coflows on 65–200 ports, so each port's peer mask
+//     and the free bitsets span several words;
+//   - primed: 1–2 Coflows scheduled first, as InterCoflow does, so touched
+//     ports carry commitments starting after the search start (free bits go
+//     stale) and back-to-back intervals;
+//   - eps-adjacent: a commitment starting within timeEps of the end of the
+//     one before it on a touched port;
+//   - a release at a blackout end: a commitment on a touched port ending
+//     exactly where a blackout window does, so a round that examines every
+//     demand also refreshes a released port.
 func TestQuickFastMatchesReferenceIntra(t *testing.T) {
-	wide := 0 // trials with more than two words of demands
+	var wide, manyPorts, primed, epsAdjacent, blackoutRelease int
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		ports := 3 + rng.Intn(8)
 		maxFlows := 2 * ports
-		if rng.Intn(4) == 0 {
+		switch rng.Intn(4) {
+		case 0:
 			ports = 12 + rng.Intn(13)
 			maxFlows = ports * ports
+		case 1:
+			ports = 65 + rng.Intn(136)
+			maxFlows = ports
+			manyPorts++
 		}
 		c := randomCoflow(rng, ports, maxFlows)
 		if len(c.Flows) > 128 {
@@ -138,6 +157,20 @@ func TestQuickFastMatchesReferenceIntra(t *testing.T) {
 		fastPRT := prtScenario(rand.New(rand.NewSource(build.Int63())), ports)
 		build = rand.New(rand.NewSource(seed + 1))
 		refPRT := prtScenario(rand.New(rand.NewSource(build.Int63())), ports)
+
+		if rng.Intn(2) == 0 {
+			primed++
+			ok, stalled := primeTables(t, seed, rng, fastPRT, refPRT, c, opts)
+			if !ok || stalled {
+				return ok
+			}
+			if epsAdjacentPair(rng, fastPRT, refPRT, c, opts) {
+				epsAdjacent++
+			}
+			if releaseAtBlackoutEnd(rng, fastPRT, refPRT, c, opts) {
+				blackoutRelease++
+			}
+		}
 
 		fast, fastErr := IntraCoflow(fastPRT, c, opts)
 		refOpts := opts
@@ -164,9 +197,87 @@ func TestQuickFastMatchesReferenceIntra(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: quickCount}); err != nil {
 		t.Fatal(err)
 	}
-	if wide == 0 {
-		t.Fatal("no trial drew a Coflow with more than 128 demands")
+	for _, shape := range []struct {
+		name string
+		n    int
+	}{
+		{"a Coflow with more than 128 demands", wide},
+		{"more than 64 ports", manyPorts},
+		{"a primed table", primed},
+		{"an eps-adjacent commitment", epsAdjacent},
+		{"a release at a blackout end", blackoutRelease},
+	} {
+		if shape.n == 0 {
+			t.Errorf("no trial drew %s", shape.name)
+		}
 	}
+}
+
+// primeTables schedules 1–2 random Coflows on both tables before the Coflow
+// under test — the fast path on fast, the reference on ref — each starting at
+// or before opts.Start, as an InterCoflow pass would place earlier Coflows.
+// ok is false when the two diverge; stalled reports that both failed alike.
+func primeTables(t *testing.T, seed int64, rng *rand.Rand, fast, ref *PRT, c *coflow.Coflow, opts Options) (ok, stalled bool) {
+	for k, n := 0, 1+rng.Intn(2); k < n; k++ {
+		prior := randomCoflow(rng, fast.Ports(), max(2, len(c.Flows)))
+		popts := opts
+		popts.Start = opts.Start * rng.Float64()
+		fs, fErr := IntraCoflow(fast, prior, popts)
+		popts.Reference = true
+		rs, rErr := IntraCoflow(ref, prior, popts)
+		if fErr != nil || rErr != nil {
+			if fmt.Sprint(fErr) != fmt.Sprint(rErr) {
+				t.Logf("seed %d: priming error divergence fast=%v ref=%v", seed, fErr, rErr)
+				return false, false
+			}
+			return true, true
+		}
+		if !sameSchedule(fs, rs) {
+			t.Logf("seed %d: priming schedule %d diverges", seed, k)
+			return false, false
+		}
+	}
+	return true, false
+}
+
+// releaseAtBlackoutEnd reserves, on both tables with a blackout installed, a
+// commitment on an output port of c that ends exactly at the end of a
+// blackout window after opts.Start. It reports whether the commitment landed.
+func releaseAtBlackoutEnd(rng *rand.Rand, fast, ref *PRT, c *coflow.Coflow, opts Options) bool {
+	if fast.blackout == nil {
+		return false
+	}
+	f := c.Flows[rng.Intn(len(c.Flows))]
+	end := fast.blackout.NextEnd(opts.Start + rng.Float64())
+	r := Reservation{CoflowID: -202, In: rng.Intn(fast.Ports()), Out: f.Dst, Start: end - 0.05 - 0.3*rng.Float64(), End: end, Setup: 0.01}
+	if !fast.CanReserve(r) {
+		return false
+	}
+	fast.Reserve(r)
+	ref.Reserve(r)
+	return true
+}
+
+// epsAdjacentPair reserves, on both tables, two commitments back to back on
+// an input port of c — the second starting within timeEps of the first's end,
+// above or below it — both starting after opts.Start. It reports whether the
+// pair landed (on both tables alike; a collision with existing commitments
+// skips it).
+func epsAdjacentPair(rng *rand.Rand, fast, ref *PRT, c *coflow.Coflow, opts Options) bool {
+	f := c.Flows[rng.Intn(len(c.Flows))]
+	start := opts.Start + 0.01 + rng.Float64()
+	mid := start + 0.02 + 0.2*rng.Float64()
+	next := mid + (rng.Float64()*2-1)*0.9*timeEps
+	a := Reservation{CoflowID: -200, In: f.Src, Out: rng.Intn(fast.Ports()), Start: start, End: mid, Setup: 0.01}
+	b := Reservation{CoflowID: -201, In: f.Src, Out: rng.Intn(fast.Ports()), Start: next, End: next + 0.02 + 0.2*rng.Float64(), Setup: 0.01}
+	// a and b overlap by less than timeEps, which the table accepts, so each
+	// need only clear what is there already.
+	if !fast.CanReserve(a) || !fast.CanReserve(b) {
+		return false
+	}
+	fast.Preload([]Reservation{a, b})
+	ref.Preload([]Reservation{a, b})
+	return true
 }
 
 // TestQuickFastMatchesReferenceInter runs whole inter-Coflow passes — the

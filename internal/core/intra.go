@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"container/heap"
 	"errors"
 	"fmt"
@@ -8,7 +9,6 @@ import (
 	"math/bits"
 	"math/rand"
 	"slices"
-	"sort"
 	"time"
 
 	"sunflow/internal/coflow"
@@ -107,8 +107,18 @@ type Schedule struct {
 	// Finish is the time the last reservation releases its ports; the CCT
 	// relative to Start is Finish-Start.
 	Finish float64
-	// FlowFinish maps each (src, dst) flow to the time its demand drains.
-	FlowFinish map[[2]int]float64
+}
+
+// FlowFinish returns the time the (src, dst) flow's demand drains: the end of
+// its last reservation. ok is false when the schedule reserved nothing for
+// the flow.
+func (s *Schedule) FlowFinish(src, dst int) (t float64, ok bool) {
+	for k := len(s.Reservations) - 1; k >= 0; k-- {
+		if r := &s.Reservations[k]; r.In == src && r.Out == dst {
+			return r.End, true
+		}
+	}
+	return 0, false
 }
 
 // CCT returns the Coflow completion time measured from the given arrival.
@@ -182,6 +192,11 @@ func IntraCoflow(prt *PRT, c *coflow.Coflow, opts Options) (*Schedule, error) {
 	if err := c.Validate(prt.Ports()); err != nil {
 		return nil, err
 	}
+	var (
+		sched    *Schedule
+		examined int
+		err      error
+	)
 	if o := opts.Obs; o != nil || opts.Prof != nil {
 		// One measurement feeds both the counters and the span, so the
 		// span tree's intra totals reconcile with sched.intra_seconds
@@ -203,6 +218,7 @@ func IntraCoflow(prt *PRT, c *coflow.Coflow, opts Options) (*Schedule, error) {
 				return
 			}
 			o.IntraPasses.Inc()
+			o.IntraExamined.Add(int64(examined))
 			o.IntraSeconds.Add(sec)
 			if opts.Reference {
 				o.IntraRefSeconds.Add(sec)
@@ -212,9 +228,11 @@ func IntraCoflow(prt *PRT, c *coflow.Coflow, opts Options) (*Schedule, error) {
 		}()
 	}
 	if opts.Reference {
-		return intraScan(prt, c, opts)
+		sched, examined, err = intraScan(prt, c, opts)
+	} else {
+		sched, examined, err = intraFast(prt, c, opts)
 	}
-	return intraFast(prt, c, opts)
+	return sched, err
 }
 
 // buildPending converts the Coflow's positive-demand flows into scheduler
@@ -235,23 +253,18 @@ func buildPending(dst []demand, c *coflow.Coflow, opts Options) []demand {
 }
 
 // newSchedule allocates the Schedule shell both paths fill in.
-func newSchedule(c *coflow.Coflow, opts Options, nPending int) *Schedule {
-	return &Schedule{
-		CoflowID:   c.ID,
-		Start:      opts.Start,
-		Finish:     opts.Start,
-		FlowFinish: make(map[[2]int]float64, nPending),
-	}
+func newSchedule(c *coflow.Coflow, opts Options) *Schedule {
+	return &Schedule{CoflowID: c.ID, Start: opts.Start, Finish: opts.Start}
 }
 
 // intraScan is the reference implementation of the Algorithm 1 loop: every
 // round re-examines all pending demands in order. O(F) per round, kept as
 // the differential-testing oracle for the event-driven path.
-func intraScan(prt *PRT, c *coflow.Coflow, opts Options) (*Schedule, error) {
+func intraScan(prt *PRT, c *coflow.Coflow, opts Options) (*Schedule, int, error) {
 	pending := buildPending(make([]demand, 0, len(c.Flows)), c, opts)
-	sched := newSchedule(c, opts, len(pending))
+	sched := newSchedule(c, opts)
 	if len(pending) == 0 {
-		return sched, nil
+		return sched, 0, nil
 	}
 
 	// Seed the release-time heap with existing commitments on the ports this
@@ -261,7 +274,9 @@ func intraScan(prt *PRT, c *coflow.Coflow, opts Options) (*Schedule, error) {
 	heap.Init(&releases)
 
 	t := opts.Start
+	examined := 0
 	for len(pending) > 0 {
+		examined += len(pending)
 		for idx := range pending {
 			d := &pending[idx]
 			if d.p <= timeEps || !prt.FreeAt(d.i, d.j, t) {
@@ -299,10 +314,6 @@ func intraScan(prt *PRT, c *coflow.Coflow, opts Options) (*Schedule, error) {
 				heap.Push(&releases, r.End)
 			}
 			d.p -= l - opts.Delta // remaining demand: ld - l
-			if d.p <= timeEps {
-				d.p = 0
-				sched.FlowFinish[[2]int{d.i, d.j}] = r.End
-			}
 			if r.End > sched.Finish {
 				sched.Finish = r.End
 			}
@@ -334,11 +345,11 @@ func intraScan(prt *PRT, c *coflow.Coflow, opts Options) (*Schedule, error) {
 			next = releases[0]
 		}
 		if math.IsInf(next, 1) {
-			return nil, fmt.Errorf("%w: %d flows blocked at t=%.6f for %v", ErrStalled, len(pending), t, c)
+			return nil, examined, fmt.Errorf("%w: %d flows blocked at t=%.6f for %v", ErrStalled, len(pending), t, c)
 		}
 		t = next
 	}
-	return sched, nil
+	return sched, examined, nil
 }
 
 // portEvent is a circuit release instant on the fast path's event heap: at
@@ -399,12 +410,11 @@ func evPop(ev *[]portEvent) portEvent {
 // which call it once per live Coflow per replan on one reused table.
 type intraScratch struct {
 	pending []demand
-	// byIn[p] (byOut[p]) lists the unfinished demands on input (output) port
-	// p in ascending order: disjoint windows of flat, sized by counts.
-	byIn, byOut [][]int32
-	flat        []int32
-	counts      []int32
-	events      []portEvent
+	// in and out are the pass's views of the input and output ports.
+	in, out portSide
+	flat    []int32
+	counts  []int32
+	events  []portEvent
 	// wake is the ordered wake set: bit di%64 of word di/64 marks demand di
 	// for the next round. Draining the words low to high with
 	// TrailingZeros64 visits the woken demands in slice order, the order the
@@ -412,59 +422,143 @@ type intraScratch struct {
 	// words set this round (lo > hi when none is).
 	wake   []uint64
 	lo, hi int
-	cur    cursors
 	ends   []float64
+	// examined counts demand visits this pass (sched.intra_examined).
+	examined int
 }
 
-// wakeOn marks every unfinished demand in list for the next round and
-// returns list with the finished ones dropped, so later releases on the same
-// port do not walk them again. The list is in ascending demand order, so its
-// first and last survivors bound the words touched.
-func (s *intraScratch) wakeOn(list []int32, pending []demand) []int32 {
-	live := list[:0]
-	for _, di := range list {
-		if pending[di].p > timeEps {
-			s.wake[di>>6] |= 1 << (uint(di) & 63)
-			live = append(live, di)
+// portSide is the fast path's view of one side (inputs or outputs) of the
+// switch during a pass. Only the ports the Coflow touches are kept up to
+// date; the entries of the others are never read.
+//
+// free and next make "is port p free at round instant t" a bit test: bit p
+// of free records whether p was free at its last refresh, and next[p] the
+// start of its first commitment after that refresh instant. While t <
+// next[p] and the pass has not reserved p since, nothing on p's timeline
+// changed in between, so the bit still holds and next[p] is still p's next
+// commitment; once t reaches next[p] the port is refreshed. A free bit can
+// thus go stale (a commitment began since), which costs one refresh. A busy
+// bit never does: every busy→free transition is the end of an interval, and
+// each such end is a release event whose round refreshes the port.
+type portSide struct {
+	tls []timeline // the table's timelines on this side
+	// list[p] holds port p's demands sorted by peer port — a window of
+	// intraScratch.flat, finished demands included.
+	list [][]int32
+	// cur[p] is a monotone finger into p's live window: at most the index of
+	// the first live interval starting after the latest refresh instant.
+	// Round instants strictly increase, so each refresh seeks it forward
+	// from there in amortised O(1) instead of a binary search. A reservation
+	// the pass makes at its current instant lands at the first start > t, at
+	// or after the finger, or in the archive; either way the finger stays
+	// valid.
+	cur  []int
+	free []uint64
+	next []float64
+	// mask and all hold one bitset of words (⌈n/64⌉) words per port: bit q
+	// of p's mask marks p's unfinished demand toward peer q, and all keeps
+	// the finished ones too, so the number of bits of all below q is that
+	// demand's position in list[p].
+	mask, all []uint64
+	words     int
+}
+
+// row returns port p's bitset within mask or all.
+func (ps *portSide) row(p int, bitsets []uint64) []uint64 {
+	return bitsets[p*ps.words : (p+1)*ps.words]
+}
+
+// hasBit reports whether bit q of the bitset b is set.
+func hasBit(b []uint64, q int) bool { return b[q>>6]&(1<<(uint(q)&63)) != 0 }
+
+// setBit sets bit q of the bitset b.
+func setBit(b []uint64, q int) { b[q>>6] |= 1 << (uint(q) & 63) }
+
+// clearBit clears bit q of the bitset b.
+func clearBit(b []uint64, q int) { b[q>>6] &^= 1 << (uint(q) & 63) }
+
+// reset sizes the side for an n-port table of words-word bitsets.
+func (ps *portSide) reset(tls []timeline, n, words int) {
+	ps.tls, ps.words = tls, words
+	if cap(ps.list) < n {
+		ps.list, ps.cur, ps.next = make([][]int32, n), make([]int, n), make([]float64, n)
+	}
+	ps.list, ps.cur, ps.next = ps.list[:n], ps.cur[:n], ps.next[:n]
+	ps.free = slices.Grow(ps.free[:0], words)[:words]
+	clear(ps.free)
+	ps.mask = slices.Grow(ps.mask[:0], n*words)[:n*words]
+	ps.all = slices.Grow(ps.all[:0], n*words)[:n*words]
+}
+
+// refresh recomputes port p's free bit and next commitment exactly at t and
+// reports whether p is free.
+func (ps *portSide) refresh(p int, t float64) bool {
+	tl := &ps.tls[p]
+	c := tl.seek(ps.cur[p], t)
+	ps.cur[p] = c
+	ps.next[p] = tl.nextStartFrom(c, t)
+	if tl.freeFrom(c, t) {
+		setBit(ps.free, p)
+		return true
+	}
+	clearBit(ps.free, p)
+	return false
+}
+
+// freeAt reports whether port p is free at round instant t, refreshing it
+// only when its free bit may have gone stale.
+func (ps *portSide) freeAt(p int, t float64) bool {
+	return hasBit(ps.free, p) && (t < ps.next[p] || ps.refresh(p, t))
+}
+
+// wakeFrom marks for the next round every unfinished demand on port p of ps
+// whose peer port is free on the opposite side opp: the demands a release of
+// p can unblock. Hits come in ascending peer order, and list[p] is sorted by
+// peer, so each hit's rank in p's all bitset indexes its demand.
+func (s *intraScratch) wakeFrom(ps, opp *portSide, p int) {
+	all, list := ps.row(p, ps.all), ps.list[p]
+	rank := 0
+	for w, m := range ps.row(p, ps.mask) {
+		for hits := m & opp.free[w]; hits != 0; hits &= hits - 1 {
+			below := uint64(1)<<uint(bits.TrailingZeros64(hits)) - 1
+			di := list[rank+bits.OnesCount64(all[w]&below)]
+			setBit(s.wake, int(di))
+			s.lo, s.hi = min(s.lo, int(di>>6)), max(s.hi, int(di>>6))
 		}
+		rank += bits.OnesCount64(all[w])
 	}
-	if n := len(live); n > 0 {
-		s.lo, s.hi = min(s.lo, int(live[0]>>6)), max(s.hi, int(live[n-1]>>6))
-	}
-	return live
 }
 
 // intraFast is the event-driven implementation of the Algorithm 1 loop.
-// Pending demands are indexed by input and output port; a circuit release
-// wakes only the demands touching the freed ports, and woken demands are
-// examined in the same demand order as the reference scan. A demand that was
-// unschedulable at one round — port busy, gap to the next commitment at most
-// δ, blackout — stays unschedulable until one of its ports releases or a
-// blackout window ends, so waking that (super)set reproduces the reference
-// path's reservation sequence exactly. Round instants strictly increase, so
-// the port queries run through monotone cursors (see cursors).
-func intraFast(prt *PRT, c *coflow.Coflow, opts Options) (*Schedule, error) {
+// A circuit release refreshes the freed port and wakes only its demands
+// whose other port is free as well; woken demands are examined in the same
+// demand order as the reference scan. A demand that was unschedulable at one
+// round — port busy, gap to the next commitment at most δ, blackout — stays
+// unschedulable until one of its ports releases or a blackout window ends,
+// and within a round ports only become busy, so a demand whose other port is
+// busy when its port releases cannot be served that round; waking the rest
+// reproduces the reference path's reservation sequence exactly. Port state
+// is a bit test (see portSide).
+func intraFast(prt *PRT, c *coflow.Coflow, opts Options) (*Schedule, int, error) {
 	s := prt.intraScratch()
+	s.examined = 0
 
 	pending := buildPending(slices.Grow(s.pending[:0], len(c.Flows)), c, opts)
 	s.pending = pending
-	sched := newSchedule(c, opts, len(pending))
+	sched := newSchedule(c, opts)
 	if len(pending) == 0 {
-		return sched, nil
+		return sched, 0, nil
 	}
 	sched.Reservations = make([]Reservation, 0, len(pending))
 
 	// Index live demands by port: count them per port, then carve each
 	// port's list out of one flat buffer, so indexing allocates nothing once
 	// the buffers have grown. A demand already at the noise floor is dropped
-	// up front — the reference scan never reserves for it and records no
-	// finish — so remaining counts exactly the schedulable work.
+	// up front — the reference scan never reserves for it — so remaining
+	// counts exactly the schedulable work.
 	n := prt.n
-	if cap(s.byIn) < n {
-		s.byIn, s.byOut = make([][]int32, n), make([][]int32, n)
-		s.cur.in, s.cur.out = make([]int, n), make([]int, n)
-	}
-	byIn, byOut := s.byIn[:n], s.byOut[:n]
+	s.in.reset(prt.in, n, (n+63)/64)
+	s.out.reset(prt.out, n, (n+63)/64)
 	s.counts = slices.Grow(s.counts[:0], 2*n)[:2*n]
 	clear(s.counts)
 	remaining := 0
@@ -476,50 +570,44 @@ func intraFast(prt *PRT, c *coflow.Coflow, opts Options) (*Schedule, error) {
 		}
 	}
 	if remaining == 0 {
-		return sched, nil
+		return sched, 0, nil
 	}
 	s.flat = slices.Grow(s.flat[:0], 2*remaining)[:2*remaining]
 	off := 0
 	for p := 0; p < 2*n; p++ {
-		list := s.flat[off : off : off+int(s.counts[p])]
+		ps, q := &s.in, p
+		if p >= n {
+			ps, q = &s.out, p-n
+		}
+		ps.list[q] = s.flat[off : off : off+int(s.counts[p])]
 		off += int(s.counts[p])
-		if p < n {
-			byIn[p] = list
-		} else {
-			byOut[p-n] = list
+		if s.counts[p] > 0 {
+			clear(ps.row(q, ps.mask)) // only touched ports' masks are read
 		}
 	}
 	for di := range pending {
 		if d := &pending[di]; d.p > timeEps {
-			byIn[d.i] = append(byIn[d.i], int32(di))
-			byOut[d.j] = append(byOut[d.j], int32(di))
+			s.in.list[d.i] = append(s.in.list[d.i], int32(di))
+			s.out.list[d.j] = append(s.out.list[d.j], int32(di))
+			setBit(s.in.row(d.i, s.in.mask), d.j)
+			setBit(s.out.row(d.j, s.out.mask), d.i)
+		}
+	}
+	if opts.Order != OrderedPort {
+		// Only the port order leaves every list sorted by peer already.
+		for p := 0; p < n; p++ {
+			slices.SortFunc(s.in.list[p], func(a, b int32) int { return cmp.Compare(pending[a].j, pending[b].j) })
+			slices.SortFunc(s.out.list[p], func(a, b int32) int { return cmp.Compare(pending[a].i, pending[b].i) })
 		}
 	}
 
 	// Seed the event heap with existing commitments on the touched ports,
-	// pre-grow their timelines and the heap for the reservations this pass
-	// will insert, and place the ports' cursors at the pass start; the
-	// cursors of untouched ports are never read.
+	// pre-grow their timelines for the reservations this pass will insert,
+	// and refresh their state at the pass start.
 	s.events = slices.Grow(s.events[:0], 2*remaining)
 	for p := 0; p < n; p++ {
-		if len(byIn[p]) > 0 {
-			tl := &prt.in[p]
-			tl.grow(2*len(byIn[p]) + 2)
-			s.cur.in[p] = tl.searchAfter(opts.Start)
-			s.ends = tl.endsAfter(opts.Start, s.ends[:0])
-			for _, e := range s.ends {
-				evPush(&s.events, portEvent{t: e, in: int32(p), out: -1})
-			}
-		}
-		if len(byOut[p]) > 0 {
-			tl := &prt.out[p]
-			tl.grow(2*len(byOut[p]) + 2)
-			s.cur.out[p] = tl.searchAfter(opts.Start)
-			s.ends = tl.endsAfter(opts.Start, s.ends[:0])
-			for _, e := range s.ends {
-				evPush(&s.events, portEvent{t: e, in: -1, out: int32(p)})
-			}
-		}
+		s.seedPort(&s.in, p, opts.Start, portEvent{in: int32(p), out: -1})
+		s.seedPort(&s.out, p, opts.Start, portEvent{in: -1, out: int32(p)})
 	}
 
 	words := (len(pending) + 63) / 64
@@ -552,14 +640,16 @@ func intraFast(prt *PRT, c *coflow.Coflow, opts Options) (*Schedule, error) {
 		}
 
 		// Advance to the next circuit release or blackout end, as the
-		// reference does; then wake the demands that instant can unblock.
+		// reference does; then refresh the released ports and wake the
+		// demands that instant can unblock. A demand both of whose ports
+		// release at this instant is woken by the later of the two.
 		blk := prt.nextBlackoutEnd(t)
 		next := blk
 		if len(s.events) > 0 && s.events[0].t < next {
 			next = s.events[0].t
 		}
 		if math.IsInf(next, 1) {
-			return nil, fmt.Errorf("%w: %d flows blocked at t=%.6f for %v", ErrStalled, remaining, t, c)
+			return nil, s.examined, fmt.Errorf("%w: %d flows blocked at t=%.6f for %v", ErrStalled, remaining, t, c)
 		}
 		t = next
 		// A blackout end frees every port at once: all demands may have
@@ -567,19 +657,35 @@ func intraFast(prt *PRT, c *coflow.Coflow, opts Options) (*Schedule, error) {
 		wakeAll = blk <= t+timeEps
 		for len(s.events) > 0 && s.events[0].t <= t+timeEps {
 			e := evPop(&s.events)
-			if wakeAll {
-				continue
+			if e.in >= 0 && s.in.refresh(int(e.in), t) && !wakeAll {
+				s.wakeFrom(&s.in, &s.out, int(e.in))
 			}
-			if e.in >= 0 {
-				byIn[e.in] = s.wakeOn(byIn[e.in], pending)
-			}
-			if e.out >= 0 {
-				byOut[e.out] = s.wakeOn(byOut[e.out], pending)
+			if e.out >= 0 && s.out.refresh(int(e.out), t) && !wakeAll {
+				s.wakeFrom(&s.out, &s.in, int(e.out))
 			}
 		}
 	}
 	s.events = s.events[:0]
-	return sched, nil
+	return sched, s.examined, nil
+}
+
+// seedPort prepares touched port p of side ps for a pass starting at start:
+// snapshots its peer mask into all, pushes its commitments' ends as release
+// events shaped like ev, and places its cursor and state at start.
+func (s *intraScratch) seedPort(ps *portSide, p int, start float64, ev portEvent) {
+	if len(ps.list[p]) == 0 {
+		return
+	}
+	copy(ps.row(p, ps.all), ps.row(p, ps.mask))
+	tl := &ps.tls[p]
+	tl.grow(2*len(ps.list[p]) + 2)
+	s.ends = tl.endsAfter(start, s.ends[:0])
+	for _, e := range s.ends {
+		ev.t = e
+		evPush(&s.events, ev)
+	}
+	ps.cur[p] = tl.searchAfter(start)
+	ps.refresh(p, start)
 }
 
 // examine is one demand visit of the Algorithm 1 loop at round instant t:
@@ -587,10 +693,17 @@ func intraFast(prt *PRT, c *coflow.Coflow, opts Options) (*Schedule, error) {
 // intraScan's inner loop statement for statement. It returns the updated
 // count of unfinished demands.
 func (s *intraScratch) examine(prt *PRT, c *coflow.Coflow, opts *Options, sched *Schedule, d *demand, t float64, remaining int) int {
-	if d.p <= timeEps || !prt.freeAtFrom(&s.cur, d.i, d.j, t) {
+	s.examined++
+	if d.p <= timeEps || !s.in.freeAt(d.i, t) || !s.out.freeAt(d.j, t) ||
+		(prt.blackout != nil && prt.blackout.Covers(t)) {
 		return remaining
 	}
-	tm := prt.nextCommitmentFrom(&s.cur, d.i, d.j, t)
+	// Both ports are free with no change since their last refresh, so next
+	// holds their next commitments at t.
+	tm := math.Min(s.in.next[d.i], s.out.next[d.j])
+	if prt.blackout != nil {
+		tm = math.Min(tm, prt.blackout.NextStart(t))
+	}
 	lm := tm - t
 	ld := opts.Delta + d.p
 	// A slot shorter than δ (or exactly δ, which would carry no data) is
@@ -609,6 +722,8 @@ func (s *intraScratch) examine(prt *PRT, c *coflow.Coflow, opts *Options, sched 
 		Bytes:    (l - opts.Delta) * opts.LinkBps / 8,
 	}
 	prt.Reserve(r)
+	clearBit(s.in.free, d.i)
+	clearBit(s.out.free, d.j)
 	sched.Reservations = append(sched.Reservations, r)
 	if o := opts.Obs; o != nil {
 		o.Reservations.Inc()
@@ -618,14 +733,13 @@ func (s *intraScratch) examine(prt *PRT, c *coflow.Coflow, opts *Options, sched 
 			o.ResShortened.Inc()
 		}
 	}
-	// The release frees both ports; one event wakes the demands on either
-	// side. Reservations carry data (l > δ+eps), so r.End is strictly after
-	// this round and per-port release instants never collide.
+	// The release frees both ports; one event refreshes both. Reservations
+	// carry data (l > δ+eps), so r.End is strictly after this round.
 	evPush(&s.events, portEvent{t: r.End, in: int32(d.i), out: int32(d.j)})
 	d.p -= l - opts.Delta // remaining demand: ld - l
 	if d.p <= timeEps {
-		d.p = 0
-		sched.FlowFinish[[2]int{d.i, d.j}] = r.End
+		clearBit(s.in.row(d.i, s.in.mask), d.j)
+		clearBit(s.out.row(d.j, s.out.mask), d.i)
 		remaining--
 	}
 	if r.End > sched.Finish {
@@ -644,38 +758,36 @@ func (p *PRT) nextBlackoutEnd(t float64) float64 {
 }
 
 // orderDemands arranges the pending demands per the configured ordering.
+// IntraCoflow validates the Coflow first, so every (i, j) is unique and each
+// comparator is a total order: the sorted permutation is the only one, and
+// which sort algorithm produces it cannot change a schedule.
 func orderDemands(pending []demand, opts Options) {
 	switch opts.Order {
 	case OrderedPort:
-		sort.Slice(pending, func(a, b int) bool {
-			if pending[a].i != pending[b].i {
-				return pending[a].i < pending[b].i
-			}
-			return pending[a].j < pending[b].j
-		})
+		slices.SortFunc(pending, byPorts)
 	case SortedDemand:
-		sort.Slice(pending, func(a, b int) bool {
-			if pending[a].p != pending[b].p {
-				return pending[a].p > pending[b].p
+		slices.SortFunc(pending, func(a, b demand) int {
+			if a.p != b.p {
+				return cmp.Compare(b.p, a.p)
 			}
-			if pending[a].i != pending[b].i {
-				return pending[a].i < pending[b].i
-			}
-			return pending[a].j < pending[b].j
+			return byPorts(a, b)
 		})
 	case RandomOrder:
 		// Sort first so shuffling is deterministic regardless of input order.
-		sort.Slice(pending, func(a, b int) bool {
-			if pending[a].i != pending[b].i {
-				return pending[a].i < pending[b].i
-			}
-			return pending[a].j < pending[b].j
-		})
+		slices.SortFunc(pending, byPorts)
 		rng := rand.New(rand.NewSource(opts.Seed))
 		rng.Shuffle(len(pending), func(a, b int) {
 			pending[a], pending[b] = pending[b], pending[a]
 		})
 	}
+}
+
+// byPorts orders demands by (input, output) port.
+func byPorts(a, b demand) int {
+	if a.i != b.i {
+		return cmp.Compare(a.i, b.i)
+	}
+	return cmp.Compare(a.j, b.j)
 }
 
 // portSets returns the distinct input and output ports of the demands.
@@ -692,7 +804,7 @@ func portSets(pending []demand) (ins, outs []int) {
 	for j := range outSet {
 		outs = append(outs, j)
 	}
-	sort.Ints(ins)
-	sort.Ints(outs)
+	slices.Sort(ins)
+	slices.Sort(outs)
 	return ins, outs
 }

@@ -46,8 +46,11 @@ func TestIntraSingleFlow(t *testing.T) {
 	if got := s.CCT(0); math.Abs(got-0.018) > 1e-9 {
 		t.Fatalf("CCT = %v", got)
 	}
-	if f, ok := s.FlowFinish[[2]int{0, 1}]; !ok || math.Abs(f-0.018) > 1e-9 {
-		t.Fatalf("FlowFinish = %v", s.FlowFinish)
+	if f, ok := s.FlowFinish(0, 1); !ok || math.Abs(f-0.018) > 1e-9 {
+		t.Fatalf("FlowFinish(0, 1) = %v, %v", f, ok)
+	}
+	if _, ok := s.FlowFinish(1, 0); ok {
+		t.Fatal("FlowFinish reports a flow the Coflow does not have")
 	}
 }
 

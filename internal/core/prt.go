@@ -447,48 +447,6 @@ func (p *PRT) NextCommitment(i, j int, t float64) float64 {
 	return tm
 }
 
-// cursors holds one monotone finger per port side into a PRT's live windows
-// for a caller whose query instants never decrease — one intra pass. in[p]
-// (out[p]) is at most the index of the first live interval on input (output)
-// port p starting after the latest query instant; each query seeks it forward
-// from there, so freeAt and nextStart cost amortised O(1) instead of a binary
-// search. Reservations the caller makes at its current instant t need no
-// finger adjustment: one landing in the live window is inserted at the first
-// start > t, at or after every finger, and the next seek steps past it; one
-// spliced into the archive leaves the live window untouched. A query instant
-// preceding the whole live window falls back to the archive search, as the
-// uncursored queries do.
-type cursors struct{ in, out []int }
-
-// freeAtFrom is FreeAt through the fingers; t must be at or after every
-// earlier query instant on them.
-func (p *PRT) freeAtFrom(cs *cursors, i, j int, t float64) bool {
-	if p.blackout != nil && p.blackout.Covers(t) {
-		return false
-	}
-	ci := p.in[i].seek(cs.in[i], t)
-	cs.in[i] = ci
-	if !p.in[i].freeFrom(ci, t) {
-		return false
-	}
-	co := p.out[j].seek(cs.out[j], t)
-	cs.out[j] = co
-	return p.out[j].freeFrom(co, t)
-}
-
-// nextCommitmentFrom is NextCommitment through the fingers, under the same
-// monotonicity contract as freeAtFrom.
-func (p *PRT) nextCommitmentFrom(cs *cursors, i, j int, t float64) float64 {
-	ci := p.in[i].seek(cs.in[i], t)
-	co := p.out[j].seek(cs.out[j], t)
-	cs.in[i], cs.out[j] = ci, co
-	tm := math.Min(p.in[i].nextStartFrom(ci, t), p.out[j].nextStartFrom(co, t))
-	if p.blackout != nil {
-		tm = math.Min(tm, p.blackout.NextStart(t))
-	}
-	return tm
-}
-
 // ErrDoubleBooked reports a reservation overlapping an existing one on a
 // port timeline.
 var ErrDoubleBooked = errors.New("core: port double-booked")

@@ -23,6 +23,7 @@ const (
 	NameSchedPassTime    = "sched.pass_seconds"
 	NameIntraPasses      = "sched.intra_passes"
 	NameIntraSkipped     = "sched.intra_skipped"
+	NameIntraExamined    = "sched.intra_examined"
 	NameIntraSeconds     = "sched.intra_seconds"
 	NameIntraFastSeconds = "sched.intra_fast_seconds"
 	NameIntraRefSeconds  = "sched.intra_ref_seconds"
@@ -70,7 +71,10 @@ type Observer struct {
 	// full-rebuild run would record (the reconciliation property tests pin
 	// this).
 	IntraSkipped *Counter
-	IntraSeconds *FloatCounter
+	// IntraExamined counts demand visits inside the intra scheduler;
+	// Reservations / IntraExamined is the search's useful-work ratio.
+	IntraExamined *Counter
+	IntraSeconds  *FloatCounter
 	// IntraSeconds split by planner path: the event-driven fast path versus
 	// the scan-based reference path (core.Options.Reference). The trace
 	// stream is path-invariant by design, so this is the only record of
@@ -132,6 +136,7 @@ func newScoped(reg *Registry, sink Sink, prefix string) *Observer {
 		SchedPassTime:    reg.Histogram(prefix + NameSchedPassTime),
 		IntraPasses:      reg.Counter(prefix + NameIntraPasses),
 		IntraSkipped:     reg.Counter(prefix + NameIntraSkipped),
+		IntraExamined:    reg.Counter(prefix + NameIntraExamined),
 		IntraSeconds:     reg.FloatCounter(prefix + NameIntraSeconds),
 		IntraFastSeconds: reg.FloatCounter(prefix + NameIntraFastSeconds),
 		IntraRefSeconds:  reg.FloatCounter(prefix + NameIntraRefSeconds),
@@ -230,6 +235,9 @@ type Summary struct {
 	IntraFastSeconds float64 `json:"intra_fast_seconds"`
 	IntraRefSeconds  float64 `json:"intra_ref_seconds"`
 	Reservations     int64   `json:"reservations"`
+	// IntraExamined counts intra-scheduler demand visits; Reservations /
+	// IntraExamined is the search's useful-work ratio.
+	IntraExamined int64 `json:"intra_examined"`
 }
 
 // Summary reads the current headline values (nil-safe). DutyCycle is the
@@ -253,6 +261,7 @@ func (o *Observer) Summary() Summary {
 		IntraFastSeconds: o.IntraFastSeconds.Load(),
 		IntraRefSeconds:  o.IntraRefSeconds.Load(),
 		Reservations:     o.Reservations.Load(),
+		IntraExamined:    o.IntraExamined.Load(),
 	}
 	s.DutyCycle = dutyCycle(s.HoldSeconds, s.SetupSeconds)
 	return s
@@ -276,6 +285,7 @@ func (s Summary) Sub(prev Summary) Summary {
 		IntraFastSeconds: s.IntraFastSeconds - prev.IntraFastSeconds,
 		IntraRefSeconds:  s.IntraRefSeconds - prev.IntraRefSeconds,
 		Reservations:     s.Reservations - prev.Reservations,
+		IntraExamined:    s.IntraExamined - prev.IntraExamined,
 	}
 	d.DutyCycle = dutyCycle(d.HoldSeconds, d.SetupSeconds)
 	return d

@@ -90,9 +90,14 @@ func NewScanner(r io.Reader, base Base) (*Scanner, error) {
 	return s, nil
 }
 
+// newLineScanner returns a line scanner accepting lines up to 16 MiB. The
+// buffer starts at 64 KiB, far above a typical job line, and grows only for
+// a longer one: an auto-base scan builds two scanners per trace, and a
+// larger up-front buffer is fresh memory to zero, and possibly to fault in,
+// on every scan.
 func newLineScanner(r io.Reader) *bufio.Scanner {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	sc.Buffer(make([]byte, 64<<10), 1<<24)
 	return sc
 }
 

@@ -375,3 +375,32 @@ func FuzzScannerMatchesParseJobs(f *testing.F) {
 		}
 	})
 }
+
+// TestScannerLongLine feeds a job line several times longer than the line
+// scanner's initial buffer: the buffer must grow and both readers must still
+// return the job whole.
+func TestScannerLongLine(t *testing.T) {
+	const ports = 40000
+	job := Job{ID: 7, ArrivalMillis: 3, Reducers: []int{ports - 1}, ReducerMB: []float64{5}}
+	for p := 0; p < ports-1; p++ {
+		job.Mappers = append(job.Mappers, p)
+	}
+	var buf bytes.Buffer
+	if err := WriteJobs(&buf, ports, []Job{job}); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() < 3*(64<<10) {
+		t.Fatalf("trace is %d bytes, want a line well past the initial buffer", buf.Len())
+	}
+	_, want, err := ParseJobs(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, got, err := drainScanner(bytes.NewReader(buf.Bytes()), AutoBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || !reflect.DeepEqual(got, want) || len(got[0].Mappers) != ports-1 {
+		t.Fatalf("scanner read %d jobs, want the one job with %d mappers", len(got), ports-1)
+	}
+}
