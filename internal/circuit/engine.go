@@ -20,7 +20,6 @@ import (
 	"math"
 	"os"
 	"slices"
-	"sort"
 
 	"sunflow/internal/coflow"
 	"sunflow/internal/core"
@@ -117,6 +116,23 @@ type Live struct {
 	// allocated only when tracing is on.
 	flowStarted map[fabric.FlowKey]bool
 	demand      map[fabric.FlowKey]float64
+	// key caches the policy key of the Coflow's remainder while keyOK holds;
+	// every write to Rem clears keyOK, so a zero Live starts without one.
+	key   float64
+	keyOK bool
+	// cand marks a Coflow queued for the next retire check (mayRetire).
+	cand bool
+	// excl and lockedEnd describe the Coflow's locked circuits in the
+	// current pass. excl is the demand they cover per flow, aligned with
+	// Keys (empty if none): subtracted from the drift-free Base it yields
+	// the demand still unplanned — neither side moves with delivery, so the
+	// scheduler input is bit-stable while a circuit holds. lockedEnd is
+	// their latest End (-Inf if none).
+	excl      []float64
+	lockedEnd float64
+	// cacheAt is the index of the Coflow's plan-cache entry, valid while
+	// Engine.cache[cacheAt] carries its id.
+	cacheAt int
 }
 
 // Index returns the position of flow k in Keys, Rem and Base, by binary
@@ -153,6 +169,9 @@ type Engine struct {
 	incremental bool
 	// passes counts successful scheduling passes.
 	passes uint64
+	// cands holds the ids the next retire checks (see mayRetire); dueIdx is
+	// the scratch behind due.
+	cands, dueIdx []int
 	// cache holds the previous reusing pass's per-Coflow outcomes in
 	// priority order.
 	cache   []planCacheEntry
@@ -198,7 +217,7 @@ func (e *Engine) SortedIDs() []int {
 	for id := range e.live {
 		ids = append(ids, id)
 	}
-	sort.Ints(ids)
+	slices.Sort(ids)
 	return ids
 }
 
@@ -208,8 +227,10 @@ func (e *Engine) SortedIDs() []int {
 func (e *Engine) Restore(now float64, live []*Live, plan []core.Reservation, passes uint64) {
 	e.now = now
 	e.live = make(map[int]*Live, len(live))
+	e.cands = e.cands[:0]
 	for _, lc := range live {
 		e.live[lc.ID] = lc
+		e.mayRetire(lc)
 	}
 	e.plan = append([]core.Reservation(nil), plan...)
 	e.passes = passes
@@ -220,26 +241,35 @@ func (e *Engine) Restore(now float64, live []*Live, plan []core.Reservation, pas
 // the engine untouched, when c has no positive demand: such a Coflow
 // completes at its arrival and the caller records it.
 func (e *Engine) Admit(c *coflow.Coflow, priority int) bool {
-	demand := make(map[fabric.FlowKey]float64, len(c.Flows))
+	// The positive flows in (Src, Dst) order. The sort is stable so that a
+	// repeated pair's bytes are summed in flow order.
+	type flowBytes struct {
+		k fabric.FlowKey
+		b float64
+	}
+	fs := make([]flowBytes, 0, len(c.Flows))
 	total := 0.0
 	for _, f := range c.Flows {
 		if f.Bytes > 0 {
-			demand[fabric.FlowKey{Src: f.Src, Dst: f.Dst}] += f.Bytes
+			fs = append(fs, flowBytes{fabric.FlowKey{Src: f.Src, Dst: f.Dst}, f.Bytes})
 			total += f.Bytes
 		}
 	}
-	if len(demand) == 0 {
+	if len(fs) == 0 {
 		return false
 	}
-	keys := make([]fabric.FlowKey, 0, len(demand))
-	for k := range demand {
-		keys = append(keys, k)
+	slices.SortStableFunc(fs, func(a, b flowBytes) int { return compareKeys(a.k, b.k) })
+	keys := make([]fabric.FlowKey, 0, len(fs))
+	rem := make([]float64, 0, len(fs))
+	for i, f := range fs {
+		if i > 0 && f.k == fs[i-1].k {
+			rem[len(rem)-1] += f.b
+		} else {
+			keys = append(keys, f.k)
+			rem = append(rem, f.b)
+		}
 	}
-	slices.SortFunc(keys, compareKeys)
-	rem := make([]float64, len(keys))
-	for i, k := range keys {
-		rem[i] = demand[k]
-	}
+	drained := !slices.ContainsFunc(rem, func(b float64) bool { return b > ByteEps })
 	lc := &Live{
 		ID:         c.ID,
 		Arrival:    c.Arrival,
@@ -254,11 +284,17 @@ func (e *Engine) Admit(c *coflow.Coflow, priority int) bool {
 		o.CoflowsAdmitted.Inc()
 		if o.TraceEnabled() {
 			lc.flowStarted = make(map[fabric.FlowKey]bool, len(rem))
-			lc.demand = demand
+			lc.demand = make(map[fabric.FlowKey]float64, len(rem))
+			for i, k := range keys {
+				lc.demand[k] = rem[i]
+			}
 			o.Emit(obs.Event{T: e.now, Kind: obs.KindCoflowAdmit, Coflow: c.ID, Src: -1, Dst: -1, Bytes: c.TotalBytes()})
 		}
 	}
 	e.live[c.ID] = lc
+	if drained {
+		e.mayRetire(lc)
+	}
 	return true
 }
 
@@ -339,20 +375,50 @@ func (e *Engine) Replan() error {
 	}
 }
 
+// due returns, in core.CompareReservations order, the indices of the plan
+// entries starting before to+TimeEps: the established circuits plus those
+// whose setup begins by to, a few per port. The plan stays in emission order.
+func (e *Engine) due(to float64) []int {
+	d := e.dueIdx[:0]
+	for i := range e.plan {
+		if e.plan[i].Start < to+TimeEps {
+			d = append(d, i)
+		}
+	}
+	plan := e.plan
+	slices.SortFunc(d, func(a, b int) int { return core.CompareReservations(plan[a], plan[b]) })
+	e.dueIdx = d
+	return d
+}
+
 // credit applies all transmission occurring in [from, to): planned circuit
 // reservations plus shared service in fair windows. It also counts circuit
 // establishments whose setup begins in the interval.
+//
+// Only the due reservations are walked, in (Start, In, Out) order; the result
+// is bit-identical to crediting the whole plan in start order:
+//   - Rem, Base and FlowFinish depend only on the order of one flow's
+//     reservations, and those have distinct Starts (one circuit per port), so
+//     any start order credits them identically.
+//   - An entry with Start >= to+TimeEps contributes nothing in [from, to):
+//     the setup branch needs Start < to-TimeEps, TransmittedBy and
+//     deliveredBy are 0 at both ends, and its circuit_down would need a
+//     zero-length reservation.
+//
+// Tied-Start reservations on different ports add into the float counters and
+// the trace in (In, Out) order.
 func (e *Engine) credit(from, to float64) {
 	if to <= from {
 		return
 	}
 	csp := e.cfg.Prof.Start("sim.credit")
 	defer csp.Finish()
-	// Reservations in start order so sequential reservations of one flow
-	// are credited in the order they deliver.
-	slices.SortFunc(e.plan, func(a, b core.Reservation) int { return cmp.Compare(a.Start, b.Start) })
+	due := e.due(to)
 	o := e.cfg.Obs
-	for idx := range e.plan {
+	if o != nil {
+		o.CreditVisits.Add(int64(len(due)))
+	}
+	for _, idx := range due {
 		r := &e.plan[idx]
 		lc := e.live[r.CoflowID]
 		if r.Start >= from-TimeEps && r.Start < to-TimeEps {
@@ -404,6 +470,7 @@ func (e *Engine) credit(from, to float64) {
 			continue
 		}
 		rem := lc.Rem[ki]
+		lc.keyOK = false
 		if lc.Base == nil && e.fullRate {
 			// First in-flight byte for this Coflow: snapshot the pristine
 			// demand before Rem starts drifting away from it.
@@ -420,6 +487,7 @@ func (e *Engine) credit(from, to float64) {
 			// The flow drains inside this reservation; solve for the instant.
 			finish := math.Max(from, r.TransmitStart()) + rem*8/bps
 			lc.Rem[ki] = 0
+			e.mayRetire(lc)
 			if _, done := lc.FlowFinish[key]; !done {
 				lc.FlowFinish[key] = finish
 				if o.TraceEnabled() {
@@ -493,8 +561,10 @@ func (e *Engine) creditFairWindows(from, to float64) {
 					lc.Base[ki] -= served[idx]
 				}
 				nr := lc.Rem[ki] - served[idx]
+				lc.keyOK = false
 				if nr <= ByteEps {
 					lc.Rem[ki] = 0
+					e.mayRetire(lc)
 					if _, done := lc.FlowFinish[key]; !done {
 						// Exact drain instants inside a shared window are
 						// not tracked; the window end bounds the error by τ.
@@ -521,18 +591,35 @@ func (e *Engine) CloseTrace() {
 	if !o.TraceEnabled() {
 		return
 	}
-	for _, r := range e.plan {
-		if r.Start < e.now-TimeEps && r.End > e.now+TimeEps {
+	for _, idx := range e.due(e.now) {
+		if r := &e.plan[idx]; r.Start < e.now-TimeEps && r.End > e.now+TimeEps {
 			o.Emit(obs.Event{T: r.End, Kind: obs.KindCircuitDown, Coflow: r.CoflowID, Src: r.In, Dst: r.Out})
 		}
 	}
 }
 
+// mayRetire queues lc for the next retire check. It is called wherever a
+// Coflow can lose its last flow above ByteEps: a Rem entry set to 0, a flow
+// stranded, an admission with every flow at most ByteEps, a restore.
+func (e *Engine) mayRetire(lc *Live) {
+	if !lc.cand {
+		lc.cand = true
+		e.cands = append(e.cands, lc.ID)
+	}
+}
+
 // retire hands Coflows whose routable demand has drained to the sink, in id
 // order so completions at one instant are reported identically on every run.
+// Only the Coflows mayRetire queued can have drained.
 func (e *Engine) retire(now float64) {
-	for _, id := range e.SortedIDs() {
+	slices.Sort(e.cands)
+	ids := slices.Compact(e.cands) // an id repeats after Remove and re-admission
+	for _, id := range ids {
 		lc := e.live[id]
+		if lc == nil {
+			continue // removed
+		}
+		lc.cand = false
 		done := true
 		for _, b := range lc.Rem {
 			if b > ByteEps {
@@ -561,4 +648,5 @@ func (e *Engine) retire(now float64) {
 			}
 		}
 	}
+	e.cands = ids[:0]
 }

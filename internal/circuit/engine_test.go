@@ -1,0 +1,431 @@
+package circuit
+
+import (
+	"cmp"
+	"maps"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"sunflow/internal/coflow"
+	"sunflow/internal/core"
+	"sunflow/internal/fabric"
+	"sunflow/internal/fault"
+	"sunflow/internal/obs"
+)
+
+// bookkeepingSeeds is the number of random engine scenarios
+// TestQuickEngineBookkeeping drives; each policy gets a third of them.
+const bookkeepingSeeds = 240
+
+// testSink records retirements and checks, at the moment of each one, that
+// the Coflow has no flow left above ByteEps.
+type testSink struct {
+	t       *testing.T
+	retired []*Live
+}
+
+func (s *testSink) Retire(lc *Live, finish float64) {
+	if !drained(lc) {
+		s.t.Fatalf("coflow %d retired with Rem %v", lc.ID, lc.Rem)
+	}
+	s.retired = append(s.retired, lc)
+}
+
+func (s *testSink) Strand(*Live, fabric.FlowKey, float64, float64) {}
+
+// drained reports whether every remaining flow of lc is at most ByteEps.
+func drained(lc *Live) bool {
+	for _, b := range lc.Rem {
+		if b > ByteEps {
+			return false
+		}
+	}
+	return true
+}
+
+// TestQuickEngineBookkeeping drives the engine with random admits (priorities
+// in {−1, 0, 1, 2}), Steps at event and non-event instants, credit-only
+// advances, Removes, re-admissions of removed ids and restores; some seeds add
+// fair windows, a fault plan or an observer. Three oracles check the
+// incremental bookkeeping against the full computations it replaces:
+//
+//	(a) every pass's order equals policy.Sort followed by a stable sort by
+//	    descending Priority, and every cached policy key equals a fresh one;
+//	(b) after every Step no live Coflow is drained, and the Coflows retired
+//	    within it came out in ascending id order, each drained — together the
+//	    output of a retire that scans the whole live set;
+//	(c) crediting the whole plan in canonical order (refCredit) leaves Rem,
+//	    Base, FlowFinish and Switches identical to the due-set credit.
+func TestQuickEngineBookkeeping(t *testing.T) {
+	shapes := map[string]int{}
+	for seed := int64(0); seed < bookkeepingSeeds; seed++ {
+		for shape, n := range runBookkeepingScenario(t, seed) {
+			shapes[shape] += n
+		}
+	}
+	// A draw that never reaches a path would pass vacuously.
+	for _, shape := range []string{"retired", "retired drained at admission", "stranded",
+		"fair windows", "faults", "removed", "re-admitted", "restored", "keys cached", "classes"} {
+		if shapes[shape] == 0 {
+			t.Errorf("no scenario exercised %q", shape)
+		}
+	}
+}
+
+func runBookkeepingScenario(t *testing.T, seed int64) map[string]int {
+	rng := rand.New(rand.NewSource(seed))
+	shapes := map[string]int{}
+	ports := 3 + rng.Intn(8)
+	sink := &testSink{t: t}
+	cfg := Config{Ports: ports, LinkBps: 1e9, Delta: 0.001 + 0.01*rng.Float64(), Sink: sink}
+	switch seed % 3 {
+	case 0:
+		cfg.Policy = core.ShortestFirst{LinkBps: cfg.LinkBps}
+	case 1:
+		cfg.Policy = core.FIFO{}
+	default:
+		class := map[int]int{}
+		for id := 1; id <= 300; id++ {
+			class[id] = rng.Intn(3)
+		}
+		cfg.Policy = core.PriorityClasses{Class: class, Within: core.ShortestFirst{LinkBps: cfg.LinkBps}}
+	}
+	if seed%4 == 1 {
+		cfg.Fair = &core.FairWindows{N: ports, T: 0.3 + rng.Float64(), Tau: 0.05}
+		shapes["fair windows"]++
+	}
+	if seed%7 == 3 {
+		cfg.Obs = obs.New()
+	}
+	e := New(cfg, 0)
+	// refFaults is a second model of the same plan. Only credit consults a
+	// model's state (setup attempts), and refCredit makes the same calls in
+	// the same order, so the two stay in lockstep.
+	var refFaults Faults
+	if seed%5 == 2 {
+		plan := &fault.Plan{Seed: seed}
+		for n := 1 + rng.Intn(3); n > 0; n-- {
+			pf := fault.PortFailure{Port: rng.Intn(ports), At: 0.05 + 0.5*rng.Float64(), Duration: 0.02 + 0.2*rng.Float64()}
+			if cfg.Fair == nil && rng.Intn(4) == 0 {
+				// Permanent, on fault-only seeds: with fair windows the
+				// intra search never stalls on a port that is down for
+				// good (ROADMAP), it waits for the next window end forever.
+				pf.Duration = 0
+			}
+			plan.PortFailures = append(plan.PortFailures, pf)
+		}
+		if rng.Intn(2) == 0 {
+			plan.SetupFailProb = 0.2
+			plan.FailFirstSetups = rng.Intn(3)
+		}
+		if rng.Intn(2) == 0 {
+			plan.DegradedLinkProb = 0.3
+		}
+		m, err := plan.Compile(ports)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.SetFaults(m)
+		rm, _ := plan.Compile(ports)
+		refFaults = rm
+		shapes["faults"]++
+	}
+
+	livePasses := 0 // keys a pass that recomputed every key would compute
+	tinyIDs := map[int]bool{}
+	replan := func() {
+		if err := e.Replan(); err != nil {
+			t.Fatalf("seed %d: replan at %v: %v", seed, e.Now(), err)
+		}
+		livePasses += e.Len()
+		checkOrder(t, seed, e)
+	}
+	advance := func(to float64, step bool) {
+		from := e.now
+		ref := refClone(e, refFaults)
+		if len(ref.live) > 0 {
+			refCredit(ref, from, to)
+		}
+		sink.retired = sink.retired[:0]
+		if step {
+			e.Step(to)
+		} else {
+			e.Credit(to)
+		}
+		for i, lc := range sink.retired {
+			if i > 0 && sink.retired[i-1].ID >= lc.ID {
+				t.Fatalf("seed %d: retired %d after %d", seed, lc.ID, sink.retired[i-1].ID)
+			}
+			shapes["retired"]++
+			if tinyIDs[lc.ID] {
+				shapes["retired drained at admission"]++
+			}
+			if lc.Stranded {
+				shapes["stranded"]++
+			}
+		}
+		if step {
+			for _, lc := range e.live {
+				if drained(lc) {
+					t.Fatalf("seed %d: coflow %d drained but live after Step(%v)", seed, lc.ID, to)
+				}
+			}
+		}
+		checkCredit(t, seed, ref, e, sink.retired)
+	}
+
+	// Ids are drawn out of arrival order, and sizes from a few values on half
+	// the seeds, so policy keys tie and the (Arrival, ID) tie-breaks matter.
+	ids := rng.Perm(300)
+	coarse := rng.Intn(2) == 0
+	var removed []int
+	admit := func() {
+		id := 1 + ids[0]
+		if k := len(removed); k > 0 && rng.Intn(3) == 0 && !slices.ContainsFunc(e.plan, func(r core.Reservation) bool {
+			return r.CoflowID == removed[k-1]
+		}) {
+			// The id is free once no circuit of its removed holder is
+			// planned: the engine keys circuits by Coflow id.
+			id, removed = removed[k-1], removed[:k-1]
+			shapes["re-admitted"]++
+		} else {
+			ids = ids[1:]
+		}
+		var flows []coflow.Flow
+		tiny := rng.Intn(12) == 0
+		for n := 1 + rng.Intn(4); n > 0; n-- {
+			b := 1e5 + 2e7*rng.Float64()
+			switch {
+			case coarse:
+				b = 5e6 * float64(1+rng.Intn(3))
+			case tiny:
+				b = 0.5 // at most ByteEps: drained at admission
+			case rng.Intn(8) == 0:
+				b = 0
+			}
+			flows = append(flows, coflow.Flow{Src: rng.Intn(ports), Dst: rng.Intn(ports), Bytes: b})
+		}
+		prio := rng.Intn(4) - 1
+		if prio != 0 {
+			shapes["classes"]++
+		}
+		e.Admit(coflow.New(id, e.now, flows), prio)
+		tinyIDs[id] = tiny
+	}
+
+	for action := 0; action < 100; action++ {
+		switch r := rng.Intn(20); {
+		case r < 8:
+			for n := 1 + rng.Intn(2); n > 0; n-- {
+				admit()
+			}
+			replan()
+		case r < 13: // an event instant
+			if te := e.NextEvent(); !math.IsInf(te, 1) {
+				advance(te, true)
+				replan()
+			}
+		case r < 16: // an instant between events, as an arrival would be
+			te := math.Min(e.NextEvent(), e.now+1)
+			advance(e.now+rng.Float64()*(te-e.now), true)
+			replan()
+		case r < 17: // a credit-only advance, as the daemon makes
+			te := math.Min(e.NextEvent(), e.now+1)
+			advance(e.now+rng.Float64()*(te-e.now), false)
+		case r < 19:
+			if ids := e.SortedIDs(); len(ids) > 0 {
+				id := ids[rng.Intn(len(ids))]
+				e.Remove(id)
+				removed = append(removed, id)
+				shapes["removed"]++
+				replan()
+			}
+		default:
+			if e.faults == nil {
+				e = restored(e, cfg)
+				shapes["restored"]++
+				replan()
+			}
+		}
+	}
+	for n := 0; e.Len() > 0; n++ {
+		te := e.NextEvent()
+		if math.IsInf(te, 1) || n > 5000 {
+			t.Fatalf("seed %d: %d coflows never finish (next event %v)", seed, e.Len(), te)
+		}
+		advance(te, true)
+		replan()
+	}
+	if _, keyed := cfg.Policy.(core.KeyPolicy); keyed && cfg.Obs != nil && cfg.Obs.OrderKeys.Load() < int64(livePasses) {
+		shapes["keys cached"]++
+	}
+	return shapes
+}
+
+// checkOrder is oracle (a): the last pass's order against the policy's own
+// Sort plus a stable descending-Priority sort, on headers built fresh from
+// Rem, and every cached key against a fresh one.
+func checkOrder(t *testing.T, seed int64, e *Engine) {
+	t.Helper()
+	headers := make([]*coflow.Coflow, 0, len(e.live))
+	for _, lc := range e.live {
+		headers = append(headers, remainderFrom(&coflow.Coflow{}, lc, lc.Rem, nil))
+	}
+	want := e.policy.Sort(headers)
+	slices.SortStableFunc(want, func(a, b *coflow.Coflow) int {
+		return cmp.Compare(e.live[b.ID].Priority, e.live[a.ID].Priority)
+	})
+	got := e.scratch.ranked
+	if len(got) != len(want) {
+		t.Fatalf("seed %d: pass ordered %d coflows, %d live", seed, len(got), len(want))
+	}
+	for i := range want {
+		if got[i].tmp.ID != want[i].ID {
+			t.Fatalf("seed %d t=%v: pass order position %d is coflow %d, policy order gives %d",
+				seed, e.now, i, got[i].tmp.ID, want[i].ID)
+		}
+	}
+	if kp, ok := e.policy.(core.KeyPolicy); ok {
+		for _, h := range headers {
+			lc := e.live[h.ID]
+			if k := kp.Key(h); !lc.keyOK || math.Float64bits(lc.key) != math.Float64bits(k) {
+				t.Fatalf("seed %d: coflow %d cached key %v (valid %v), fresh key %v", seed, lc.ID, lc.key, lc.keyOK, k)
+			}
+		}
+	}
+}
+
+// checkCredit is oracle (c): every Coflow the reference credited must match
+// the engine's, whether it is still live or retired in the same advance. A
+// flow quarantined after crediting is absent from the engine's Keys and is
+// skipped.
+func checkCredit(t *testing.T, seed int64, ref, e *Engine, retired []*Live) {
+	t.Helper()
+	byID := maps.Clone(e.live)
+	for _, lc := range retired {
+		byID[lc.ID] = lc
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for id, r := range ref.live {
+		g := byID[id]
+		if g == nil {
+			t.Fatalf("seed %d: coflow %d vanished", seed, id)
+		}
+		if r.Switches != g.Switches {
+			t.Fatalf("seed %d: coflow %d switches %d, reference %d", seed, id, g.Switches, r.Switches)
+		}
+		if !maps.Equal(r.FlowFinish, g.FlowFinish) {
+			t.Fatalf("seed %d: coflow %d flow finishes %v, reference %v", seed, id, g.FlowFinish, r.FlowFinish)
+		}
+		if (r.Base == nil) != (g.Base == nil) {
+			t.Fatalf("seed %d: coflow %d Base presence differs from the reference", seed, id)
+		}
+		for ri, k := range r.Keys {
+			gi, ok := g.Index(k)
+			if !ok {
+				continue
+			}
+			if !same(r.Rem[ri], g.Rem[gi]) {
+				t.Fatalf("seed %d: coflow %d flow %v Rem %v, reference %v", seed, id, k, g.Rem[gi], r.Rem[ri])
+			}
+			if r.Base != nil && !same(r.Base[ri], g.Base[gi]) {
+				t.Fatalf("seed %d: coflow %d flow %v Base %v, reference %v", seed, id, k, g.Base[gi], r.Base[ri])
+			}
+		}
+	}
+}
+
+// cloneLive copies the exported state of a live Coflow, as a checkpoint
+// would: the unexported caches start from their zero values.
+func cloneLive(lc *Live) *Live {
+	return &Live{
+		ID: lc.ID, Arrival: lc.Arrival, Priority: lc.Priority, Bytes: lc.Bytes,
+		Keys: slices.Clone(lc.Keys), Rem: slices.Clone(lc.Rem), Base: slices.Clone(lc.Base),
+		FlowFinish: maps.Clone(lc.FlowFinish), Finish: lc.Finish, Switches: lc.Switches,
+		Stranded: lc.Stranded, StrandedBytes: lc.StrandedBytes,
+	}
+}
+
+// refClone returns a detached copy of the engine's crediting state — clock,
+// live set and plan — with no observer or sink, crediting against faults.
+func refClone(e *Engine, faults Faults) *Engine {
+	ref := &Engine{cfg: e.cfg, now: e.now, live: map[int]*Live{}, plan: slices.Clone(e.plan),
+		faults: faults, fullRate: e.fullRate}
+	ref.cfg.Obs, ref.cfg.Prof, ref.cfg.Sink = nil, nil, nil
+	for id, lc := range e.live {
+		ref.live[id] = cloneLive(lc)
+	}
+	return ref
+}
+
+// restored rebuilds the engine from a checkpoint of its exported state, the
+// way the daemon recovers: the plan in canonical order, zero-valued caches.
+func restored(e *Engine, cfg Config) *Engine {
+	var live []*Live
+	for _, id := range e.SortedIDs() {
+		live = append(live, cloneLive(e.live[id]))
+	}
+	plan := slices.Clone(e.plan)
+	slices.SortFunc(plan, core.CompareReservations)
+	r := New(cfg, 0)
+	r.Restore(e.now, live, plan, e.passes)
+	return r
+}
+
+// refCredit is crediting as a whole-plan walk: every plan entry in
+// core.CompareReservations order, with credit's setup, delivery and drain
+// rules and no observer output. Entries that start after to are visited too.
+func refCredit(e *Engine, from, to float64) {
+	if to <= from {
+		return
+	}
+	slices.SortFunc(e.plan, core.CompareReservations)
+	for idx := range e.plan {
+		r := &e.plan[idx]
+		lc := e.live[r.CoflowID]
+		if r.Start >= from-TimeEps && r.Start < to-TimeEps {
+			if lc != nil {
+				lc.Switches++
+			}
+			if e.faults != nil {
+				e.establishFaulty(r)
+			}
+		}
+		if lc == nil {
+			continue
+		}
+		bps := e.cfg.LinkBps
+		var d float64
+		if f := e.rateFactor(r); f != 1 {
+			bps *= f
+			d = deliveredBy(r, to, bps, true) - deliveredBy(r, from, bps, true)
+		} else {
+			d = r.TransmittedBy(to, bps) - r.TransmittedBy(from, bps)
+		}
+		if d <= 0 {
+			continue
+		}
+		key := fabric.FlowKey{Src: r.In, Dst: r.Out}
+		ki, ok := lc.Index(key)
+		if !ok || lc.Rem[ki] <= 0 {
+			continue
+		}
+		rem := lc.Rem[ki]
+		if lc.Base == nil && e.fullRate {
+			lc.Base = slices.Clone(lc.Rem)
+		}
+		if rem <= d+ByteEps {
+			lc.Rem[ki] = 0
+			if _, done := lc.FlowFinish[key]; !done {
+				lc.FlowFinish[key] = math.Max(from, r.TransmitStart()) + rem*8/bps
+			}
+		} else {
+			lc.Rem[ki] = rem - d
+		}
+	}
+	if e.cfg.Fair != nil {
+		e.creditFairWindows(from, to)
+	}
+}

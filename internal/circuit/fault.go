@@ -152,10 +152,11 @@ func (e *Engine) portDown(og fault.Outage, bt float64) {
 // truncatePort invalidates the in-flight portion of every established circuit
 // touching a port that just failed: the circuit is released at bt, its
 // undelivered capacity returns to the replanner, and the counters are
-// corrected for the hold time that will never happen.
+// corrected for the hold time that will never happen. Established circuits
+// are due, so it walks the due set in credit's order.
 func (e *Engine) truncatePort(port int, bt float64) {
 	o := e.cfg.Obs
-	for idx := range e.plan {
+	for _, idx := range e.due(bt) {
 		r := &e.plan[idx]
 		if r.In != port && r.Out != port {
 			continue
@@ -246,6 +247,7 @@ func (e *Engine) strandFlows(lc *Live, now, dead float64) bool {
 			continue
 		}
 		any = true
+		lc.keyOK = false
 		lc.Stranded = true
 		lc.StrandedBytes += b
 		lc.Keys = slices.Delete(lc.Keys, i, i+1)
@@ -261,6 +263,9 @@ func (e *Engine) strandFlows(lc *Live, now, dead float64) bool {
 				o.Emit(obs.Event{T: now, Kind: obs.KindFlowStranded, Coflow: lc.ID, Src: k.Src, Dst: k.Dst, Bytes: b})
 			}
 		}
+	}
+	if any {
+		e.mayRetire(lc)
 	}
 	return any
 }

@@ -1,10 +1,10 @@
 package circuit
 
 import (
+	"cmp"
 	"errors"
 	"math"
 	"slices"
-	"sort"
 	"time"
 
 	"sunflow/internal/coflow"
@@ -45,25 +45,15 @@ type planCacheEntry struct {
 // replanScratch pools the per-pass buffers of replanOnce, making a
 // steady-state replan allocation-free outside IntraCoflow itself.
 type replanScratch struct {
-	// lockedFuture maps Coflow id to the demand its in-flight circuits
-	// cover, per flow, aligned with the Coflow's Keys. Subtracted from the
-	// drift-free Base it yields the demand still unplanned — neither side
-	// moves with delivery, so the scheduler input is bit-stable while a
-	// circuit holds. The slices recycle through exclPool.
-	lockedFuture map[int][]float64
-	exclPool     [][]float64
 	// tmps holds reusable remainder-Coflow headers, one per live Coflow; the
 	// header doubles as the IntraCoflow input when the remainders coincide.
 	tmps []*coflow.Coflow
-	// order and key are the policy SortInto scratch.
-	order []*coflow.Coflow
-	key   map[int]float64
+	// ranked is the pass's scheduling order, filled by order.
+	ranked []ranked
 	// sched is the remainder-with-exclusions scratch Coflow.
 	sched *coflow.Coflow
-	// nextCache accumulates this pass's cache entries; cacheIdx maps Coflow
-	// id to its index in Engine.cache.
+	// nextCache accumulates this pass's cache entries.
 	nextCache []planCacheEntry
-	cacheIdx  map[int]int
 	// spans is the pre-run port-context snapshot buffer; ins and outs hold
 	// the sorted unique ports of the flows being certified or snapshotted.
 	spans     []core.PortSpan
@@ -132,58 +122,36 @@ func (e *Engine) replanOnce(now float64) (id int, err error) {
 	}
 
 	sc := &e.scratch
-	lockedFuture := sc.takeLockedFuture()
+	ordered := e.order()
 	for i := range locked {
 		r := &locked[i]
 		lc := e.live[r.CoflowID]
 		if lc == nil {
 			continue
 		}
+		lc.lockedEnd = max(lc.lockedEnd, r.End)
 		ki, ok := lc.Index(fabric.FlowKey{Src: r.In, Dst: r.Out})
 		if !ok {
 			continue // the flow was stranded; nothing schedules it
 		}
-		m := lockedFuture[r.CoflowID]
-		if m == nil {
-			m = sc.takeExcl(len(lc.Keys))
-			lockedFuture[r.CoflowID] = m
+		if len(lc.excl) == 0 {
+			lc.excl = slices.Grow(lc.excl, len(lc.Keys))[:len(lc.Keys)]
+			clear(lc.excl)
 		}
 		// Exclusions are in the units of the view the scheduler reads:
 		// against Base (which ignores in-flight delivery) the circuit's full
 		// planned bytes, against Rem only what it still delivers.
 		if lc.Base != nil {
-			m[ki] += r.Bytes
+			lc.excl[ki] += r.Bytes
 		} else {
-			m[ki] += e.futureBytes(r, now)
+			lc.excl[ki] += e.futureBytes(r, now)
 		}
 	}
-
-	// Priority-sort the live Coflows on their full remaining demand. The
-	// remainder headers are pooled; each also serves as the IntraCoflow input
-	// when its Coflow has no locked exclusions.
-	for len(sc.tmps) < len(e.live) {
-		sc.tmps = append(sc.tmps, &coflow.Coflow{})
-	}
-	n, classes := 0, false
-	for _, lc := range e.live {
-		remainderFrom(sc.tmps[n], lc, lc.Rem, nil)
-		n++
-		classes = classes || lc.Priority != 0
-	}
-	ordered := e.order(sc.tmps[:n], classes)
 
 	reuse := e.incremental && e.faults == nil
 	if reuse {
 		e.compactCache()
 		sc.nextCache = sc.nextCache[:0]
-		if sc.cacheIdx == nil {
-			sc.cacheIdx = map[int]int{}
-		} else {
-			clear(sc.cacheIdx)
-		}
-		for i := range e.cache {
-			sc.cacheIdx[e.cache[i].id] = i
-		}
 	}
 	id, err = e.schedulePass(now, ordered, locked, reuse)
 	if err == errBulkFallback {
@@ -211,27 +179,58 @@ func (e *Engine) replanOnce(now float64) (id int, err error) {
 	return id, err
 }
 
-// order sorts the remainder headers for scheduling: by the policy, then —
-// when classes reports that a live Coflow carries a nonzero Priority —
-// stably by descending Priority, so the policy order holds within each class.
-func (e *Engine) order(tmps []*coflow.Coflow, classes bool) []*coflow.Coflow {
+// ranked is one live Coflow in a pass's scheduling order, with its sort key
+// and its remainder header.
+type ranked struct {
+	prio         int
+	key, arrival float64
+	id           int
+	lc           *Live
+	tmp          *coflow.Coflow
+}
+
+// order builds every live Coflow's remainder header from Rem, clears its
+// per-pass locked state, and returns the live set sorted on the total order
+// (−Priority, key, Arrival, ID). A KeyPolicy orders by (Key, Arrival, ID),
+// so this equals its sort followed by a stable sort by descending Priority;
+// keys are cached on the Live until the next Rem write. Any other policy's
+// key is the Coflow's position in the policy's own Sort. The headers are
+// pooled; each also serves as the IntraCoflow input when its Coflow has no
+// locked exclusions.
+func (e *Engine) order() []ranked {
 	sc := &e.scratch
-	var ordered []*coflow.Coflow
-	if ss, ok := e.policy.(core.ScratchSorter); ok {
-		if sc.key == nil {
-			sc.key = make(map[int]float64, len(tmps))
+	for len(sc.tmps) < len(e.live) {
+		sc.tmps = append(sc.tmps, &coflow.Coflow{})
+	}
+	kp, keyed := e.policy.(core.KeyPolicy)
+	rs := sc.ranked[:0]
+	keys := int64(0)
+	for _, lc := range e.live {
+		tmp := remainderFrom(sc.tmps[len(rs)], lc, lc.Rem, nil)
+		lc.lockedEnd, lc.excl = math.Inf(-1), lc.excl[:0]
+		if keyed && !lc.keyOK {
+			lc.key, lc.keyOK = kp.Key(tmp), true
+			keys++
 		}
-		sc.order = ss.SortInto(tmps, sc.order, sc.key)
-		ordered = sc.order
-	} else {
-		ordered = e.policy.Sort(tmps)
+		rs = append(rs, ranked{lc.Priority, lc.key, lc.Arrival, lc.ID, lc, tmp})
 	}
-	if classes {
-		sort.SliceStable(ordered, func(a, b int) bool {
-			return e.live[ordered[a].ID].Priority > e.live[ordered[b].ID].Priority
-		})
+	if !keyed {
+		for i, tmp := range e.policy.Sort(sc.tmps[:len(rs)]) {
+			lc := e.live[tmp.ID]
+			rs[i] = ranked{lc.Priority, float64(i), lc.Arrival, lc.ID, lc, tmp}
+		}
 	}
-	return ordered
+	if o := e.cfg.Obs; o != nil {
+		o.OrderKeys.Add(keys)
+	}
+	slices.SortFunc(rs, func(a, b ranked) int {
+		return cmp.Or(cmp.Compare(b.prio, a.prio), cmp.Compare(a.key, b.key),
+			cmp.Compare(a.arrival, b.arrival), cmp.Compare(a.id, b.id))
+	})
+	// Entries past the live count would pin retired Coflows for the GC.
+	clear(sc.ranked[min(len(rs), len(sc.ranked)):])
+	sc.ranked = rs
+	return rs
 }
 
 // errBulkFallback signals that replayed cached reservations conflicted with
@@ -254,7 +253,7 @@ var errBulkFallback = errors.New("circuit: cached schedule replay conflicted")
 // pins that; and the port context is compared bit-exactly against the
 // snapshot taken when the cached schedule was computed, trimmed on both sides
 // to intervals still visible from the pass start.
-func (e *Engine) schedulePass(now float64, ordered []*coflow.Coflow, locked []core.Reservation, reuse bool) (int, error) {
+func (e *Engine) schedulePass(now float64, ordered []ranked, locked []core.Reservation, reuse bool) (int, error) {
 	prt := e.prt
 	sc := &e.scratch
 	skips := int64(0)
@@ -267,13 +266,11 @@ func (e *Engine) schedulePass(now float64, ordered []*coflow.Coflow, locked []co
 		prt.Preload(locked)
 	}
 	e.plan = locked
-	for _, tmp := range ordered {
-		lc := e.live[tmp.ID]
+	for _, it := range ordered {
+		tmp, lc := it.tmp, it.lc
 		var ce *planCacheEntry
-		if reuse {
-			if k, ok := sc.cacheIdx[tmp.ID]; ok {
-				ce = &e.cache[k]
-			}
+		if k := lc.cacheAt; reuse && k < len(e.cache) && e.cache[k].id == tmp.ID {
+			ce = &e.cache[k]
 		}
 		var res []core.Reservation
 		finish := 0.0
@@ -316,20 +313,14 @@ func (e *Engine) schedulePass(now float64, ordered []*coflow.Coflow, locked []co
 			if reuse {
 				ne := newCacheEntry(tmp.ID, toSchedule.Flows, res)
 				ne.horizon = ne.maxEnd + e.cfg.Delta + 2*TimeEps
-				for _, sp := range sc.spans {
-					if sp.Start < ne.horizon {
-						ne.ctx = append(ne.ctx, sp)
-					}
-				}
+				// The snapshot below the horizon, in a slice of its own size: the
+				// entry keeps it for the Coflow's lifetime.
+				visible := slices.DeleteFunc(sc.spans, func(sp core.PortSpan) bool { return sp.Start >= ne.horizon })
+				ne.ctx = slices.Clone(visible)
 				sc.nextCache = append(sc.nextCache, ne)
 			}
 		}
-		for _, r := range locked {
-			if r.CoflowID == tmp.ID && r.End > finish {
-				finish = r.End
-			}
-		}
-		lc.Finish = finish
+		lc.Finish = max(finish, lc.lockedEnd)
 		e.plan = append(e.plan, res...)
 	}
 	if o := e.cfg.Obs; o != nil {
@@ -338,13 +329,15 @@ func (e *Engine) schedulePass(now float64, ordered []*coflow.Coflow, locked []co
 	return 0, nil
 }
 
-// compactCache drops cache entries for Coflows that have left the fabric.
+// compactCache drops cache entries for Coflows that have left the fabric and
+// points each live Coflow with an entry at it.
 // A retired Coflow's still-future occupancy vanishing from the table is
 // caught by the snapshot comparison of any entry placed around it.
 func (e *Engine) compactCache() {
 	out := e.cache[:0]
 	for i := range e.cache {
-		if e.live[e.cache[i].id] != nil {
+		if lc := e.live[e.cache[i].id]; lc != nil {
+			lc.cacheAt = len(out)
 			out = append(out, e.cache[i])
 		}
 	}
@@ -373,7 +366,7 @@ func (e *Engine) reusable(ce *planCacheEntry, tmp *coflow.Coflow, lc *Live, now 
 	if ce.minStart < now || (ce.minStart > now && ce.minStart <= now+TimeEps) {
 		return false
 	}
-	if !flowsEqual(ce.flows, e.schedInput(tmp, lc).Flows) {
+	if !slices.Equal(ce.flows, e.schedInput(tmp, lc).Flows) { // Flow is comparable: bit-exact
 		return false
 	}
 	sc := &e.scratch
@@ -392,7 +385,7 @@ func flowPorts(flows []coflow.Flow, ins, outs []int) ([]int, []int) {
 		}
 		outs = append(outs, flows[i].Dst)
 	}
-	sort.Ints(outs)
+	slices.Sort(outs)
 	w := 0
 	for i, d := range outs {
 		if i == 0 || d != outs[w-1] {
@@ -402,10 +395,6 @@ func flowPorts(flows []coflow.Flow, ins, outs []int) ([]int, []int) {
 	}
 	return ins, outs[:w]
 }
-
-// flowsEqual compares two flow slices exactly — Flow is comparable, so this
-// is a bit-exact test of the scheduler input.
-func flowsEqual(a, b []coflow.Flow) bool { return slices.Equal(a, b) }
 
 // newCacheEntry snapshots one freshly computed schedule. The input flows are
 // copied because the pooled remainder buffer they sit in recycles next pass;
@@ -425,32 +414,6 @@ func newCacheEntry(id int, flows []coflow.Flow, res []core.Reservation) planCach
 	return ce
 }
 
-// takeLockedFuture returns the pooled exclusion map, emptied, with its
-// slices recycled into the pool.
-func (sc *replanScratch) takeLockedFuture() map[int][]float64 {
-	if sc.lockedFuture == nil {
-		sc.lockedFuture = map[int][]float64{}
-		return sc.lockedFuture
-	}
-	for _, m := range sc.lockedFuture {
-		sc.exclPool = append(sc.exclPool, m)
-	}
-	clear(sc.lockedFuture)
-	return sc.lockedFuture
-}
-
-// takeExcl returns n zeroed exclusions, pooled when available.
-func (sc *replanScratch) takeExcl(n int) []float64 {
-	var m []float64
-	if k := len(sc.exclPool); k > 0 {
-		m = sc.exclPool[k-1]
-		sc.exclPool = sc.exclPool[:k-1]
-	}
-	m = slices.Grow(m[:0], n)[:n]
-	clear(m)
-	return m
-}
-
 // remainderFrom rebuilds tmp as the Coflow's remaining demand read from src,
 // optionally excluding demand that locked reservations will serve; src and
 // exclude are aligned with lc.Keys. Flows come out in (Src, Dst) order
@@ -459,7 +422,7 @@ func remainderFrom(tmp *coflow.Coflow, lc *Live, src, exclude []float64) *coflow
 	tmp.ID, tmp.Arrival = lc.ID, lc.Arrival
 	flows := tmp.Flows[:0]
 	for i, b := range src {
-		if exclude != nil {
+		if len(exclude) > 0 {
 			b -= exclude[i]
 		}
 		if b > ByteEps {
@@ -476,8 +439,7 @@ func remainderFrom(tmp *coflow.Coflow, lc *Live, src, exclude []float64) *coflow
 // never carried a byte and holds no circuits keeps its pooled priority-sort
 // header — Rem and Base are still identical there, so the remainders are too.
 func (e *Engine) schedInput(tmp *coflow.Coflow, lc *Live) *coflow.Coflow {
-	excl := e.scratch.lockedFuture[lc.ID]
-	if lc.Base == nil && excl == nil {
+	if lc.Base == nil && len(lc.excl) == 0 {
 		return tmp
 	}
 	if e.scratch.sched == nil {
@@ -487,5 +449,5 @@ func (e *Engine) schedInput(tmp *coflow.Coflow, lc *Live) *coflow.Coflow {
 	if lc.Base != nil {
 		src = lc.Base
 	}
-	return remainderFrom(e.scratch.sched, lc, src, excl)
+	return remainderFrom(e.scratch.sched, lc, src, lc.excl)
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 
 	"sunflow/internal/coflow"
@@ -19,15 +21,35 @@ type Policy interface {
 	Name() string
 }
 
-// ScratchSorter is implemented by policies that can sort into caller-owned
-// scratch, avoiding the per-call output slice and key-map allocations of
-// Sort. The online replanners type-assert for it on their per-event hot
-// path; the ordering must be bit-identical to Sort's.
-type ScratchSorter interface {
-	// SortInto returns cs in priority order, reusing out (reset to length
-	// zero) and key (cleared) as scratch. The returned slice aliases out's
-	// backing array; the input is not modified.
-	SortInto(cs, out []*coflow.Coflow, key map[int]float64) []*coflow.Coflow
+// KeyPolicy is a Policy whose order is ascending (Key, Arrival, ID): the
+// priority of a Coflow is one number computed from the Coflow alone. The
+// online engine caches each live Coflow's key while its remaining demand is
+// unchanged and sorts on the cached values; Sort must return the same order.
+type KeyPolicy interface {
+	Policy
+	// Key returns the Coflow's sort key; smaller keys are served first.
+	Key(c *coflow.Coflow) float64
+}
+
+// sortByKey returns a copy of cs in the KeyPolicy order of p, computing each
+// key once.
+func sortByKey(p KeyPolicy, cs []*coflow.Coflow) []*coflow.Coflow {
+	type keyed struct {
+		k float64
+		c *coflow.Coflow
+	}
+	ks := make([]keyed, len(cs))
+	for i, c := range cs {
+		ks[i] = keyed{p.Key(c), c}
+	}
+	slices.SortStableFunc(ks, func(a, b keyed) int {
+		return cmp.Or(cmp.Compare(a.k, b.k), cmp.Compare(a.c.Arrival, b.c.Arrival), cmp.Compare(a.c.ID, b.c.ID))
+	})
+	out := make([]*coflow.Coflow, len(cs))
+	for i := range ks {
+		out[i] = ks[i].c
+	}
+	return out
 }
 
 // ShortestFirst orders Coflows by ascending packet-switched lower bound TpL
@@ -39,30 +61,10 @@ type ShortestFirst struct {
 }
 
 // Sort implements Policy.
-func (p ShortestFirst) Sort(cs []*coflow.Coflow) []*coflow.Coflow {
-	return p.SortInto(cs, make([]*coflow.Coflow, 0, len(cs)), make(map[int]float64, len(cs)))
-}
+func (p ShortestFirst) Sort(cs []*coflow.Coflow) []*coflow.Coflow { return sortByKey(p, cs) }
 
-// SortInto implements ScratchSorter: identical ordering to Sort, with the
-// output slice and the TpL key map supplied by the caller.
-func (p ShortestFirst) SortInto(cs, out []*coflow.Coflow, key map[int]float64) []*coflow.Coflow {
-	out = append(out[:0], cs...)
-	clear(key)
-	for _, c := range out {
-		key[c.ID] = c.PacketLowerBound(p.LinkBps)
-	}
-	sort.SliceStable(out, func(a, b int) bool {
-		ka, kb := key[out[a].ID], key[out[b].ID]
-		if ka != kb {
-			return ka < kb
-		}
-		if out[a].Arrival != out[b].Arrival {
-			return out[a].Arrival < out[b].Arrival
-		}
-		return out[a].ID < out[b].ID
-	})
-	return out
-}
+// Key implements KeyPolicy: the Coflow's TpL.
+func (p ShortestFirst) Key(c *coflow.Coflow) float64 { return c.PacketLowerBound(p.LinkBps) }
 
 // Name implements Policy.
 func (ShortestFirst) Name() string { return "shortest-coflow-first" }
@@ -71,16 +73,10 @@ func (ShortestFirst) Name() string { return "shortest-coflow-first" }
 type FIFO struct{}
 
 // Sort implements Policy.
-func (FIFO) Sort(cs []*coflow.Coflow) []*coflow.Coflow {
-	out := append([]*coflow.Coflow(nil), cs...)
-	sort.SliceStable(out, func(a, b int) bool {
-		if out[a].Arrival != out[b].Arrival {
-			return out[a].Arrival < out[b].Arrival
-		}
-		return out[a].ID < out[b].ID
-	})
-	return out
-}
+func (p FIFO) Sort(cs []*coflow.Coflow) []*coflow.Coflow { return sortByKey(p, cs) }
+
+// Key implements KeyPolicy: the arrival time.
+func (FIFO) Key(c *coflow.Coflow) float64 { return c.Arrival }
 
 // Name implements Policy.
 func (FIFO) Name() string { return "fifo" }

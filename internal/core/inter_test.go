@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"sunflow/internal/coflow"
@@ -27,6 +28,53 @@ func TestFIFOOrdering(t *testing.T) {
 	got := FIFO{}.Sort([]*coflow.Coflow{a, b})
 	if got[0].ID != 2 {
 		t.Fatalf("FIFO order wrong: %d first", got[0].ID)
+	}
+}
+
+// TestKeyPoliciesMatchStableSort holds the KeyPolicy sorts to the stable
+// comparison sorts they replaced — ShortestFirst by (TpL, Arrival, ID), FIFO
+// by (Arrival, ID) — on workloads with tied sizes, tied arrivals and ids out
+// of arrival order.
+func TestKeyPoliciesMatchStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 200; trial++ {
+		var cs []*coflow.Coflow
+		for _, id := range rng.Perm(1 + rng.Intn(30)) {
+			var flows []coflow.Flow
+			for n := rng.Intn(4); n > 0; n-- {
+				flows = append(flows, coflow.Flow{Src: rng.Intn(4), Dst: rng.Intn(4), Bytes: float64(rng.Intn(3)) * 1e6})
+			}
+			cs = append(cs, coflow.New(id, float64(rng.Intn(4)), flows))
+		}
+		sf := ShortestFirst{LinkBps: gbps}
+		want := append([]*coflow.Coflow(nil), cs...)
+		sort.SliceStable(want, func(a, b int) bool {
+			ka, kb := want[a].PacketLowerBound(gbps), want[b].PacketLowerBound(gbps)
+			if ka != kb {
+				return ka < kb
+			}
+			if want[a].Arrival != want[b].Arrival {
+				return want[a].Arrival < want[b].Arrival
+			}
+			return want[a].ID < want[b].ID
+		})
+		fifo := append([]*coflow.Coflow(nil), cs...)
+		sort.SliceStable(fifo, func(a, b int) bool {
+			if fifo[a].Arrival != fifo[b].Arrival {
+				return fifo[a].Arrival < fifo[b].Arrival
+			}
+			return fifo[a].ID < fifo[b].ID
+		})
+		for name, c := range map[string][2][]*coflow.Coflow{
+			"shortest-first": {sf.Sort(cs), want},
+			"fifo":           {FIFO{}.Sort(cs), fifo},
+		} {
+			for i := range c[1] {
+				if c[0][i] != c[1][i] {
+					t.Fatalf("trial %d %s: position %d holds coflow %d, stable sort gives %d", trial, name, i, c[0][i].ID, c[1][i].ID)
+				}
+			}
+		}
 	}
 }
 

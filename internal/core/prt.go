@@ -42,6 +42,13 @@ type Reservation struct {
 	Bytes float64
 }
 
+// CompareReservations orders reservations by (Start, In, Out), the canonical
+// plan order. Port exclusivity makes the key total over any one plan: two
+// reservations sharing Start and In would overlap on the input port.
+func CompareReservations(a, b Reservation) int {
+	return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.In, b.In), cmp.Compare(a.Out, b.Out))
+}
+
 // TransmitStart returns the instant the circuit begins carrying data.
 func (r Reservation) TransmitStart() float64 { return r.Start + r.Setup }
 

@@ -28,7 +28,6 @@
 package daemon
 
 import (
-	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -536,14 +535,10 @@ func hashSpec(priority int, flows []FlowSpec) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// canonicalPlan returns a copy of the plan in (Start, In, Out) order. Port
-// exclusivity makes the key total — two reservations sharing Start and In
-// would overlap on the input port — so the order is independent of how the
-// scheduler emitted the slice.
+// canonicalPlan returns a copy of the plan in core.CompareReservations
+// order, which is independent of how the scheduler emitted the slice.
 func canonicalPlan(plan []core.Reservation) []core.Reservation {
 	out := slices.Clone(plan)
-	slices.SortFunc(out, func(a, b core.Reservation) int {
-		return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.In, b.In), cmp.Compare(a.Out, b.Out))
-	})
+	slices.SortFunc(out, core.CompareReservations)
 	return out
 }

@@ -31,12 +31,13 @@ func FormatSummaries(o *Observer) string {
 	}
 	var sb strings.Builder
 	w := tabwriter.NewWriter(&sb, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(w, "scope\tcircuits\tδ seconds\tduty\tbytes\tsched passes\tsched s\tplanner\treservations\texamined")
+	fmt.Fprintln(w, "scope\tcircuits\tδ seconds\tduty\tbytes\tsched passes\tsched s\tplanner\treservations\texamined\tcredit visits\torder keys")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%d\t%.3f\t%s\t%s\t%d\t%.4f\t%s\t%d\t%d\n",
+		fmt.Fprintf(w, "%s\t%d\t%.3f\t%s\t%s\t%d\t%.4f\t%s\t%d\t%d\t%d\t%d\n",
 			r.name, r.s.CircuitSetups, r.s.SetupSeconds, formatDuty(r.s),
 			formatBytes(r.s.BytesDelivered), r.s.SchedPasses, r.s.SchedSeconds,
-			formatPlanner(r.s), r.s.Reservations, r.s.IntraExamined)
+			formatPlanner(r.s), r.s.Reservations, r.s.IntraExamined,
+			r.s.CreditVisits, r.s.OrderKeys)
 	}
 	w.Flush()
 	return sb.String()

@@ -23,6 +23,8 @@ const (
 	NameSchedPassTime    = "sched.pass_seconds"
 	NameIntraPasses      = "sched.intra_passes"
 	NameIntraSkipped     = "sched.intra_skipped"
+	NameCreditVisits     = "sched.credit_visits"
+	NameOrderKeys        = "sched.order_keys"
 	NameIntraExamined    = "sched.intra_examined"
 	NameIntraSeconds     = "sched.intra_seconds"
 	NameIntraFastSeconds = "sched.intra_fast_seconds"
@@ -71,6 +73,13 @@ type Observer struct {
 	// full-rebuild run would record (the reconciliation property tests pin
 	// this).
 	IntraSkipped *Counter
+	// CreditVisits counts the reservations crediting walked: the due set of
+	// each credit interval, not the whole plan (compare QueueDepth).
+	CreditVisits *Counter
+	// OrderKeys counts policy keys the online engine recomputed; a live
+	// Coflow's key is cached until its remaining demand changes (compare
+	// SchedPasses × live Coflows).
+	OrderKeys *Counter
 	// IntraExamined counts demand visits inside the intra scheduler;
 	// Reservations / IntraExamined is the search's useful-work ratio.
 	IntraExamined *Counter
@@ -136,6 +145,8 @@ func newScoped(reg *Registry, sink Sink, prefix string) *Observer {
 		SchedPassTime:    reg.Histogram(prefix + NameSchedPassTime),
 		IntraPasses:      reg.Counter(prefix + NameIntraPasses),
 		IntraSkipped:     reg.Counter(prefix + NameIntraSkipped),
+		CreditVisits:     reg.Counter(prefix + NameCreditVisits),
+		OrderKeys:        reg.Counter(prefix + NameOrderKeys),
 		IntraExamined:    reg.Counter(prefix + NameIntraExamined),
 		IntraSeconds:     reg.FloatCounter(prefix + NameIntraSeconds),
 		IntraFastSeconds: reg.FloatCounter(prefix + NameIntraFastSeconds),
@@ -238,6 +249,10 @@ type Summary struct {
 	// IntraExamined counts intra-scheduler demand visits; Reservations /
 	// IntraExamined is the search's useful-work ratio.
 	IntraExamined int64 `json:"intra_examined"`
+	// CreditVisits and OrderKeys measure the online engine's per-event
+	// bookkeeping: reservations crediting walked, policy keys recomputed.
+	CreditVisits int64 `json:"credit_visits"`
+	OrderKeys    int64 `json:"order_keys"`
 }
 
 // Summary reads the current headline values (nil-safe). DutyCycle is the
@@ -262,6 +277,8 @@ func (o *Observer) Summary() Summary {
 		IntraRefSeconds:  o.IntraRefSeconds.Load(),
 		Reservations:     o.Reservations.Load(),
 		IntraExamined:    o.IntraExamined.Load(),
+		CreditVisits:     o.CreditVisits.Load(),
+		OrderKeys:        o.OrderKeys.Load(),
 	}
 	s.DutyCycle = dutyCycle(s.HoldSeconds, s.SetupSeconds)
 	return s
@@ -286,6 +303,8 @@ func (s Summary) Sub(prev Summary) Summary {
 		IntraRefSeconds:  s.IntraRefSeconds - prev.IntraRefSeconds,
 		Reservations:     s.Reservations - prev.Reservations,
 		IntraExamined:    s.IntraExamined - prev.IntraExamined,
+		CreditVisits:     s.CreditVisits - prev.CreditVisits,
+		OrderKeys:        s.OrderKeys - prev.OrderKeys,
 	}
 	d.DutyCycle = dutyCycle(d.HoldSeconds, d.SetupSeconds)
 	return d

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"sunflow/internal/coflow"
@@ -138,5 +140,42 @@ func TestCircuitObsDisabledMatchesEnabled(t *testing.T) {
 	}
 	if plain.Events != observed.Events {
 		t.Errorf("event counts differ: %d vs %d", plain.Events, observed.Events)
+	}
+}
+
+// TestCircuitObsBookkeepingCounters pins the engine's bookkeeping counters:
+// every established circuit is walked by the credit interval its setup
+// starts in, so sched.credit_visits bounds circuit.setups from above; every
+// admitted Coflow's policy key is computed at least once, and a pass that
+// recomputed every key would compute one per (pass, live Coflow) — on a
+// fault-free run intra_passes + intra_skipped — which the cache must beat.
+// Both counters reach the Summary, the -metrics table and /metrics.
+func TestCircuitObsBookkeepingCounters(t *testing.T) {
+	o := obs.New()
+	cs := trace.Generator{Ports: 12, Coflows: 30, MaxWidth: 5, HorizonSec: 0.5, Seed: 7}.Trace().Coflows
+	if _, err := RunCircuit(cs, CircuitOptions{Ports: 12, LinkBps: gbps, Delta: 0.01, Obs: o}); err != nil {
+		t.Fatal(err)
+	}
+	visits, keys := o.CreditVisits.Load(), o.OrderKeys.Load()
+	if visits < o.CircuitSetups.Load() {
+		t.Errorf("credit visits %d < circuit setups %d", visits, o.CircuitSetups.Load())
+	}
+	if full := o.IntraPasses.Load() + o.IntraSkipped.Load(); keys < o.CoflowsAdmitted.Load() || keys >= full {
+		t.Errorf("order keys %d, want in [admitted %d, full recompute %d)", keys, o.CoflowsAdmitted.Load(), full)
+	}
+	if s := o.Summary(); s.CreditVisits != visits || s.OrderKeys != keys {
+		t.Errorf("Summary() = %d/%d, counters hold %d/%d", s.CreditVisits, s.OrderKeys, visits, keys)
+	}
+	if table := obs.FormatSummaries(o); !strings.Contains(table, "credit visits") || !strings.Contains(table, "order keys") {
+		t.Errorf("-metrics table lacks the bookkeeping columns:\n%s", table)
+	}
+	var sb strings.Builder
+	if err := obs.WritePrometheus(&sb, o.Registry()); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{fmt.Sprintf("sched_credit_visits %d\n", visits), fmt.Sprintf("sched_order_keys %d\n", keys)} {
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("Prometheus exposition lacks %q", want)
+		}
 	}
 }

@@ -116,3 +116,56 @@ func TestQuickScaleToIdlenessMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestIdlenessEvalFixedCases pins the sorted-merge evaluator on shapes the
+// random workloads hit only by chance: every Coflow arriving at one instant
+// (all spans tie on lo, listed out of hi order), a Coflow whose every flow
+// is 0 bytes (no span at any factor), and arrivals given out of order.
+func TestIdlenessEvalFixedCases(t *testing.T) {
+	flows := func(bytes ...float64) []coflow.Flow {
+		var fs []coflow.Flow
+		for i, b := range bytes {
+			fs = append(fs, coflow.Flow{Src: i % 3, Dst: (i + 1) % 3, Bytes: b})
+		}
+		return fs
+	}
+	cases := map[string][]*coflow.Coflow{
+		"equal arrivals": {
+			coflow.New(1, 2, flows(3e6, 1e6)),
+			coflow.New(2, 2, flows(9e6)),
+			coflow.New(3, 2, flows(1e5, 1e5, 4e6)),
+			coflow.New(4, 7, flows(2e6)),
+		},
+		"zero-byte coflow": {
+			coflow.New(1, 0, flows(5e6)),
+			coflow.New(2, 0.5, flows(0, 0, 0)),
+			coflow.New(3, 3, flows(1e6, 0)),
+		},
+		"only zero bytes": {
+			coflow.New(1, 1, flows(0)),
+			coflow.New(2, 2, flows(0, 0)),
+		},
+		"arrivals out of order": {
+			coflow.New(1, 4, flows(2e6)),
+			coflow.New(2, 1, flows(7e6, 7e6)),
+			coflow.New(3, 1, flows(1e6)),
+			coflow.New(4, 0, flows(3e5)),
+		},
+	}
+	for name, cs := range cases {
+		ev := newIdlenessEval(cs, gbps)
+		for _, f := range []float64{1e-9, 1e-3, 0.5, 1, 3, 1e3, 1e9} {
+			want := Idleness(ScaleBytes(cs, f), gbps)
+			if got := ev.at(f); got != want {
+				t.Errorf("%s factor %g: eval %v, materialized %v", name, f, got, want)
+			}
+		}
+		for _, target := range []float64{0.2, 0.4} {
+			wantF, _, wantErr := refScaleToIdleness(cs, gbps, target)
+			gotF, _, gotErr := ScaleToIdleness(cs, gbps, target)
+			if (wantErr == nil) != (gotErr == nil) || gotF != wantF {
+				t.Errorf("%s target %v: factor %v (%v), reference %v (%v)", name, target, gotF, gotErr, wantF, wantErr)
+			}
+		}
+	}
+}

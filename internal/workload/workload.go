@@ -6,9 +6,11 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"sunflow/internal/coflow"
@@ -64,11 +66,17 @@ type span struct{ lo, hi float64 }
 // idlenessOf merges activity spans and returns the idle fraction of the
 // overall horizon.
 func idlenessOf(spans []span) float64 {
+	sort.Slice(spans, func(a, b int) bool { return spans[a].lo < spans[b].lo })
+	return idlenessSorted(spans)
+}
+
+// idlenessSorted is idlenessOf for spans already in ascending lo order. The
+// merged busy time does not depend on the order of spans with equal lo: they
+// fall into one merged interval whose end is their maximum hi.
+func idlenessSorted(spans []span) float64 {
 	if len(spans) == 0 {
 		return 1
 	}
-	sort.Slice(spans, func(a, b int) bool { return spans[a].lo < spans[b].lo })
-
 	first := spans[0].lo
 	last := first
 	busy := 0.0
@@ -115,65 +123,106 @@ func Idleness(coflows []*coflow.Coflow, linkBps float64) float64 {
 // many factors without cloning the workload: per Coflow it keeps each port
 // side's flow bytes in flow order, so the scaled per-port sums — and through
 // them TpL, the spans, and the idleness — come out bit-identical to the
-// materializing path. One evaluation is O(total flows) with no Coflow
-// allocation, which is what lets ScaleToIdleness bisect an 18-decade range on
-// a million-Coflow workload without 80 full-trace clones.
+// materializing path. One evaluation is O(total flows) with no allocation,
+// which is what lets ScaleToIdleness bisect an 18-decade range on a
+// million-Coflow workload without 80 full-trace clones.
+//
+// The lists are stored flat and hold only positive bytes: PortSums adds a
+// scaled flow only if b·factor > 0, which needs b > 0 (factor > 0), and a
+// positive b whose product underflows to +0 leaves the sum unchanged either
+// way. The Coflows are sorted once by arrival: a span's lo is its arrival,
+// which does not depend on the factor, so every evaluation produces its spans
+// already sorted and merges them without a sort.
 type idlenessEval struct {
-	coflows []coflowSpans
+	// arrival[c] is the arrival of the c-th Coflow with positive demand;
+	// its (side, port) lists are first[c] to first[c+1]-1, list l being
+	// bytes[end[l]:end[l+1]] in flow order — exactly the additions PortSums
+	// would make.
+	arrival []float64
+	first   []int
+	end     []int
+	bytes   []float64
+	spans   []span
 	linkBps float64
 }
 
-type coflowSpans struct {
-	arrival float64
-	// ports holds one byte sequence per (side, port) that any flow touches,
-	// in flow order — exactly the additions PortSums would make.
-	ports [][]float64
-}
-
 func newIdlenessEval(coflows []*coflow.Coflow, linkBps float64) *idlenessEval {
-	ev := &idlenessEval{coflows: make([]coflowSpans, 0, len(coflows)), linkBps: linkBps}
+	byArrival := slices.Clone(coflows)
+	slices.SortStableFunc(byArrival, func(a, b *coflow.Coflow) int { return cmp.Compare(a.Arrival, b.Arrival) })
+	n := 0
 	for _, c := range coflows {
-		cs := coflowSpans{arrival: c.Arrival}
-		idx := make(map[[2]int]int)
+		n += len(c.Flows)
+	}
+	ev := &idlenessEval{
+		first:   append(make([]int, 0, len(coflows)+1), 0),
+		end:     append(make([]int, 0, 2*n+1), 0),
+		bytes:   make([]float64, 0, 2*n),
+		linkBps: linkBps,
+	}
+	// lists holds the current Coflow's (side, port) lists in first-touch
+	// order, reusing the previous Coflow's buffers; idx finds a list by key.
+	var lists [][]float64
+	idx := map[[2]int]int{}
+	for _, c := range byArrival {
+		lists = lists[:0]
+		clear(idx)
 		for _, f := range c.Flows {
+			if f.Bytes <= 0 {
+				continue
+			}
 			for _, key := range [2][2]int{{0, f.Src}, {1, f.Dst}} {
 				i, ok := idx[key]
 				if !ok {
-					i = len(cs.ports)
+					i = len(lists)
 					idx[key] = i
-					cs.ports = append(cs.ports, nil)
+					if i < cap(lists) {
+						lists = lists[:i+1]
+						lists[i] = lists[i][:0]
+					} else {
+						lists = append(lists, nil)
+					}
 				}
-				cs.ports[i] = append(cs.ports[i], f.Bytes)
+				lists[i] = append(lists[i], f.Bytes)
 			}
 		}
-		ev.coflows = append(ev.coflows, cs)
+		if len(lists) == 0 {
+			continue // no span at any factor
+		}
+		for _, l := range lists {
+			ev.bytes = append(ev.bytes, l...)
+			ev.end = append(ev.end, len(ev.bytes))
+		}
+		ev.arrival = append(ev.arrival, c.Arrival)
+		ev.first = append(ev.first, len(ev.end)-1)
 	}
+	ev.spans = make([]span, 0, len(ev.arrival))
 	return ev
 }
 
 // at computes the idleness the workload would have with every flow size
-// multiplied by factor (> 0). The positive-bytes filter is applied to the
-// scaled value, as PortSums applies it after ScaleBytes.
+// multiplied by factor (> 0). Sums are non-negative, so a plain compare takes
+// their maximum exactly as math.Max does.
 func (e *idlenessEval) at(factor float64) float64 {
-	spans := make([]span, 0, len(e.coflows))
-	for _, cs := range e.coflows {
+	spans := e.spans[:0]
+	for c, arrival := range e.arrival {
 		var maxBytes float64
-		for _, list := range cs.ports {
+		for l := e.first[c]; l < e.first[c+1]; l++ {
 			sum := 0.0
-			for _, b := range list {
-				if s := b * factor; s > 0 {
-					sum += s
-				}
+			for _, b := range e.bytes[e.end[l]:e.end[l+1]] {
+				sum += b * factor
 			}
-			maxBytes = math.Max(maxBytes, sum)
+			if sum > maxBytes {
+				maxBytes = sum
+			}
 		}
 		tpl := maxBytes * 8 / e.linkBps
 		if tpl <= 0 {
 			continue
 		}
-		spans = append(spans, span{lo: cs.arrival, hi: cs.arrival + tpl})
+		spans = append(spans, span{lo: arrival, hi: arrival + tpl})
 	}
-	return idlenessOf(spans)
+	e.spans = spans
+	return idlenessSorted(spans)
 }
 
 // ScaleToIdleness finds (by bisection) the byte-scaling factor that brings
