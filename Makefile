@@ -20,7 +20,7 @@ test:
 # scheduling path: SUNFLOW_FULL_REPLAN=1 disables plan-cache reuse, and every
 # pinned digest must hold either way. Same as the CI test job's second step.
 test-full-replan:
-	SUNFLOW_FULL_REPLAN=1 $(GO) test ./internal/sim ./internal/daemon -run 'Golden|EngineMatchesSimulator|RecoveryBitIdentical'
+	SUNFLOW_FULL_REPLAN=1 $(GO) test ./internal/sim ./internal/daemon ./internal/circuit -run 'Golden|EngineMatchesSimulator|RecoveryBitIdentical|QuickEngineBookkeeping'
 
 race:
 	$(GO) test -race ./...

@@ -187,7 +187,7 @@ func intraMode(tr *trace.Trace, id int, linkBps, delta float64, scheduler string
 		if verbose {
 			for _, r := range sched.Reservations {
 				fmt.Printf("  circuit [in.%d -> out.%d]  %.3fs .. %.3fs  (%.1f MB)\n",
-					r.In, r.Out, r.Start, r.End, r.Bytes/1e6)
+					r.In, r.Out, r.Start, r.End, float64(r.Bytes)/1e6)
 			}
 		}
 		fmt.Printf("sunflow: CCT %.3fs (%.2fx TcL)  switches %d\n",

@@ -33,7 +33,7 @@ func main() {
 	fmt.Println("Sunflow schedule (non-preemptive circuit reservations):")
 	for _, r := range sched.Reservations {
 		fmt.Printf("  circuit in.%d -> out.%d  held %7.3fs .. %7.3fs  carries %5.1f MB\n",
-			r.In, r.Out, r.Start, r.End, r.Bytes/1e6)
+			r.In, r.Out, r.Start, r.End, float64(r.Bytes)/1e6)
 	}
 
 	tpl := sunflow.PacketLowerBound(c, opts.LinkBps)

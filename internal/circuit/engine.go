@@ -1,9 +1,9 @@
 // Package circuit is the deterministic circuit-scheduling state machine of
 // Sunflow's online algorithm (§4, Algorithm 1): a live set of Coflows whose
-// remaining demand is credited as planned circuits carry it, and a plan that
-// is rebuilt at every arrival and completion — established circuits keep
-// their reservations (non-preemption), everything else is rescheduled with
-// IntraCoflow in priority order on one reused PRT.
+// remaining whole-byte demand is debited as planned circuits carry it, and a
+// plan that is rebuilt at every arrival and completion — established circuits
+// keep their reservations (non-preemption), everything else is rescheduled
+// with IntraCoflow in priority order on one reused PRT.
 //
 // Two drivers run it. internal/sim feeds it a Coflow Source and writes the
 // simulator's Result; internal/daemon feeds it accepted API events and
@@ -28,12 +28,8 @@ import (
 	"sunflow/internal/obs/span"
 )
 
-const (
-	// ByteEps is the residual demand below which a flow counts as finished.
-	ByteEps = 1.0
-	// TimeEps absorbs floating-point residue in event times.
-	TimeEps = 1e-9
-)
+// TimeEps absorbs floating-point residue in event times.
+const TimeEps = 1e-9
 
 // Config fixes the fabric and scheduling parameters of an Engine.
 type Config struct {
@@ -70,7 +66,7 @@ type Sink interface {
 	Retire(c *Live, finish float64)
 	// Strand reports one flow quarantined at instant at because a permanent
 	// port failure left it unroutable; bytes is its unserved demand.
-	Strand(c *Live, k fabric.FlowKey, bytes, at float64)
+	Strand(c *Live, k fabric.FlowKey, bytes int64, at float64)
 }
 
 // Live is one admitted, unfinished Coflow.
@@ -78,29 +74,19 @@ type Live struct {
 	ID       int
 	Arrival  float64
 	Priority int
-	// Bytes is the Coflow's total positive demand at admission.
+	// Bytes is the Coflow's total positive input demand at admission, before
+	// rounding to whole bytes.
 	Bytes float64
 	// Keys holds the Coflow's flows in (Src, Dst) order, fixed at admission;
-	// Rem and Base are dense slices aligned with it, and Index finds a flow's
-	// position. Stranding splices the flow out of all three, so a later debit
-	// for one of its circuits finds no entry to touch.
+	// Rem is a dense slice aligned with it, and Index finds a flow's
+	// position. Stranding splices the flow out of both, so a later debit for
+	// one of its circuits finds no entry to touch.
 	Keys []fabric.FlowKey
-	// Rem is the unserved demand per flow, including demand in-flight
-	// circuits will deliver. Credited continuously, it drives the priority
-	// key, completion detection and stranded-byte accounting.
-	Rem []float64
-	// Base is the scheduler's view of the same demand, kept drift-free: it
-	// ignores in-flight delivery and is debited exactly once per circuit, by
-	// its planned Bytes, at the pass after the circuit ends. Between
-	// establishment boundaries Base is bit-stable while Rem drifts with every
-	// credit window, so the plan cache can fingerprint scheduler inputs
-	// derived from it. nil until the first in-flight byte — until then it
-	// equals Rem and Rem stands in for it. Only full-rate fabrics build it: a
-	// degraded circuit carries less than its planned Bytes, and the folded
-	// remainder would drift from Rem until the two disagreed about whether a
-	// flow is done (TestFaultPathLivenessRegression); such Coflows schedule
-	// from Rem instead.
-	Base []float64
+	// Rem is the unserved whole-byte demand per flow, including demand
+	// in-flight circuits will deliver. Debited by exactly what circuits carry
+	// (core.Reservation.Delivered), it drives the priority key, completion
+	// detection (a flow is done at exactly 0) and stranded-byte accounting.
+	Rem []int64
 	// FlowFinish records actual flow completion instants. Written once per
 	// flow, off the replan path, it stays keyed by flow.
 	FlowFinish map[fabric.FlowKey]float64
@@ -111,11 +97,11 @@ type Live struct {
 	// Stranded marks a Coflow that lost at least one flow to a permanent port
 	// failure; StrandedBytes is the demand those flows could not deliver.
 	Stranded      bool
-	StrandedBytes float64
+	StrandedBytes int64
 	// flowStarted and demand serve flow_start/flow_finish trace events;
 	// allocated only when tracing is on.
 	flowStarted map[fabric.FlowKey]bool
-	demand      map[fabric.FlowKey]float64
+	demand      map[fabric.FlowKey]int64
 	// key caches the policy key of the Coflow's remainder while keyOK holds;
 	// every write to Rem clears keyOK, so a zero Live starts without one.
 	key   float64
@@ -123,19 +109,19 @@ type Live struct {
 	// cand marks a Coflow queued for the next retire check (mayRetire).
 	cand bool
 	// excl and lockedEnd describe the Coflow's locked circuits in the
-	// current pass. excl is the demand they cover per flow, aligned with
-	// Keys (empty if none): subtracted from the drift-free Base it yields
-	// the demand still unplanned — neither side moves with delivery, so the
-	// scheduler input is bit-stable while a circuit holds. lockedEnd is
-	// their latest End (-Inf if none).
-	excl      []float64
+	// current pass. excl is the demand they have yet to deliver per flow,
+	// aligned with Keys (empty if none): subtracted from Rem it yields the
+	// demand still unplanned. Both sides fall by the same whole bytes as a
+	// circuit delivers, so the scheduler input is constant while circuits
+	// hold. lockedEnd is their latest End (-Inf if none).
+	excl      []int64
 	lockedEnd float64
 	// cacheAt is the index of the Coflow's plan-cache entry, valid while
 	// Engine.cache[cacheAt] carries its id.
 	cacheAt int
 }
 
-// Index returns the position of flow k in Keys, Rem and Base, by binary
+// Index returns the position of flow k in Keys and Rem, by binary
 // search; ok is false for a flow the Coflow does not hold (never had, or
 // stranded).
 func (lc *Live) Index(k fabric.FlowKey) (i int, ok bool) {
@@ -157,9 +143,8 @@ type Engine struct {
 	// plus the planned future.
 	plan []core.Reservation
 	// faults is the fault view; nil on a fault-free fabric, keeping every
-	// fault branch behind one nil check. fullRate caches faults.FullRate.
-	faults   Faults
-	fullRate bool
+	// fault branch behind one nil check.
+	faults Faults
 	// prt is rebuilt by every replan and reused across passes, so replanning
 	// is allocation-free on the timelines.
 	prt *core.PRT
@@ -188,7 +173,6 @@ func New(cfg Config, start float64) *Engine {
 		cfg:         cfg,
 		policy:      policy,
 		now:         start,
-		fullRate:    true,
 		live:        map[int]*Live{},
 		prt:         core.NewPRT(cfg.Ports),
 		incremental: !cfg.Reference && os.Getenv("SUNFLOW_FULL_REPLAN") == "",
@@ -237,30 +221,33 @@ func (e *Engine) Restore(now float64, live []*Live, plan []core.Reservation, pas
 	e.dropCache()
 }
 
-// Admit adds c to the live set at the engine clock. It reports false, leaving
-// the engine untouched, when c has no positive demand: such a Coflow
-// completes at its arrival and the caller records it.
+// Admit adds c to the live set at the engine clock. Each input flow is
+// rounded once to whole bytes. It reports false, leaving the engine
+// untouched, when no flow carries a whole byte: such a Coflow completes at
+// its arrival and the caller records it.
 func (e *Engine) Admit(c *coflow.Coflow, priority int) bool {
-	// The positive flows in (Src, Dst) order. The sort is stable so that a
-	// repeated pair's bytes are summed in flow order.
+	// The flows with whole-byte demand in (Src, Dst) order; a repeated pair's
+	// bytes are summed.
 	type flowBytes struct {
 		k fabric.FlowKey
-		b float64
+		b int64
 	}
 	fs := make([]flowBytes, 0, len(c.Flows))
 	total := 0.0
 	for _, f := range c.Flows {
 		if f.Bytes > 0 {
-			fs = append(fs, flowBytes{fabric.FlowKey{Src: f.Src, Dst: f.Dst}, f.Bytes})
 			total += f.Bytes
+			if b := int64(math.Round(f.Bytes)); b > 0 {
+				fs = append(fs, flowBytes{fabric.FlowKey{Src: f.Src, Dst: f.Dst}, b})
+			}
 		}
 	}
 	if len(fs) == 0 {
 		return false
 	}
-	slices.SortStableFunc(fs, func(a, b flowBytes) int { return compareKeys(a.k, b.k) })
+	slices.SortFunc(fs, func(a, b flowBytes) int { return compareKeys(a.k, b.k) })
 	keys := make([]fabric.FlowKey, 0, len(fs))
-	rem := make([]float64, 0, len(fs))
+	rem := make([]int64, 0, len(fs))
 	for i, f := range fs {
 		if i > 0 && f.k == fs[i-1].k {
 			rem[len(rem)-1] += f.b
@@ -269,7 +256,6 @@ func (e *Engine) Admit(c *coflow.Coflow, priority int) bool {
 			rem = append(rem, f.b)
 		}
 	}
-	drained := !slices.ContainsFunc(rem, func(b float64) bool { return b > ByteEps })
 	lc := &Live{
 		ID:         c.ID,
 		Arrival:    c.Arrival,
@@ -284,7 +270,7 @@ func (e *Engine) Admit(c *coflow.Coflow, priority int) bool {
 		o.CoflowsAdmitted.Inc()
 		if o.TraceEnabled() {
 			lc.flowStarted = make(map[fabric.FlowKey]bool, len(rem))
-			lc.demand = make(map[fabric.FlowKey]float64, len(rem))
+			lc.demand = make(map[fabric.FlowKey]int64, len(rem))
 			for i, k := range keys {
 				lc.demand[k] = rem[i]
 			}
@@ -292,9 +278,6 @@ func (e *Engine) Admit(c *coflow.Coflow, priority int) bool {
 		}
 	}
 	e.live[c.ID] = lc
-	if drained {
-		e.mayRetire(lc)
-	}
 	return true
 }
 
@@ -395,15 +378,18 @@ func (e *Engine) due(to float64) []int {
 // reservations plus shared service in fair windows. It also counts circuit
 // establishments whose setup begins in the interval.
 //
+// A circuit debits its flow by Delivered(to) − Delivered(from). Those
+// differences telescope, so crediting [a, c) whole or as [a, b) then [b, c)
+// leaves the same Rem, and a flow drains when Rem reaches exactly 0.
+//
 // Only the due reservations are walked, in (Start, In, Out) order; the result
 // is bit-identical to crediting the whole plan in start order:
-//   - Rem, Base and FlowFinish depend only on the order of one flow's
+//   - Rem and FlowFinish depend only on the order of one flow's
 //     reservations, and those have distinct Starts (one circuit per port), so
 //     any start order credits them identically.
 //   - An entry with Start >= to+TimeEps contributes nothing in [from, to):
-//     the setup branch needs Start < to-TimeEps, TransmittedBy and
-//     deliveredBy are 0 at both ends, and its circuit_down would need a
-//     zero-length reservation.
+//     the setup branch needs Start < to-TimeEps, Delivered is 0 at both
+//     ends, and its circuit_down would need a zero-length reservation.
 //
 // Tied-Start reservations on different ports add into the float counters and
 // the trace in (In, Out) order.
@@ -434,11 +420,11 @@ func (e *Engine) credit(from, to float64) {
 				o.CircuitSetups.Inc()
 				o.SetupSeconds.Add(r.Setup)
 				o.HoldSeconds.Add(r.End - r.Start)
-				o.PlannedBytes.Add(r.Bytes)
+				o.PlannedBytes.Add(float64(r.Bytes))
 				o.InBusySeconds.Add(r.In, r.End-r.Start)
 				o.OutBusySeconds.Add(r.Out, r.End-r.Start)
 				if o.TraceEnabled() {
-					o.Emit(obs.Event{T: r.Start, Kind: obs.KindCircuitUp, Coflow: r.CoflowID, Src: r.In, Dst: r.Out, Bytes: r.Bytes, Dur: r.Setup})
+					o.Emit(obs.Event{T: r.Start, Kind: obs.KindCircuitUp, Coflow: r.CoflowID, Src: r.In, Dst: r.Out, Bytes: float64(r.Bytes), Dur: r.Setup})
 					// Retries follow the circuit_up that owns them so replay
 					// sees an open circuit; Dur carries the per-attempt δ.
 					for _, off := range retries {
@@ -453,49 +439,43 @@ func (e *Engine) credit(from, to float64) {
 		if lc == nil {
 			continue
 		}
-		bps := e.cfg.LinkBps
-		var d float64
-		if f := e.rateFactor(r); f != 1 {
-			bps *= f
-			d = deliveredBy(r, to, bps, true) - deliveredBy(r, from, bps, true)
-		} else {
-			d = r.TransmittedBy(to, bps) - r.TransmittedBy(from, bps)
-		}
+		bps := e.rate(r)
+		before := r.Delivered(from, bps)
+		d := r.Delivered(to, bps) - before
 		if d <= 0 {
 			continue
 		}
 		key := fabric.FlowKey{Src: r.In, Dst: r.Out}
 		ki, ok := lc.Index(key)
-		if !ok || lc.Rem[ki] <= 0 {
+		if !ok || lc.Rem[ki] == 0 {
 			continue
 		}
 		rem := lc.Rem[ki]
 		lc.keyOK = false
-		if lc.Base == nil && e.fullRate {
-			// First in-flight byte for this Coflow: snapshot the pristine
-			// demand before Rem starts drifting away from it.
-			lc.Base = slices.Clone(lc.Rem)
-		}
 		if o != nil {
-			o.BytesDelivered.Add(math.Min(rem, d))
+			o.BytesDelivered.Add(float64(min(rem, d)))
 		}
 		if lc.flowStarted != nil && !lc.flowStarted[key] {
 			lc.flowStarted[key] = true
 			o.Emit(obs.Event{T: math.Max(from, r.TransmitStart()), Kind: obs.KindFlowStart, Coflow: r.CoflowID, Src: r.In, Dst: r.Out})
 		}
-		if rem <= d+ByteEps {
-			// The flow drains inside this reservation; solve for the instant.
-			finish := math.Max(from, r.TransmitStart()) + rem*8/bps
-			lc.Rem[ki] = 0
-			e.mayRetire(lc)
-			if _, done := lc.FlowFinish[key]; !done {
-				lc.FlowFinish[key] = finish
-				if o.TraceEnabled() {
-					o.Emit(obs.Event{T: finish, Kind: obs.KindFlowFinish, Coflow: r.CoflowID, Src: r.In, Dst: r.Out, Bytes: lc.demand[key]})
-				}
-			}
-		} else {
+		if rem > d {
 			lc.Rem[ki] = rem - d
+			continue
+		}
+		// The flow drains inside this reservation, once the circuit has
+		// carried rem bytes beyond the before it had delivered by from.
+		// before+rem is the same however the window was split, so the
+		// instant solved from the transmit start is too. A circuit whose
+		// Bytes round up its capacity delivers the last of them at End.
+		finish := min(r.End, r.TransmitStart()+float64(before+rem)*8/bps)
+		lc.Rem[ki] = 0
+		e.mayRetire(lc)
+		if _, done := lc.FlowFinish[key]; !done {
+			lc.FlowFinish[key] = finish
+			if o.TraceEnabled() {
+				o.Emit(obs.Event{T: finish, Kind: obs.KindFlowFinish, Coflow: r.CoflowID, Src: r.In, Dst: r.Out, Bytes: float64(lc.demand[key])})
+			}
 		}
 	}
 	if e.cfg.Fair != nil {
@@ -506,7 +486,7 @@ func (e *Engine) credit(from, to float64) {
 // creditFairWindows applies the shared round-robin service of §4.2 within
 // [from, to): during each τ window, circuit [i, A_k(i)] serves the remaining
 // demand of all live Coflows on that port pair with equal instantaneous
-// shares.
+// shares, each floored to whole bytes.
 func (e *Engine) creditFairWindows(from, to float64) {
 	// sharer is a live Coflow with demand on a window circuit: its id and
 	// the position of the flow in its slices.
@@ -532,7 +512,7 @@ func (e *Engine) creditFairWindows(from, to float64) {
 			key := fabric.FlowKey{Src: i, Dst: j}
 			var sharers []sharer
 			for id, lc := range e.live {
-				if ki, ok := lc.Index(key); ok && lc.Rem[ki] > ByteEps {
+				if ki, ok := lc.Index(key); ok && lc.Rem[ki] > 0 {
 					sharers = append(sharers, sharer{id, ki})
 				}
 			}
@@ -542,39 +522,35 @@ func (e *Engine) creditFairWindows(from, to float64) {
 			slices.SortFunc(sharers, func(a, b sharer) int { return cmp.Compare(a.id, b.id) })
 			rems := make([]float64, len(sharers))
 			for idx, sh := range sharers {
-				rems[idx] = e.live[sh.id].Rem[sh.ki]
+				rems[idx] = float64(e.live[sh.id].Rem[sh.ki])
 			}
 			served := core.ShareCircuit(rems, segEnd-segStart, e.cfg.LinkBps)
 			for idx, sh := range sharers {
 				id, ki := sh.id, sh.ki
 				lc := e.live[id]
+				// A share never exceeds its remainder: a flow served in full
+				// gets exactly its remainder back, the rest a lower level.
+				b := int64(served[idx])
 				if o != nil {
-					o.BytesDelivered.Add(math.Min(lc.Rem[ki], served[idx]))
+					o.BytesDelivered.Add(float64(b))
 				}
-				if lc.flowStarted != nil && served[idx] > 0 && !lc.flowStarted[key] {
+				if lc.flowStarted != nil && b > 0 && !lc.flowStarted[key] {
 					lc.flowStarted[key] = true
 					o.Emit(obs.Event{T: segStart, Kind: obs.KindFlowStart, Coflow: id, Src: i, Dst: j})
 				}
-				if lc.Base != nil {
-					// Window delivery is real delivery: the drift-free
-					// remainder must not re-plan the shared bytes.
-					lc.Base[ki] -= served[idx]
-				}
-				nr := lc.Rem[ki] - served[idx]
+				lc.Rem[ki] -= b
 				lc.keyOK = false
-				if nr <= ByteEps {
-					lc.Rem[ki] = 0
-					e.mayRetire(lc)
-					if _, done := lc.FlowFinish[key]; !done {
-						// Exact drain instants inside a shared window are
-						// not tracked; the window end bounds the error by τ.
-						lc.FlowFinish[key] = segEnd
-						if o.TraceEnabled() {
-							o.Emit(obs.Event{T: segEnd, Kind: obs.KindFlowFinish, Coflow: id, Src: i, Dst: j, Bytes: lc.demand[key]})
-						}
+				if lc.Rem[ki] > 0 {
+					continue
+				}
+				e.mayRetire(lc)
+				if _, done := lc.FlowFinish[key]; !done {
+					// Exact drain instants inside a shared window are not
+					// tracked; the window end bounds the error by τ.
+					lc.FlowFinish[key] = segEnd
+					if o.TraceEnabled() {
+						o.Emit(obs.Event{T: segEnd, Kind: obs.KindFlowFinish, Coflow: id, Src: i, Dst: j, Bytes: float64(lc.demand[key])})
 					}
-				} else {
-					lc.Rem[ki] = nr
 				}
 			}
 		}
@@ -599,8 +575,8 @@ func (e *Engine) CloseTrace() {
 }
 
 // mayRetire queues lc for the next retire check. It is called wherever a
-// Coflow can lose its last flow above ByteEps: a Rem entry set to 0, a flow
-// stranded, an admission with every flow at most ByteEps, a restore.
+// Coflow can lose its last unserved byte: a Rem entry set to 0, a flow
+// stranded, a restore.
 func (e *Engine) mayRetire(lc *Live) {
 	if !lc.cand {
 		lc.cand = true
@@ -620,14 +596,7 @@ func (e *Engine) retire(now float64) {
 			continue // removed
 		}
 		lc.cand = false
-		done := true
-		for _, b := range lc.Rem {
-			if b > ByteEps {
-				done = false
-				break
-			}
-		}
-		if !done {
+		if slices.ContainsFunc(lc.Rem, func(b int64) bool { return b > 0 }) {
 			continue
 		}
 		// The Coflow finished at its latest flow finish, which can precede

@@ -20,10 +20,11 @@ import (
 const bookkeepingSeeds = 240
 
 // testSink records retirements and checks, at the moment of each one, that
-// the Coflow has no flow left above ByteEps.
+// the Coflow has no byte left; it sums the stranded bytes.
 type testSink struct {
-	t       *testing.T
-	retired []*Live
+	t        *testing.T
+	retired  []*Live
+	stranded int64
 }
 
 func (s *testSink) Retire(lc *Live, finish float64) {
@@ -33,23 +34,19 @@ func (s *testSink) Retire(lc *Live, finish float64) {
 	s.retired = append(s.retired, lc)
 }
 
-func (s *testSink) Strand(*Live, fabric.FlowKey, float64, float64) {}
+func (s *testSink) Strand(_ *Live, _ fabric.FlowKey, bytes int64, _ float64) { s.stranded += bytes }
 
-// drained reports whether every remaining flow of lc is at most ByteEps.
+// drained reports whether every remaining flow of lc is at exactly 0.
 func drained(lc *Live) bool {
-	for _, b := range lc.Rem {
-		if b > ByteEps {
-			return false
-		}
-	}
-	return true
+	return !slices.ContainsFunc(lc.Rem, func(b int64) bool { return b != 0 })
 }
 
 // TestQuickEngineBookkeeping drives the engine with random admits (priorities
 // in {−1, 0, 1, 2}), Steps at event and non-event instants, credit-only
 // advances, Removes, re-admissions of removed ids and restores; some seeds add
-// fair windows, a fault plan or an observer. Three oracles check the
-// incremental bookkeeping against the full computations it replaces:
+// fair windows, a fault plan (permanent port failures included) or a trace.
+// Five oracles check the incremental bookkeeping against the full
+// computations it replaces:
 //
 //	(a) every pass's order equals policy.Sort followed by a stable sort by
 //	    descending Priority, and every cached policy key equals a fresh one;
@@ -57,7 +54,14 @@ func drained(lc *Live) bool {
 //	    within it came out in ascending id order, each drained — together the
 //	    output of a retire that scans the whole live set;
 //	(c) crediting the whole plan in canonical order (refCredit) leaves Rem,
-//	    Base, FlowFinish and Switches identical to the due-set credit.
+//	    FlowFinish and Switches identical to the due-set credit;
+//	(d) bytes are conserved exactly: Rem never goes negative, and at the end
+//	    the bytes delivered plus those stranded plus those removed equal the
+//	    whole bytes admitted, as integers;
+//	(e) crediting telescopes: on seeds without fair windows, crediting an
+//	    advance [a, c) as [a, b) then [b, c), at a random b, leaves Rem,
+//	    FlowFinish and Switches identical to the whole credit. Fair windows
+//	    water-fill each credit window, so they are split-dependent by design.
 func TestQuickEngineBookkeeping(t *testing.T) {
 	shapes := map[string]int{}
 	for seed := int64(0); seed < bookkeepingSeeds; seed++ {
@@ -66,8 +70,9 @@ func TestQuickEngineBookkeeping(t *testing.T) {
 		}
 	}
 	// A draw that never reaches a path would pass vacuously.
-	for _, shape := range []string{"retired", "retired drained at admission", "stranded",
-		"fair windows", "faults", "removed", "re-admitted", "restored", "keys cached", "classes"} {
+	for _, shape := range []string{"retired", "no whole byte", "stranded", "fair windows",
+		"fair windows with a permanent failure", "faults", "removed", "re-admitted", "restored",
+		"keys cached", "classes", "split"} {
 		if shapes[shape] == 0 {
 			t.Errorf("no scenario exercised %q", shape)
 		}
@@ -96,23 +101,27 @@ func runBookkeepingScenario(t *testing.T, seed int64) map[string]int {
 		cfg.Fair = &core.FairWindows{N: ports, T: 0.3 + rng.Float64(), Tau: 0.05}
 		shapes["fair windows"]++
 	}
+	// Every seed observes, for the delivered-bytes counter of oracle (d);
+	// some also trace, exercising the event paths.
+	cfg.Obs = obs.New()
 	if seed%7 == 3 {
-		cfg.Obs = obs.New()
+		cfg.Obs = obs.NewWith(obs.NewRegistry(), &obs.SliceSink{})
 	}
 	e := New(cfg, 0)
-	// refFaults is a second model of the same plan. Only credit consults a
-	// model's state (setup attempts), and refCredit makes the same calls in
-	// the same order, so the two stay in lockstep.
-	var refFaults Faults
+	// refFaults and splitFaults are further models of the same plan. Only
+	// credit consults a model's state (setup attempts), and refCredit and the
+	// split credit make the same calls in the same order, so all stay in
+	// lockstep.
+	var refFaults, splitFaults Faults
 	if seed%5 == 2 {
 		plan := &fault.Plan{Seed: seed}
 		for n := 1 + rng.Intn(3); n > 0; n-- {
 			pf := fault.PortFailure{Port: rng.Intn(ports), At: 0.05 + 0.5*rng.Float64(), Duration: 0.02 + 0.2*rng.Float64()}
-			if cfg.Fair == nil && rng.Intn(4) == 0 {
-				// Permanent, on fault-only seeds: with fair windows the
-				// intra search never stalls on a port that is down for
-				// good (ROADMAP), it waits for the next window end forever.
-				pf.Duration = 0
+			if rng.Intn(4) == 0 {
+				pf.Duration = 0 // permanent
+				if cfg.Fair != nil {
+					shapes["fair windows with a permanent failure"]++
+				}
 			}
 			plan.PortFailures = append(plan.PortFailures, pf)
 		}
@@ -129,12 +138,13 @@ func runBookkeepingScenario(t *testing.T, seed int64) map[string]int {
 		}
 		e.SetFaults(m)
 		rm, _ := plan.Compile(ports)
-		refFaults = rm
+		sm, _ := plan.Compile(ports)
+		refFaults, splitFaults = rm, sm
 		shapes["faults"]++
 	}
 
 	livePasses := 0 // keys a pass that recomputed every key would compute
-	tinyIDs := map[int]bool{}
+	var admitted, removedRem int64
 	replan := func() {
 		if err := e.Replan(); err != nil {
 			t.Fatalf("seed %d: replan at %v: %v", seed, e.Now(), err)
@@ -148,6 +158,16 @@ func runBookkeepingScenario(t *testing.T, seed int64) map[string]int {
 		if len(ref.live) > 0 {
 			refCredit(ref, from, to)
 		}
+		var sp *Engine
+		if cfg.Fair == nil && to > from && len(e.live) > 0 {
+			// The advance never passes an event, so no fault boundary lies
+			// strictly inside the window and crediting alone is compared.
+			sp = refClone(e, splitFaults)
+			mid := from + rng.Float64()*(to-from)
+			sp.credit(from, mid)
+			sp.credit(mid, to)
+			shapes["split"]++
+		}
 		sink.retired = sink.retired[:0]
 		if step {
 			e.Step(to)
@@ -159,9 +179,6 @@ func runBookkeepingScenario(t *testing.T, seed int64) map[string]int {
 				t.Fatalf("seed %d: retired %d after %d", seed, lc.ID, sink.retired[i-1].ID)
 			}
 			shapes["retired"]++
-			if tinyIDs[lc.ID] {
-				shapes["retired drained at admission"]++
-			}
 			if lc.Stranded {
 				shapes["stranded"]++
 			}
@@ -174,6 +191,14 @@ func runBookkeepingScenario(t *testing.T, seed int64) map[string]int {
 			}
 		}
 		checkCredit(t, seed, ref, e, sink.retired)
+		if sp != nil {
+			checkCredit(t, seed, sp, e, sink.retired)
+		}
+		for _, lc := range e.live {
+			if slices.ContainsFunc(lc.Rem, func(b int64) bool { return b < 0 }) {
+				t.Fatalf("seed %d: coflow %d has negative Rem %v", seed, lc.ID, lc.Rem)
+			}
+		}
 	}
 
 	// Ids are drawn out of arrival order, and sizes from a few values on half
@@ -195,24 +220,32 @@ func runBookkeepingScenario(t *testing.T, seed int64) map[string]int {
 		}
 		var flows []coflow.Flow
 		tiny := rng.Intn(12) == 0
+		whole := int64(0)
 		for n := 1 + rng.Intn(4); n > 0; n-- {
 			b := 1e5 + 2e7*rng.Float64()
 			switch {
 			case coarse:
 				b = 5e6 * float64(1+rng.Intn(3))
 			case tiny:
-				b = 0.5 // at most ByteEps: drained at admission
+				b = 0.4 // rounds to no whole byte
 			case rng.Intn(8) == 0:
 				b = 0
 			}
 			flows = append(flows, coflow.Flow{Src: rng.Intn(ports), Dst: rng.Intn(ports), Bytes: b})
+			whole += int64(math.Round(b))
 		}
 		prio := rng.Intn(4) - 1
 		if prio != 0 {
 			shapes["classes"]++
 		}
-		e.Admit(coflow.New(id, e.now, flows), prio)
-		tinyIDs[id] = tiny
+		if e.Admit(coflow.New(id, e.now, flows), prio) {
+			admitted += whole
+		} else {
+			if whole != 0 {
+				t.Fatalf("seed %d: coflow %d with %d whole bytes refused", seed, id, whole)
+			}
+			shapes["no whole byte"]++
+		}
 	}
 
 	for action := 0; action < 100; action++ {
@@ -237,7 +270,9 @@ func runBookkeepingScenario(t *testing.T, seed int64) map[string]int {
 		case r < 19:
 			if ids := e.SortedIDs(); len(ids) > 0 {
 				id := ids[rng.Intn(len(ids))]
-				e.Remove(id)
+				for _, b := range e.Remove(id).Rem {
+					removedRem += b
+				}
 				removed = append(removed, id)
 				shapes["removed"]++
 				replan()
@@ -258,8 +293,13 @@ func runBookkeepingScenario(t *testing.T, seed int64) map[string]int {
 		advance(te, true)
 		replan()
 	}
-	if _, keyed := cfg.Policy.(core.KeyPolicy); keyed && cfg.Obs != nil && cfg.Obs.OrderKeys.Load() < int64(livePasses) {
+	if _, keyed := cfg.Policy.(core.KeyPolicy); keyed && cfg.Obs.OrderKeys.Load() < int64(livePasses) {
 		shapes["keys cached"]++
+	}
+	// Oracle (d). Delivered bytes are whole, so their float sum is exact.
+	if delivered := int64(cfg.Obs.BytesDelivered.Load()); delivered+sink.stranded+removedRem != admitted {
+		t.Fatalf("seed %d: delivered %d + stranded %d + removed %d != admitted %d",
+			seed, delivered, sink.stranded, removedRem, admitted)
 	}
 	return shapes
 }
@@ -271,7 +311,7 @@ func checkOrder(t *testing.T, seed int64, e *Engine) {
 	t.Helper()
 	headers := make([]*coflow.Coflow, 0, len(e.live))
 	for _, lc := range e.live {
-		headers = append(headers, remainderFrom(&coflow.Coflow{}, lc, lc.Rem, nil))
+		headers = append(headers, remainderFrom(&coflow.Coflow{}, lc, nil))
 	}
 	want := e.policy.Sort(headers)
 	slices.SortStableFunc(want, func(a, b *coflow.Coflow) int {
@@ -307,7 +347,6 @@ func checkCredit(t *testing.T, seed int64, ref, e *Engine, retired []*Live) {
 	for _, lc := range retired {
 		byID[lc.ID] = lc
 	}
-	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 	for id, r := range ref.live {
 		g := byID[id]
 		if g == nil {
@@ -319,19 +358,9 @@ func checkCredit(t *testing.T, seed int64, ref, e *Engine, retired []*Live) {
 		if !maps.Equal(r.FlowFinish, g.FlowFinish) {
 			t.Fatalf("seed %d: coflow %d flow finishes %v, reference %v", seed, id, g.FlowFinish, r.FlowFinish)
 		}
-		if (r.Base == nil) != (g.Base == nil) {
-			t.Fatalf("seed %d: coflow %d Base presence differs from the reference", seed, id)
-		}
 		for ri, k := range r.Keys {
-			gi, ok := g.Index(k)
-			if !ok {
-				continue
-			}
-			if !same(r.Rem[ri], g.Rem[gi]) {
+			if gi, ok := g.Index(k); ok && r.Rem[ri] != g.Rem[gi] {
 				t.Fatalf("seed %d: coflow %d flow %v Rem %v, reference %v", seed, id, k, g.Rem[gi], r.Rem[ri])
-			}
-			if r.Base != nil && !same(r.Base[ri], g.Base[gi]) {
-				t.Fatalf("seed %d: coflow %d flow %v Base %v, reference %v", seed, id, k, g.Base[gi], r.Base[ri])
 			}
 		}
 	}
@@ -342,7 +371,7 @@ func checkCredit(t *testing.T, seed int64, ref, e *Engine, retired []*Live) {
 func cloneLive(lc *Live) *Live {
 	return &Live{
 		ID: lc.ID, Arrival: lc.Arrival, Priority: lc.Priority, Bytes: lc.Bytes,
-		Keys: slices.Clone(lc.Keys), Rem: slices.Clone(lc.Rem), Base: slices.Clone(lc.Base),
+		Keys: slices.Clone(lc.Keys), Rem: slices.Clone(lc.Rem),
 		FlowFinish: maps.Clone(lc.FlowFinish), Finish: lc.Finish, Switches: lc.Switches,
 		Stranded: lc.Stranded, StrandedBytes: lc.StrandedBytes,
 	}
@@ -351,8 +380,7 @@ func cloneLive(lc *Live) *Live {
 // refClone returns a detached copy of the engine's crediting state — clock,
 // live set and plan — with no observer or sink, crediting against faults.
 func refClone(e *Engine, faults Faults) *Engine {
-	ref := &Engine{cfg: e.cfg, now: e.now, live: map[int]*Live{}, plan: slices.Clone(e.plan),
-		faults: faults, fullRate: e.fullRate}
+	ref := &Engine{cfg: e.cfg, now: e.now, live: map[int]*Live{}, plan: slices.Clone(e.plan), faults: faults}
 	ref.cfg.Obs, ref.cfg.Prof, ref.cfg.Sink = nil, nil, nil
 	for id, lc := range e.live {
 		ref.live[id] = cloneLive(lc)
@@ -396,33 +424,22 @@ func refCredit(e *Engine, from, to float64) {
 		if lc == nil {
 			continue
 		}
-		bps := e.cfg.LinkBps
-		var d float64
-		if f := e.rateFactor(r); f != 1 {
-			bps *= f
-			d = deliveredBy(r, to, bps, true) - deliveredBy(r, from, bps, true)
-		} else {
-			d = r.TransmittedBy(to, bps) - r.TransmittedBy(from, bps)
-		}
-		if d <= 0 {
-			continue
-		}
+		bps := e.rate(r)
+		before := r.Delivered(from, bps)
+		d := r.Delivered(to, bps) - before
 		key := fabric.FlowKey{Src: r.In, Dst: r.Out}
 		ki, ok := lc.Index(key)
-		if !ok || lc.Rem[ki] <= 0 {
+		if d <= 0 || !ok || lc.Rem[ki] == 0 {
 			continue
 		}
 		rem := lc.Rem[ki]
-		if lc.Base == nil && e.fullRate {
-			lc.Base = slices.Clone(lc.Rem)
-		}
-		if rem <= d+ByteEps {
-			lc.Rem[ki] = 0
-			if _, done := lc.FlowFinish[key]; !done {
-				lc.FlowFinish[key] = math.Max(from, r.TransmitStart()) + rem*8/bps
-			}
-		} else {
+		if rem > d {
 			lc.Rem[ki] = rem - d
+			continue
+		}
+		lc.Rem[ki] = 0
+		if _, done := lc.FlowFinish[key]; !done {
+			lc.FlowFinish[key] = min(r.End, r.TransmitStart()+float64(before+rem)*8/bps)
 		}
 	}
 	if e.cfg.Fair != nil {

@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"sunflow/internal/core"
-	"sunflow/internal/fabric"
 	"sunflow/internal/fault"
 	"sunflow/internal/obs"
 )
@@ -28,8 +27,6 @@ type Faults interface {
 	RateFactor(coflowID, src, dst int) float64
 	// Setup plays out one circuit establishment of the given hold slot.
 	Setup(coflowID, src, dst int, slot, delta float64) fault.SetupOutcome
-	// FullRate reports whether RateFactor is 1 for every flow.
-	FullRate() bool
 }
 
 // SetFaults installs the fault view; nil restores the fault-free fabric.
@@ -37,69 +34,47 @@ type Faults interface {
 // the cache.
 func (e *Engine) SetFaults(f Faults) {
 	e.faults = f
-	e.fullRate = f == nil || f.FullRate()
 	if f != nil {
 		e.dropCache()
 	}
 }
 
-// rateFactor returns the effective bandwidth multiplier for the reservation's
-// flow: 1 on a fault-free fabric.
-func (e *Engine) rateFactor(r *core.Reservation) float64 {
+// rate returns the effective bandwidth of the reservation's flow in bits/s:
+// the link rate, scaled down on a degraded link.
+func (e *Engine) rate(r *core.Reservation) float64 {
 	if e.faults == nil {
-		return 1
+		return e.cfg.LinkBps
 	}
-	return e.faults.RateFactor(r.CoflowID, r.In, r.Out)
-}
-
-// deliveredBy returns the bytes r has carried by t at effective rate bps.
-// A degraded circuit runs slower than it was sized for: its delivery clamps
-// at the reservation end rather than at Bytes, so it releases its ports with
-// demand unserved and the shortfall is replanned.
-func deliveredBy(r *core.Reservation, t, bps float64, degraded bool) float64 {
-	if !degraded {
-		return r.TransmittedBy(t, bps)
-	}
-	ts := r.TransmitStart()
-	if t <= ts {
-		return 0
-	}
-	return math.Min(r.Bytes, (math.Min(t, r.End)-ts)*bps/8)
-}
-
-// futureBytes returns how many bytes the locked reservation still delivers
-// after now, at its effective rate.
-func (e *Engine) futureBytes(r *core.Reservation, now float64) float64 {
-	f := e.rateFactor(r)
-	if f == 1 {
-		return r.Bytes - r.TransmittedBy(now, e.cfg.LinkBps)
-	}
-	bps := e.cfg.LinkBps * f
-	return deliveredBy(r, r.End, bps, true) - deliveredBy(r, now, bps, true)
+	return e.cfg.LinkBps * e.faults.RateFactor(r.CoflowID, r.In, r.Out)
 }
 
 // establishFaulty consults the fault view at the instant a circuit pays its
 // setup: failed attempts each re-pay δ (with backoff), stretching the
-// effective setup and shrinking the capacity the hold has left. It mutates
-// the reservation before the establishment is counted, so counters and the
-// circuit_up event see the stretched values, and returns the offsets of the
-// failed attempts for circuit_retry events.
+// effective setup and shrinking the capacity the hold has left, and a
+// degraded link carries less than the circuit was sized for. Bytes is set
+// here, once, to what the circuit will actually deliver, so delivery still
+// ends at exactly Bytes and the shortfall stays in Rem to be replanned. The
+// capacity rounds up to a whole byte: an established circuit always carries
+// at least one, so a flow's last bytes drain even on a slow link. It
+// mutates the reservation before the establishment is counted, so counters
+// and the circuit_up event see the stretched values, and returns the offsets
+// of the failed attempts for circuit_retry events.
 func (e *Engine) establishFaulty(r *core.Reservation) []float64 {
 	out := e.faults.Setup(r.CoflowID, r.In, r.Out, r.End-r.Start, r.Setup)
-	if out.Established && len(out.Retries) == 0 {
+	bps := e.rate(r)
+	if out.Established && len(out.Retries) == 0 && bps == e.cfg.LinkBps {
 		return nil
-	}
-	extra := out.Setup - r.Setup
-	bytes := r.Bytes - extra*e.cfg.LinkBps/8
-	if !out.Established || bytes < 0 {
-		bytes = 0
 	}
 	if o := e.cfg.Obs; o != nil {
 		o.CircuitRetries.Add(int64(len(out.Retries)))
-		o.RetrySeconds.Add(extra)
+		o.RetrySeconds.Add(out.Setup - r.Setup)
 	}
 	r.Setup = out.Setup
-	r.Bytes = bytes
+	if !out.Established {
+		r.Bytes = 0
+	} else {
+		r.Bytes = min(r.Bytes, max(0, int64(math.Ceil((r.End-r.TransmitStart())*bps/8))))
+	}
 	return out.Retries
 }
 
@@ -166,21 +141,19 @@ func (e *Engine) truncatePort(port int, bt float64) {
 		if r.Start >= bt-TimeEps || r.End <= bt+TimeEps {
 			continue
 		}
-		f := e.rateFactor(r)
-		delivered := deliveredBy(r, bt, e.cfg.LinkBps*f, f != 1)
+		delivered := r.Delivered(bt, e.rate(r))
 		if o != nil {
 			o.HoldSeconds.Add(bt - r.End)
-			o.PlannedBytes.Add(delivered - r.Bytes)
+			o.PlannedBytes.Add(float64(delivered - r.Bytes))
 			o.InBusySeconds.Add(r.In, bt-r.End)
 			o.OutBusySeconds.Add(r.Out, bt-r.End)
 			if o.TraceEnabled() {
 				o.Emit(obs.Event{T: bt, Kind: obs.KindCircuitDown, Coflow: r.CoflowID, Src: r.In, Dst: r.Out})
 			}
 		}
-		r.End = bt
-		if delivered < r.Bytes {
-			r.Bytes = delivered
-		}
+		// What it carried by bt is all it ever delivers, so Delivered stays
+		// continuous across the cut.
+		r.End, r.Bytes = bt, delivered
 		if r.Setup > bt-r.Start {
 			// The port died during reconfiguration: the truncated hold is all
 			// setup and the circuit never carried a byte.
@@ -194,8 +167,8 @@ func (e *Engine) truncatePort(port int, bt float64) {
 
 // repairTable seeds the freshly reset table with the locked circuits
 // defensively — a circuit that no longer fits is invalidated rather than
-// crashing the run, and what it already delivered leaves Base — then blocks
-// every port interval a fault keeps down. It returns the circuits kept.
+// crashing the run, its undelivered bytes still in Rem — then blocks every
+// port interval a fault keeps down. It returns the circuits kept.
 func (e *Engine) repairTable(locked []core.Reservation, now float64) []core.Reservation {
 	fsp := e.cfg.Prof.Start("fault.repair")
 	defer fsp.Finish()
@@ -203,10 +176,6 @@ func (e *Engine) repairTable(locked []core.Reservation, now float64) []core.Rese
 	for _, r := range locked {
 		if e.prt.TryReserve(r) == nil {
 			kept = append(kept, r)
-		} else if lc := e.live[r.CoflowID]; lc != nil && lc.Base != nil {
-			if ki, ok := lc.Index(fabric.FlowKey{Src: r.In, Dst: r.Out}); ok {
-				lc.Base[ki] -= r.TransmittedBy(now, e.cfg.LinkBps)
-			}
 		}
 	}
 	for port := 0; port < e.cfg.Ports; port++ {
@@ -232,8 +201,8 @@ func (e *Engine) quarantine(now float64) {
 
 // strandFlows removes from the live Coflow, in (Src, Dst) order, every
 // unfinished flow touching a port that fails permanently by dead, reporting
-// each to the sink. The flow is spliced out of Keys, Rem and Base together,
-// so a later debit of one of its circuits finds no entry to touch.
+// each to the sink. The flow is spliced out of Keys and Rem together, so a
+// later debit of one of its circuits finds no entry to touch.
 // Quarantine passes dead = now; the repair of last resort when a pass stalls
 // against the degraded table passes +Inf, stranding flows on any port with a
 // permanent failure anywhere on the horizon. It reports whether anything was
@@ -242,7 +211,7 @@ func (e *Engine) strandFlows(lc *Live, now, dead float64) bool {
 	any := false
 	for i := 0; i < len(lc.Keys); {
 		k, b := lc.Keys[i], lc.Rem[i]
-		if b <= ByteEps || (e.faults.PermanentFrom(k.Src) > dead && e.faults.PermanentFrom(k.Dst) > dead) {
+		if b == 0 || (e.faults.PermanentFrom(k.Src) > dead && e.faults.PermanentFrom(k.Dst) > dead) {
 			i++
 			continue
 		}
@@ -252,15 +221,12 @@ func (e *Engine) strandFlows(lc *Live, now, dead float64) bool {
 		lc.StrandedBytes += b
 		lc.Keys = slices.Delete(lc.Keys, i, i+1)
 		lc.Rem = slices.Delete(lc.Rem, i, i+1)
-		if lc.Base != nil {
-			lc.Base = slices.Delete(lc.Base, i, i+1)
-		}
 		e.cfg.Sink.Strand(lc, k, b, now)
 		if o := e.cfg.Obs; o != nil {
 			o.FlowsStranded.Inc()
-			o.StrandedBytes.Add(b)
+			o.StrandedBytes.Add(float64(b))
 			if o.TraceEnabled() {
-				o.Emit(obs.Event{T: now, Kind: obs.KindFlowStranded, Coflow: lc.ID, Src: k.Src, Dst: k.Dst, Bytes: b})
+				o.Emit(obs.Event{T: now, Kind: obs.KindFlowStranded, Coflow: lc.ID, Src: k.Src, Dst: k.Dst, Bytes: float64(b)})
 			}
 		}
 	}

@@ -92,23 +92,13 @@ func (e *Engine) replanOnce(now float64) (id int, err error) {
 	}
 	// Keep only circuits already established and still holding their ports.
 	// The filter runs in place: locked is a subsequence of plan and the pass
-	// rebuilds plan from it. A circuit that ended since the last pass leaves
-	// the plan here, and its planned bytes are folded into the drift-free
-	// Base in the same breath — one subtraction per circuit, mirroring the
-	// bytes credit streamed into Rem across many windows.
+	// rebuilds plan from it. A circuit that ended since the last pass has
+	// been debited in full and leaves the plan here; one never established
+	// has its demand replanned.
 	locked := e.plan[:0]
 	for _, r := range e.plan {
-		if r.Start >= now-TimeEps {
-			continue // never established; the pass replans its demand
-		}
-		if r.End > now+TimeEps {
+		if r.Start < now-TimeEps && r.End > now+TimeEps {
 			locked = append(locked, r)
-			continue
-		}
-		if lc := e.live[r.CoflowID]; lc != nil && lc.Base != nil {
-			if ki, ok := lc.Index(fabric.FlowKey{Src: r.In, Dst: r.Out}); ok {
-				lc.Base[ki] -= r.Bytes
-			}
 		}
 	}
 
@@ -138,14 +128,7 @@ func (e *Engine) replanOnce(now float64) (id int, err error) {
 			lc.excl = slices.Grow(lc.excl, len(lc.Keys))[:len(lc.Keys)]
 			clear(lc.excl)
 		}
-		// Exclusions are in the units of the view the scheduler reads:
-		// against Base (which ignores in-flight delivery) the circuit's full
-		// planned bytes, against Rem only what it still delivers.
-		if lc.Base != nil {
-			lc.excl[ki] += r.Bytes
-		} else {
-			lc.excl[ki] += e.futureBytes(r, now)
-		}
+		lc.excl[ki] += r.Bytes - r.Delivered(now, e.rate(r))
 	}
 
 	reuse := e.incremental && e.faults == nil
@@ -206,7 +189,7 @@ func (e *Engine) order() []ranked {
 	rs := sc.ranked[:0]
 	keys := int64(0)
 	for _, lc := range e.live {
-		tmp := remainderFrom(sc.tmps[len(rs)], lc, lc.Rem, nil)
+		tmp := remainderFrom(sc.tmps[len(rs)], lc, nil)
 		lc.lockedEnd, lc.excl = math.Inf(-1), lc.excl[:0]
 		if keyed && !lc.keyOK {
 			lc.key, lc.keyOK = kp.Key(tmp), true
@@ -414,40 +397,35 @@ func newCacheEntry(id int, flows []coflow.Flow, res []core.Reservation) planCach
 	return ce
 }
 
-// remainderFrom rebuilds tmp as the Coflow's remaining demand read from src,
-// optionally excluding demand that locked reservations will serve; src and
-// exclude are aligned with lc.Keys. Flows come out in (Src, Dst) order
-// without sorting: lc.Keys was sorted once at admission.
-func remainderFrom(tmp *coflow.Coflow, lc *Live, src, exclude []float64) *coflow.Coflow {
+// remainderFrom rebuilds tmp as the Coflow's remaining demand, optionally
+// excluding demand that locked reservations have yet to deliver; exclude is
+// aligned with lc.Keys. Flows come out in (Src, Dst) order without sorting:
+// lc.Keys was sorted once at admission.
+func remainderFrom(tmp *coflow.Coflow, lc *Live, exclude []int64) *coflow.Coflow {
 	tmp.ID, tmp.Arrival = lc.ID, lc.Arrival
 	flows := tmp.Flows[:0]
-	for i, b := range src {
+	for i, b := range lc.Rem {
 		if len(exclude) > 0 {
 			b -= exclude[i]
 		}
-		if b > ByteEps {
+		if b > 0 {
 			k := lc.Keys[i]
-			flows = append(flows, coflow.Flow{Src: k.Src, Dst: k.Dst, Bytes: b})
+			flows = append(flows, coflow.Flow{Src: k.Src, Dst: k.Dst, Bytes: float64(b)})
 		}
 	}
 	tmp.Flows = flows
 	return tmp
 }
 
-// schedInput builds the IntraCoflow input for the Coflow this pass: the
-// drift-free Base minus what its in-flight circuits carry. A Coflow that
-// never carried a byte and holds no circuits keeps its pooled priority-sort
-// header — Rem and Base are still identical there, so the remainders are too.
+// schedInput builds the IntraCoflow input for the Coflow this pass: Rem minus
+// what its locked circuits have yet to deliver. A Coflow that holds no
+// circuits keeps its pooled priority-sort header, which is Rem itself.
 func (e *Engine) schedInput(tmp *coflow.Coflow, lc *Live) *coflow.Coflow {
-	if lc.Base == nil && len(lc.excl) == 0 {
+	if len(lc.excl) == 0 {
 		return tmp
 	}
 	if e.scratch.sched == nil {
 		e.scratch.sched = &coflow.Coflow{}
 	}
-	src := lc.Rem
-	if lc.Base != nil {
-		src = lc.Base
-	}
-	return remainderFrom(e.scratch.sched, lc, src, lc.excl)
+	return remainderFrom(e.scratch.sched, lc, lc.excl)
 }

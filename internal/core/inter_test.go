@@ -163,25 +163,28 @@ func TestInterTotalServiceConserved(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 20; trial++ {
 		var cs []*coflow.Coflow
-		var total float64
+		var total int64
 		for id := 0; id < 5; id++ {
 			c := randomCoflow(rng, 5, 8)
 			c.ID = id
 			cs = append(cs, c)
-			total += c.TotalBytes()
+			for _, f := range c.Flows {
+				total += int64(math.Round(f.Bytes))
+			}
 		}
 		prt := NewPRT(5)
 		scheds, err := InterCoflow(prt, ShortestFirst{LinkBps: gbps}.Sort(cs), testOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var served float64
+		// Every flow's whole bytes are labelled exactly once.
+		var served int64
 		for _, s := range scheds {
 			for _, r := range s.Reservations {
 				served += r.Bytes
 			}
 		}
-		if math.Abs(served-total) > 1e-3 {
+		if served != total {
 			t.Fatalf("served %v of %v", served, total)
 		}
 	}

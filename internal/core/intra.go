@@ -132,10 +132,26 @@ func (s *Schedule) SwitchingCount() int { return len(s.Reservations) }
 // port pair with remaining demand.
 var ErrStalled = errors.New("core: scheduler stalled with unfinished demand")
 
-// demand is one pending flow with its remaining processing time.
+// demand is one pending flow with its remaining processing time and whole
+// bytes.
 type demand struct {
 	i, j int
 	p    float64
+	b    int64
+}
+
+// serve debits a reservation of hold l from d and returns the whole bytes it
+// carries. Times stay in float seconds; bytes only label the reservations:
+// the one that finishes the demand carries every remaining byte, a shortened
+// one the whole bytes its transmit time holds, capped at the remainder.
+func (d *demand) serve(l float64, opts *Options) int64 {
+	d.p -= l - opts.Delta
+	b := d.b
+	if d.p > timeEps {
+		b = min(b, int64((l-opts.Delta)*opts.LinkBps/8))
+	}
+	d.b -= b
+	return b
 }
 
 // releaseHeap is a min-heap of circuit release times (reference path).
@@ -246,7 +262,15 @@ func buildPending(dst []demand, c *coflow.Coflow, opts Options) []demand {
 		if opts.Quantum > 0 {
 			p = math.Ceil(p/opts.Quantum) * opts.Quantum
 		}
-		dst = append(dst, demand{i: f.Src, j: f.Dst, p: p})
+		b := int64(math.Round(f.Bytes))
+		if b > 0 && p <= timeEps {
+			// Whole bytes that transmit within the time noise floor (a few
+			// bytes at tens of Gb/s) still need a circuit: hold it just
+			// past the floor, or every pass skips the demand and its
+			// Coflow never drains.
+			p = 2 * timeEps
+		}
+		dst = append(dst, demand{i: f.Src, j: f.Dst, p: p, b: b})
 	}
 	orderDemands(dst, opts)
 	return dst
@@ -275,8 +299,10 @@ func intraScan(prt *PRT, c *coflow.Coflow, opts Options) (*Schedule, int, error)
 
 	t := opts.Start
 	examined := 0
+	atBlackoutEnd := false
 	for len(pending) > 0 {
 		examined += len(pending)
+		placed := len(sched.Reservations)
 		for idx := range pending {
 			d := &pending[idx]
 			if d.p <= timeEps || !prt.FreeAt(d.i, d.j, t) {
@@ -298,7 +324,7 @@ func intraScan(prt *PRT, c *coflow.Coflow, opts Options) (*Schedule, int, error)
 				Start:    t,
 				End:      t + l,
 				Setup:    opts.Delta,
-				Bytes:    (l - opts.Delta) * opts.LinkBps / 8,
+				Bytes:    d.serve(l, &opts),
 			}
 			prt.Reserve(r)
 			sched.Reservations = append(sched.Reservations, r)
@@ -313,7 +339,6 @@ func intraScan(prt *PRT, c *coflow.Coflow, opts Options) (*Schedule, int, error)
 			if !releases.covered(r.End) {
 				heap.Push(&releases, r.End)
 			}
-			d.p -= l - opts.Delta // remaining demand: ld - l
 			if r.End > sched.Finish {
 				sched.Finish = r.End
 			}
@@ -340,14 +365,16 @@ func intraScan(prt *PRT, c *coflow.Coflow, opts Options) (*Schedule, int, error)
 		for releases.Len() > 0 && releases[0] <= t+timeEps {
 			heap.Pop(&releases)
 		}
-		next := prt.nextBlackoutEnd(t)
+		blk := prt.nextBlackoutEnd(t)
+		next := blk
 		if releases.Len() > 0 && releases[0] < next {
 			next = releases[0]
 		}
-		if math.IsInf(next, 1) {
+		if math.IsInf(next, 1) || stuck(atBlackoutEnd, len(sched.Reservations) > placed, releases.Len() > 0 && !math.IsInf(releases[0], 1)) {
 			return nil, examined, fmt.Errorf("%w: %d flows blocked at t=%.6f for %v", ErrStalled, len(pending), t, c)
 		}
 		t = next
+		atBlackoutEnd = blk <= t+timeEps
 	}
 	return sched, examined, nil
 }
@@ -620,7 +647,9 @@ func intraFast(prt *PRT, c *coflow.Coflow, opts Options) (*Schedule, int, error)
 
 	t := opts.Start
 	wakeAll := true // the first round examines every demand
+	atBlackoutEnd := false
 	for {
+		placed := len(sched.Reservations)
 		if wakeAll {
 			for di := range pending {
 				remaining = s.examine(prt, c, &opts, sched, &pending[di], t, remaining)
@@ -648,13 +677,14 @@ func intraFast(prt *PRT, c *coflow.Coflow, opts Options) (*Schedule, int, error)
 		if len(s.events) > 0 && s.events[0].t < next {
 			next = s.events[0].t
 		}
-		if math.IsInf(next, 1) {
+		if math.IsInf(next, 1) || stuck(atBlackoutEnd, len(sched.Reservations) > placed, len(s.events) > 0 && !math.IsInf(s.events[0].t, 1)) {
 			return nil, s.examined, fmt.Errorf("%w: %d flows blocked at t=%.6f for %v", ErrStalled, remaining, t, c)
 		}
 		t = next
 		// A blackout end frees every port at once: all demands may have
 		// become schedulable, so this round examines them all.
 		wakeAll = blk <= t+timeEps
+		atBlackoutEnd = wakeAll
 		for len(s.events) > 0 && s.events[0].t <= t+timeEps {
 			e := evPop(&s.events)
 			if e.in >= 0 && s.in.refresh(int(e.in), t) && !wakeAll {
@@ -719,7 +749,7 @@ func (s *intraScratch) examine(prt *PRT, c *coflow.Coflow, opts *Options, sched 
 		Start:    t,
 		End:      t + l,
 		Setup:    opts.Delta,
-		Bytes:    (l - opts.Delta) * opts.LinkBps / 8,
+		Bytes:    d.serve(l, opts),
 	}
 	prt.Reserve(r)
 	clearBit(s.in.free, d.i)
@@ -736,7 +766,6 @@ func (s *intraScratch) examine(prt *PRT, c *coflow.Coflow, opts *Options, sched 
 	// The release frees both ports; one event refreshes both. Reservations
 	// carry data (l > δ+eps), so r.End is strictly after this round.
 	evPush(&s.events, portEvent{t: r.End, in: int32(d.i), out: int32(d.j)})
-	d.p -= l - opts.Delta // remaining demand: ld - l
 	if d.p <= timeEps {
 		clearBit(s.in.row(d.i, s.in.mask), d.j)
 		clearBit(s.out.row(d.j, s.out.mask), d.i)
@@ -746,6 +775,16 @@ func (s *intraScratch) examine(prt *PRT, c *coflow.Coflow, opts *Options, sched 
 		sched.Finish = r.End
 	}
 	return remaining
+}
+
+// stuck reports a pass that can never place its remaining demand: a round at
+// a blackout end saw every port released and free of the blackout, placed
+// nothing, and leaves no finite release pending. Blackout windows repeat
+// with a fixed period, so every later blackout end would replay the same
+// empty round; without this check the loop would wait on them forever (a
+// port down for good under fair windows).
+func stuck(atBlackoutEnd, placed, releasePending bool) bool {
+	return atBlackoutEnd && !placed && !releasePending
 }
 
 // nextBlackoutEnd returns the end of the first blackout window after t, or

@@ -28,7 +28,7 @@ func mustIntra(t *testing.T, c *coflow.Coflow, n int, opts Options) *Schedule {
 func servedBytes(s *Schedule) map[[2]int]float64 {
 	out := map[[2]int]float64{}
 	for _, r := range s.Reservations {
-		out[[2]int{r.In, r.Out}] += r.Bytes
+		out[[2]int{r.In, r.Out}] += float64(r.Bytes)
 	}
 	return out
 }
@@ -139,6 +139,17 @@ func TestIntraServesAllDemand(t *testing.T) {
 			got := served[[2]int{f.Src, f.Dst}]
 			if math.Abs(got-f.Bytes) > 1e-3 {
 				t.Fatalf("flow %d->%d served %v of %v", f.Src, f.Dst, got, f.Bytes)
+			}
+		}
+	}
+	// Flows of a few bytes transmit within the time noise floor at 100 Gb/s;
+	// both planners must still serve their whole bytes.
+	tiny := coflow.New(1, 0, []coflow.Flow{{Src: 0, Dst: 1, Bytes: 1}, {Src: 1, Dst: 2, Bytes: 12}, {Src: 2, Dst: 0, Bytes: 0.6}})
+	for _, ref := range []bool{false, true} {
+		served := servedBytes(mustIntra(t, tiny, 3, Options{LinkBps: 100e9, Delta: 0.01, Reference: ref}))
+		for _, f := range tiny.Flows {
+			if got, want := served[[2]int{f.Src, f.Dst}], math.Round(f.Bytes); got != want {
+				t.Fatalf("reference=%v: flow %d->%d served %v of %v", ref, f.Src, f.Dst, got, want)
 			}
 		}
 	}
@@ -264,8 +275,7 @@ func TestIntraAroundPreloadedReservation(t *testing.T) {
 	}
 	// Total payload must equal the demand; the second reservation pays a
 	// second δ.
-	total := first.Bytes + second.Bytes
-	if math.Abs(total-10e6) > 1e-3 {
+	if total := first.Bytes + second.Bytes; total != 10e6 {
 		t.Fatalf("served %v of 10e6", total)
 	}
 }

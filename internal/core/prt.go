@@ -37,9 +37,10 @@ type Reservation struct {
 	// Setup is the circuit reconfiguration delay paid at the start of the
 	// reservation (δ).
 	Setup float64
-	// Bytes is the demand served by the reservation:
-	// (End-Start-Setup) · B/8.
-	Bytes float64
+	// Bytes is the whole-byte demand the reservation serves: the flow's
+	// remaining bytes on the reservation that finishes it, otherwise the
+	// whole bytes the hold carries, ⌊(End-Start-Setup)·B/8⌋.
+	Bytes int64
 }
 
 // CompareReservations orders reservations by (Start, In, Out), the canonical
@@ -52,16 +53,22 @@ func CompareReservations(a, b Reservation) int {
 // TransmitStart returns the instant the circuit begins carrying data.
 func (r Reservation) TransmitStart() float64 { return r.Start + r.Setup }
 
-// TransmittedBy returns how many of the reservation's Bytes have been
-// delivered by time t at link bandwidth linkBps.
-func (r Reservation) TransmittedBy(t, linkBps float64) float64 {
-	if t <= r.TransmitStart() {
+// Delivered returns how many of the reservation's Bytes the circuit has
+// carried by t at bps bits/s: none before TransmitStart, all of them from
+// End on, and the whole bytes transmitted so far in between. An instant
+// within timeEps of End counts as End, as it does for every port-release
+// comparison: a circuit a replan at t treats as ended has delivered all its
+// bytes. Differences of Delivered telescope, so crediting a window in pieces
+// debits exactly what crediting it whole does.
+func (r Reservation) Delivered(t, bps float64) int64 {
+	ts := r.TransmitStart()
+	switch {
+	case t <= ts:
 		return 0
-	}
-	if t >= r.End {
+	case t >= r.End-timeEps:
 		return r.Bytes
 	}
-	return math.Min(r.Bytes, (t-r.TransmitStart())*linkBps/8)
+	return min(r.Bytes, int64((t-ts)*bps/8))
 }
 
 // interval is one busy period on a single port's timeline.

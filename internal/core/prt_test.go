@@ -83,16 +83,19 @@ func TestPRTNextCommitment(t *testing.T) {
 	}
 }
 
-func TestReservationTransmittedBy(t *testing.T) {
+func TestReservationDelivered(t *testing.T) {
 	const bps = 1e9
 	r := Reservation{Start: 1, End: 1 + 0.01 + 0.008, Setup: 0.01, Bytes: 1e6}
-	if got := r.TransmittedBy(1.005, bps); got != 0 {
+	if got := r.Delivered(1.005, bps); got != 0 {
 		t.Fatalf("during setup: %v", got)
 	}
-	if got := r.TransmittedBy(1.014, bps); math.Abs(got-0.5e6) > 1 {
+	if got := r.Delivered(1.014, bps); got < 0.5e6-1 || got > 0.5e6 {
 		t.Fatalf("halfway: %v", got)
 	}
-	if got := r.TransmittedBy(10, bps); got != 1e6 {
+	if got := r.Delivered(r.End-1e-12, bps); got > r.Bytes {
+		t.Fatalf("just before the end: %v exceeds Bytes", got)
+	}
+	if got := r.Delivered(10, bps); got != 1e6 {
 		t.Fatalf("after end: %v", got)
 	}
 }

@@ -21,8 +21,8 @@ type PortEvent struct {
 	TransmitAt float64
 	// ReleaseAt is when the circuit is torn down.
 	ReleaseAt float64
-	// Bytes is how much the host should send during the window.
-	Bytes float64
+	// Bytes is how many whole bytes the host should send during the window.
+	Bytes int64
 }
 
 // PortProgram extracts the input port's reservation row from a set of

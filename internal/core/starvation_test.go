@@ -115,11 +115,11 @@ func TestIntraCoflowAvoidsBlackout(t *testing.T) {
 			}
 		}
 	}
-	var total float64
+	var total int64
 	for _, r := range s.Reservations {
 		total += r.Bytes
 	}
-	if math.Abs(total-30e6) > 1e-3 {
+	if total != 30e6 {
 		t.Fatalf("served %v of 30e6", total)
 	}
 }

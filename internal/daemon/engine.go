@@ -227,7 +227,7 @@ func (s *completionSink) Retire(lc *circuit.Live, finish float64) {
 }
 
 // Strand needs no record: the live Coflow accumulates StrandedBytes.
-func (s *completionSink) Strand(*circuit.Live, fabric.FlowKey, float64, float64) {}
+func (s *completionSink) Strand(*circuit.Live, fabric.FlowKey, int64, float64) {}
 
 // Now returns the Engine's logical clock.
 func (e *Engine) Now() float64 { return e.eng.Now() }
@@ -276,13 +276,13 @@ func (e *Engine) Live() []LiveStatus {
 	out := make([]LiveStatus, 0, e.eng.Len())
 	for _, id := range e.eng.SortedIDs() {
 		lc := e.eng.Lookup(id)
-		rem := 0.0
+		rem := int64(0)
 		for _, b := range lc.Rem {
 			rem += b
 		}
 		out = append(out, LiveStatus{
 			Coflow: id, Arrival: lc.Arrival, Priority: lc.Priority,
-			RemainingBytes: rem, PlannedFinish: lc.Finish, Stranded: lc.Stranded,
+			RemainingBytes: float64(rem), PlannedFinish: lc.Finish, Stranded: lc.Stranded,
 		})
 	}
 	return out
@@ -405,7 +405,7 @@ func (e *Engine) complete(lc *circuit.Live, finish float64, forced bool) {
 		CCT:      finish - lc.Arrival,
 		Switches: lc.Switches,
 		Stranded: lc.Stranded,
-		Bytes:    lc.StrandedBytes,
+		Bytes:    float64(lc.StrandedBytes),
 		Forced:   forced,
 		SpecHash: e.specs[lc.ID].hash,
 	}
@@ -510,7 +510,7 @@ func (e *Engine) foldDigest(ev Event, applied bool) {
 		putF(r.Start)
 		putF(r.End)
 		putF(r.Setup)
-		putF(r.Bytes)
+		putU(uint64(r.Bytes))
 	}
 	sum := h.Sum(nil)
 	copy(e.digest[:], sum)

@@ -82,8 +82,6 @@ func (x *outageIndex) PermanentFrom(port int) float64 {
 
 func (x *outageIndex) RateFactor(int, int, int) float64 { return 1 }
 
-func (x *outageIndex) FullRate() bool { return true }
-
 func (x *outageIndex) Setup(_, _, _ int, _, delta float64) fault.SetupOutcome {
 	return fault.SetupOutcome{Established: true, Setup: delta}
 }

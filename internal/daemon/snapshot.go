@@ -21,6 +21,10 @@ import (
 //   - Floats ride through encoding/json untouched — Go emits the shortest
 //     representation that round-trips float64 exactly — except ±Inf, which
 //     JSON cannot carry; infFloat spells those as strings.
+//   - Bytes are whole and written as JSON numbers. Snapshots from builds
+//     that kept fractional bytes (a base field, fractional rem and plan
+//     bytes) still load: base is ignored and bytes are rounded (loadBytes,
+//     loadRem).
 //
 // Notably the PRT itself is never serialized: every replan rebuilds it from
 // the plan's locked reservations, so the plan slice is the whole truth.
@@ -57,7 +61,8 @@ func (f *infFloat) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// flowBytes is one (flow, bytes) pair of a serialized demand map.
+// flowBytes is one (flow, bytes) pair of a serialized demand map; Bytes is
+// whole when written, float so that older fractional snapshots decode.
 type flowBytes struct {
 	Src   int     `json:"src"`
 	Dst   int     `json:"dst"`
@@ -78,7 +83,6 @@ type liveState struct {
 	Priority      int         `json:"priority,omitempty"`
 	Spec          []FlowSpec  `json:"spec"`
 	Rem           []flowBytes `json:"rem"`
-	Base          []flowBytes `json:"base,omitempty"`
 	FlowFinish    []flowTime  `json:"flow_finish,omitempty"`
 	Finish        infFloat    `json:"finish"`
 	Switches      int         `json:"switches,omitempty"`
@@ -100,24 +104,33 @@ type outageState struct {
 	Permanent bool    `json:"permanent,omitempty"`
 }
 
+// planEntry is one plan reservation in a snapshot, encoded as a
+// core.Reservation. Its Bytes shadows the embedded whole-byte field, so that
+// plan bytes written fractional by older builds decode.
+type planEntry struct {
+	core.Reservation
+	Bytes float64
+}
+
 // engineState is the serializable whole of an Engine: applying it to a fresh
 // Engine of the same EngineConfig reproduces the source bit-for-bit.
 type engineState struct {
-	Now     float64            `json:"now"`
-	Live    []liveState        `json:"live"`
-	Plan    []core.Reservation `json:"plan"`
-	Outages []outageState      `json:"outages,omitempty"`
-	Done    []doneState        `json:"done"`
-	Digest  string             `json:"digest"`
-	Replans uint64             `json:"replans"`
+	Now     float64       `json:"now"`
+	Live    []liveState   `json:"live"`
+	Plan    []planEntry   `json:"plan"`
+	Outages []outageState `json:"outages,omitempty"`
+	Done    []doneState   `json:"done"`
+	Digest  string        `json:"digest"`
+	Replans uint64        `json:"replans"`
 }
 
 // State exports the Engine for a checkpoint.
 func (e *Engine) State() engineState {
+	plan := canonicalPlan(e.eng.Plan())
 	st := engineState{
 		Now:     e.Now(),
 		Live:    make([]liveState, 0, e.eng.Len()),
-		Plan:    canonicalPlan(e.eng.Plan()),
+		Plan:    make([]planEntry, len(plan)),
 		Done:    make([]doneState, 0, len(e.done)),
 		Digest:  hex.EncodeToString(e.digest[:]),
 		Replans: e.eng.Passes(),
@@ -134,14 +147,12 @@ func (e *Engine) State() engineState {
 			Finish:        infFloat(lc.Finish),
 			Switches:      lc.Switches,
 			Stranded:      lc.Stranded,
-			StrandedBytes: lc.StrandedBytes,
-		}
-		if lc.Base != nil {
-			// Base is never empty while set (it clones a Rem with in-flight
-			// demand), so omitempty cannot conflate it with unset.
-			ls.Base = flowBytesOf(lc.Keys, lc.Base)
+			StrandedBytes: float64(lc.StrandedBytes),
 		}
 		st.Live = append(st.Live, ls)
+	}
+	for i, r := range plan {
+		st.Plan[i] = planEntry{Reservation: r, Bytes: float64(r.Bytes)}
 	}
 	doneIDs := make([]int, 0, len(e.done))
 	for id := range e.done {
@@ -187,28 +198,16 @@ func (e *Engine) restoreState(st engineState) error {
 			Finish:        float64(ls.Finish),
 			Switches:      ls.Switches,
 			Stranded:      ls.Stranded,
-			StrandedBytes: ls.StrandedBytes,
+			StrandedBytes: loadBytes(ls.StrandedBytes),
 		}
 		// Rem was serialized in (src, dst) order, so it doubles as the sorted
 		// key list; flows stranded before the checkpoint are absent from it,
 		// as they are from a live engine's.
 		lc.Keys = make([]fabric.FlowKey, len(ls.Rem))
-		lc.Rem = make([]float64, len(ls.Rem))
+		lc.Rem = make([]int64, len(ls.Rem))
 		for i, fb := range ls.Rem {
 			lc.Keys[i] = fabric.FlowKey{Src: fb.Src, Dst: fb.Dst}
-			lc.Rem[i] = fb.Bytes
-		}
-		if len(ls.Base) > 0 {
-			// Base entries align with Rem's keys. An entry for a flow Rem
-			// lacks is dropped: earlier versions could debit a stranded
-			// flow's circuit into Base after stranding it, leaving a stray
-			// negative entry no schedule ever read.
-			lc.Base = make([]float64, len(lc.Keys))
-			for _, fb := range ls.Base {
-				if i, ok := lc.Index(fabric.FlowKey{Src: fb.Src, Dst: fb.Dst}); ok {
-					lc.Base[i] = fb.Bytes
-				}
-			}
+			lc.Rem[i] = loadRem(fb.Bytes)
 		}
 		for _, ft := range ls.FlowFinish {
 			lc.FlowFinish[fabric.FlowKey{Src: ft.Src, Dst: ft.Dst}] = ft.T
@@ -230,7 +229,12 @@ func (e *Engine) restoreState(st engineState) error {
 		}
 		outages.add(fault.Outage{Port: os.Port, Start: os.Start, End: end})
 	}
-	e.eng.Restore(st.Now, live, st.Plan, st.Replans)
+	plan := make([]core.Reservation, len(st.Plan))
+	for i, pe := range st.Plan {
+		plan[i] = pe.Reservation
+		plan[i].Bytes = loadBytes(pe.Bytes)
+	}
+	e.eng.Restore(st.Now, live, plan, st.Replans)
 	e.specs = specs
 	e.outages = outages
 	if outages.n > 0 {
@@ -243,12 +247,27 @@ func (e *Engine) restoreState(st engineState) error {
 
 // flowBytesOf serializes a per-flow slice aligned with the live Coflow's
 // (src, dst)-sorted keys.
-func flowBytesOf(keys []fabric.FlowKey, v []float64) []flowBytes {
+func flowBytesOf(keys []fabric.FlowKey, v []int64) []flowBytes {
 	out := make([]flowBytes, len(keys))
 	for i, k := range keys {
-		out[i] = flowBytes{Src: k.Src, Dst: k.Dst, Bytes: v[i]}
+		out[i] = flowBytes{Src: k.Src, Dst: k.Dst, Bytes: float64(v[i])}
 	}
 	return out
+}
+
+// loadBytes reads a snapshot byte count as whole bytes. Whole counts load
+// unchanged; a fractional one comes from a build that kept fractional bytes
+// and is rounded.
+func loadBytes(b float64) int64 { return int64(math.Round(b)) }
+
+// loadRem reads a flow's remainder. A fractional remainder at or below one
+// byte comes from a build that counted such a flow as done, so it loads as 0;
+// a whole one, a 1-byte flow included, loads unchanged.
+func loadRem(b float64) int64 {
+	if b <= 1 && b != math.Trunc(b) {
+		return 0
+	}
+	return loadBytes(b)
 }
 
 // flowTimesIn serializes the flow finish instants recorded for keys, in keys

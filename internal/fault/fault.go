@@ -374,12 +374,6 @@ func (m *Model) PermanentFrom(port int) float64 {
 // AnyPermanent reports whether any port eventually fails permanently.
 func (m *Model) AnyPermanent() bool { return m != nil && m.anyPerm }
 
-// FullRate reports whether every flow runs at the full link rate: the plan
-// draws no degraded links and no stragglers, so RateFactor is always 1.
-func (m *Model) FullRate() bool {
-	return m == nil || (m.plan.DegradedLinkProb == 0 && m.plan.StragglerProb == 0)
-}
-
 // NextBoundary returns the first finite outage start or end strictly after
 // t, or +Inf. Simulators fold this into their next-event times so every
 // outage edge is processed.

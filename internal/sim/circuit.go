@@ -272,11 +272,12 @@ func (s *circuitState) admit(now float64) error {
 	}
 }
 
-// recordInstant records a Coflow without positive demand, which completes at
-// its arrival: into the archive callback when set, else the Result maps.
+// recordInstant records a Coflow without a whole byte of demand, which
+// completes at its arrival: into the archive callback when set, else the
+// Result maps.
 func recordInstant(res *Result, onArchive func(Archived), c *coflow.Coflow) {
 	if onArchive != nil {
-		onArchive(Archived{ID: c.ID, Arrival: c.Arrival, Finish: c.Arrival})
+		onArchive(Archived{ID: c.ID, Arrival: c.Arrival, Finish: c.Arrival, Bytes: c.TotalBytes()})
 	} else {
 		res.CCT[c.ID] = 0
 		res.Finish[c.ID] = c.Arrival
@@ -309,8 +310,8 @@ func (s *circuitState) Retire(lc *circuit.Live, finish float64) {
 }
 
 // Strand records one quarantined flow in the PartialResult.
-func (s *circuitState) Strand(lc *circuit.Live, k fabric.FlowKey, bytes, at float64) {
+func (s *circuitState) Strand(lc *circuit.Live, k fabric.FlowKey, bytes int64, at float64) {
 	p := partialOf(s.res)
-	p.Stranded = append(p.Stranded, StrandedFlow{Coflow: lc.ID, Src: k.Src, Dst: k.Dst, Bytes: bytes, At: at})
-	p.Bytes += bytes
+	p.Stranded = append(p.Stranded, StrandedFlow{Coflow: lc.ID, Src: k.Src, Dst: k.Dst, Bytes: float64(bytes), At: at})
+	p.Bytes += float64(bytes)
 }

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"testing"
 
+	"sunflow/internal/coflow"
+	"sunflow/internal/core"
 	"sunflow/internal/fault"
 )
 
@@ -32,11 +34,11 @@ func TestIncrementalDivergenceRegressionSeeds(t *testing.T) {
 }
 
 // TestFaultPathLivenessRegression pins a workload that once wedged the event
-// loop at a fixed instant: under a degraded link, the drift-free base
-// remainder slipped a fraction of a byte below rem, so retire saw unserved
-// demand while the scheduler saw none and the run spun until the event
-// guard tripped. Fabrics with degraded rates never build a base
-// (circuit.Live.Base documents why); this seed guards that gate.
+// loop at a fixed instant: under a degraded link, a second copy of the
+// remainder the scheduler read slipped a fraction of a byte below the one
+// retire read, so retire saw unserved demand while the scheduler saw none and
+// the run spun until the event guard tripped. The engine now keeps one
+// whole-byte remainder; this seed guards against the class returning.
 func TestFaultPathLivenessRegression(t *testing.T) {
 	seed := int64(7126918789108884147)
 	rng := rand.New(rand.NewSource(seed))
@@ -59,8 +61,7 @@ func TestFaultPathLivenessRegression(t *testing.T) {
 
 // TestFullRateFaultLiveness covers fault plans that keep every circuit at the
 // link rate: transient and permanent outages and setup failures, with no
-// degraded links and no stragglers. The engine then schedules from the
-// drift-free base remainder under faults. Across seeds, every run must finish
+// degraded links and no stragglers. Across seeds, every run must finish
 // without ErrStalled, account for every Coflow as completed or partially
 // served, and stay bit-identical to a full rebuild.
 func TestFullRateFaultLiveness(t *testing.T) {
@@ -75,9 +76,6 @@ func TestFullRateFaultLiveness(t *testing.T) {
 		}
 		if seed%2 == 0 {
 			plan.PortFailures = []fault.PortFailure{{Port: int(seed/2) % 5, At: 0.5}}
-		}
-		if m, err := plan.Compile(5); err != nil || !m.FullRate() {
-			t.Fatalf("seed %d: plan is not full-rate (err %v)", seed, err)
 		}
 		opts := CircuitOptions{Ports: 5, LinkBps: gbps, Delta: 0.01, Faults: plan}
 		var results [2]Result
@@ -111,5 +109,39 @@ func TestFullRateFaultLiveness(t *testing.T) {
 	}
 	if stranding == 0 {
 		t.Error("no seed strands a flow; the permanent outages are not exercised")
+	}
+}
+
+// TestFairWindowsPermanentFailureLiveness pins a workload that once hung
+// RunCircuit: with fair windows on, port 3 dies for good while Coflow 1
+// still has a flow on it. Both intra planners used to wait for the next
+// blackout end forever, since fair windows never run out of them; they now
+// report ErrStalled when a round at a blackout end places nothing with no
+// circuit release pending, and the engine strands the doomed flow.
+func TestFairWindowsPermanentFailureLiveness(t *testing.T) {
+	cs := []*coflow.Coflow{
+		coflow.New(1, 0, []coflow.Flow{{Src: 3, Dst: 0, Bytes: 6.82e6}, {Src: 6, Dst: 0, Bytes: 10.3e6}}),
+		coflow.New(2, 0, []coflow.Flow{{Src: 0, Dst: 5, Bytes: 2.26e6}, {Src: 0, Dst: 2, Bytes: 15.4e6}}),
+	}
+	for _, full := range []bool{false, true} {
+		setFullReplan(t, full)
+		res, err := RunCircuit(cs, CircuitOptions{
+			Ports: 7, LinkBps: gbps, Delta: 0.0106,
+			Fair:   &core.FairWindows{N: 7, T: 1.217, Tau: 0.05},
+			Faults: &fault.Plan{PortFailures: []fault.PortFailure{{Port: 3, At: 0.0627}}},
+		})
+		if err != nil {
+			t.Fatalf("full replan %v: %v", full, err)
+		}
+		p := res.Partial
+		if !p.Degraded() || len(p.Stranded) != 1 {
+			t.Fatalf("full replan %v: stranded %+v, want coflow 1's flow 3->0 alone", full, p)
+		}
+		if s := p.Stranded[0]; s.Coflow != 1 || s.Src != 3 || s.Dst != 0 {
+			t.Errorf("full replan %v: stranded %+v, want coflow 1's flow 3->0", full, s)
+		}
+		if _, ok := res.CCT[2]; !ok {
+			t.Errorf("full replan %v: coflow 2 did not complete", full)
+		}
 	}
 }
