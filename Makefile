@@ -25,9 +25,15 @@ test-full-replan:
 race:
 	$(GO) test -race ./...
 
+# The scheduler works in integer-nanosecond ticks: an epsilon time comparison
+# must not creep back into the PRT, the intra search, the circuit engine, the
+# daemon or the simulator's circuit driver.
+EPS_FREE := $$(ls internal/core/*.go internal/circuit/*.go internal/daemon/*.go | grep -v '_test\.go$$') internal/sim/circuit.go
+
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "files need gofmt:" >&2; echo "$$out" >&2; exit 1; fi
 	$(GO) vet ./...
+	@if grep -n -E 'timeEps|TimeEps' $(EPS_FREE); then echo "epsilon time comparisons are not allowed in tick-based code" >&2; exit 1; fi
 
 # Deeper static analysis, same pinned tool versions as the CI static job.
 # Both tools download on first use (go run caches the builds).

@@ -14,7 +14,7 @@ import (
 // care — the two populations are deliberately different sizes.
 func BenchmarkStarvationAvoidance(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := bench.Starvation(bench.Config{Seed: 1}, FairWindows{N: 4, T: 0.5, Tau: 0.05}); err != nil {
+		if _, err := bench.Starvation(bench.Config{Seed: 1}, FairWindows{N: 4, T: 5e8, Tau: 5e7}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -14,7 +14,7 @@ import (
 // full-scale experiment under the same benchmark name.
 func BenchmarkStarvationAvoidance(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := bench.StarvationSized(bench.Config{Seed: 1}, FairWindows{N: 4, T: 0.5, Tau: 0.05}, 5e8, 10); err != nil {
+		if _, err := bench.StarvationSized(bench.Config{Seed: 1}, FairWindows{N: 4, T: 5e8, Tau: 5e7}, 5e8, 10); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -160,7 +160,7 @@ func benchShuffle(w int, seed int64) *Coflow {
 
 func BenchmarkSunflowIntra_Shuffle16(b *testing.B) {
 	c := benchShuffle(16, 7)
-	opts := Options{LinkBps: 1e9, Delta: 0.01}
+	opts := Options{LinkBps: 1e9, Delta: 1e7}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.IntraCoflow(core.NewPRT(32), c, opts); err != nil {
@@ -171,7 +171,7 @@ func BenchmarkSunflowIntra_Shuffle16(b *testing.B) {
 
 func BenchmarkSunflowIntra_Shuffle40(b *testing.B) {
 	c := benchShuffle(40, 7)
-	opts := Options{LinkBps: 1e9, Delta: 0.01}
+	opts := Options{LinkBps: 1e9, Delta: 1e7}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.IntraCoflow(core.NewPRT(80), c, opts); err != nil {
@@ -182,7 +182,7 @@ func BenchmarkSunflowIntra_Shuffle40(b *testing.B) {
 
 func BenchmarkSunflowIntra_Shuffle40_Reference(b *testing.B) {
 	c := benchShuffle(40, 7)
-	opts := Options{LinkBps: 1e9, Delta: 0.01, Reference: true}
+	opts := Options{LinkBps: 1e9, Delta: 1e7, Reference: true}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.IntraCoflow(core.NewPRT(80), c, opts); err != nil {
@@ -202,7 +202,7 @@ func benchFacebook150() []*Coflow {
 
 func BenchmarkSunflowInter_Facebook150(b *testing.B) {
 	ordered := benchFacebook150()
-	opts := Options{LinkBps: 1e9, Delta: 0.01}
+	opts := Options{LinkBps: 1e9, Delta: 1e7}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -214,7 +214,7 @@ func BenchmarkSunflowInter_Facebook150(b *testing.B) {
 
 func BenchmarkSunflowInter_Facebook150_Reference(b *testing.B) {
 	ordered := benchFacebook150()
-	opts := Options{LinkBps: 1e9, Delta: 0.01, Reference: true}
+	opts := Options{LinkBps: 1e9, Delta: 1e7, Reference: true}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -342,10 +342,10 @@ func benchPRTLoad(ports, n int) []Reservation {
 	rs := make([]Reservation, 0, n)
 	for k := 0; k < n; k++ {
 		i, j := k%ports, (k*7+3)%ports
-		start := float64(k/ports) * 0.1
+		start := int64(k/ports) * 1e8 // 100 ms slots
 		rs = append(rs, Reservation{
 			CoflowID: k, In: i, Out: j,
-			Start: start, End: start + 0.09, Setup: 0.01,
+			Start: start, End: start + 9e7, Setup: 1e7,
 		})
 	}
 	return rs
@@ -374,12 +374,12 @@ func BenchmarkPRT_ReleasesAfter1k(b *testing.B) {
 	}
 	ins := []int{0, 1, 2, 3}
 	outs := []int{3, 4, 5, 6}
-	var dst []float64
+	var dst []int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for q := 0; q < 100; q++ {
-			dst = p.ReleasesAfter(float64(q)*0.015, ins, outs, dst[:0])
+			dst = p.ReleasesAfter(int64(q)*15e6, ins, outs, dst[:0])
 		}
 	}
 }
@@ -396,10 +396,10 @@ func BenchmarkPRT_Compact1k(b *testing.B) {
 		}
 		// Sweep the horizon forward the way an inter pass does, probing the
 		// live window after each advance.
-		for h := 0.0; h < 1.7; h += 0.1 {
+		for h := int64(0); h < 17e8; h += 1e8 {
 			p.CompactBefore(h)
 			for q := 0; q < 32; q++ {
-				p.FreeAt(q%64, (q*7+3)%64, h+0.05)
+				p.FreeAt(q%64, (q*7+3)%64, h+5e7)
 			}
 		}
 	}

@@ -180,18 +180,22 @@ func intraMode(tr *trace.Trace, id int, linkBps, delta float64, scheduler string
 
 	switch scheduler {
 	case "sunflow":
-		sched, err := core.IntraCoflow(core.NewPRT(tr.Ports), target, core.Options{LinkBps: linkBps, Delta: delta, Obs: o})
+		d, err := core.Nanos(delta)
+		if err != nil {
+			return err
+		}
+		sched, err := core.IntraCoflow(core.NewPRT(tr.Ports), target, core.Options{LinkBps: linkBps, Delta: d, Obs: o})
 		if err != nil {
 			return err
 		}
 		if verbose {
 			for _, r := range sched.Reservations {
 				fmt.Printf("  circuit [in.%d -> out.%d]  %.3fs .. %.3fs  (%.1f MB)\n",
-					r.In, r.Out, r.Start, r.End, float64(r.Bytes)/1e6)
+					r.In, r.Out, core.Seconds(r.Start), core.Seconds(r.End), float64(r.Bytes)/1e6)
 			}
 		}
 		fmt.Printf("sunflow: CCT %.3fs (%.2fx TcL)  switches %d\n",
-			sched.Finish, sched.Finish/tcl, sched.SwitchingCount())
+			sched.CCT(0), sched.CCT(0)/tcl, sched.SwitchingCount())
 		if gantt > 0 {
 			fmt.Print(core.Gantt(gantt, sched))
 		}

@@ -21,7 +21,8 @@ import (
 const (
 	ports   = 8
 	linkBps = 1e9
-	delta   = 0.01
+	delta   = 0.01       // seconds
+	deltaNs = 10_000_000 // δ in ticks (ns), for sunflow.Options
 )
 
 func main() {
@@ -44,7 +45,7 @@ func scenarioPriorities() {
 	policy := sunflow.PriorityClasses{Class: map[int]int{1: 0, 2: 1}}
 	scheds, ordered, err := sunflow.ScheduleAll(
 		[]*sunflow.Coflow{regular, privileged}, ports,
-		sunflow.Options{LinkBps: linkBps, Delta: delta}, policy)
+		sunflow.Options{LinkBps: linkBps, Delta: deltaNs}, policy)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func scenarioPriorities() {
 		fmt.Printf("  coflow %d (class %d): CCT %.3fs\n", ordered[i].ID, i, s.CCT(0))
 	}
 
-	solo, err := sunflow.ScheduleOne(privileged, ports, sunflow.Options{LinkBps: linkBps, Delta: delta})
+	solo, err := sunflow.ScheduleOne(privileged, ports, sunflow.Options{LinkBps: linkBps, Delta: deltaNs})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func scenarioCombining() {
 	a := sunflow.NewCoflow(10, 0, []sunflow.Flow{{Src: 0, Dst: 4, Bytes: 10e6}})
 	b := sunflow.NewCoflow(11, 0, []sunflow.Flow{{Src: 0, Dst: 4, Bytes: 40e6}})
 
-	opts := sunflow.Options{LinkBps: linkBps, Delta: delta}
+	opts := sunflow.Options{LinkBps: linkBps, Delta: deltaNs}
 	scheds, ordered, err := sunflow.ScheduleAll([]*sunflow.Coflow{a, b}, ports, opts, sunflow.FIFO{})
 	if err != nil {
 		log.Fatal(err)
@@ -100,7 +101,7 @@ func scenarioStarvation() {
 	}
 
 	fair := base
-	fair.Fair = &sunflow.FairWindows{N: ports, T: 1.0, Tau: 0.05}
+	fair.Fair = &sunflow.FairWindows{N: ports, T: 1e9, Tau: 5e7} // T = 1 s, τ = 50 ms
 	with, err := sunflow.SimulateCircuit([]*sunflow.Coflow{hog, victim}, fair)
 	if err != nil {
 		log.Fatal(err)

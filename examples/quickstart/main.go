@@ -21,8 +21,8 @@ func main() {
 	})
 
 	opts := sunflow.Options{
-		LinkBps: 1e9,  // 1 Gbps links
-		Delta:   0.01, // 10 ms circuit reconfiguration (3D-MEMS)
+		LinkBps: 1e9, // 1 Gbps links
+		Delta:   1e7, // 10 ms circuit reconfiguration (3D-MEMS), in ns
 	}
 
 	sched, err := sunflow.ScheduleOne(c, 4, opts)
@@ -33,11 +33,11 @@ func main() {
 	fmt.Println("Sunflow schedule (non-preemptive circuit reservations):")
 	for _, r := range sched.Reservations {
 		fmt.Printf("  circuit in.%d -> out.%d  held %7.3fs .. %7.3fs  carries %5.1f MB\n",
-			r.In, r.Out, r.Start, r.End, float64(r.Bytes)/1e6)
+			r.In, r.Out, sunflow.Seconds(r.Start), sunflow.Seconds(r.End), float64(r.Bytes)/1e6)
 	}
 
 	tpl := sunflow.PacketLowerBound(c, opts.LinkBps)
-	tcl := sunflow.CircuitLowerBound(c, opts.LinkBps, opts.Delta)
+	tcl := sunflow.CircuitLowerBound(c, opts.LinkBps, sunflow.Seconds(opts.Delta))
 	fmt.Printf("\nCCT:                      %.3f s\n", sched.CCT(0))
 	fmt.Printf("circuit lower bound TcL:  %.3f s  (ratio %.2f — Lemma 1 guarantees < 2)\n", tcl, sched.CCT(0)/tcl)
 	fmt.Printf("packet  lower bound TpL:  %.3f s  (ratio %.2f)\n", tpl, sched.CCT(0)/tpl)

@@ -34,7 +34,11 @@ func main() {
 	for _, delta := range []float64{0.1, 0.01, 0.001, 0.0001} {
 		tcl := sunflow.CircuitLowerBound(c, linkBps, delta)
 
-		sun, err := sunflow.ScheduleOne(c, ports, sunflow.Options{LinkBps: linkBps, Delta: delta})
+		d, err := sunflow.Nanos(delta)
+		if err != nil {
+			log.Fatal(err)
+		}
+		sun, err := sunflow.ScheduleOne(c, ports, sunflow.Options{LinkBps: linkBps, Delta: d})
 		if err != nil {
 			log.Fatal(err)
 		}

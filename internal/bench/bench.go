@@ -13,6 +13,7 @@ import (
 	"sync"
 
 	"sunflow/internal/coflow"
+	"sunflow/internal/core"
 	"sunflow/internal/obs"
 	"sunflow/internal/obs/span"
 	"sunflow/internal/trace"
@@ -79,6 +80,16 @@ func (c Config) WithDefaults() Config {
 		c.Workers = 1
 	}
 	return c
+}
+
+// options returns Sunflow options for the configured fabric at bandwidth
+// bps: δ converts to ticks through core.Nanos.
+func (c Config) options(bps, delta float64) (core.Options, error) {
+	d, err := core.Nanos(delta)
+	if err != nil {
+		return core.Options{}, fmt.Errorf("bench: reconfiguration delay: %w", err)
+	}
+	return core.Options{LinkBps: bps, Delta: d}, nil
 }
 
 // Workload generates the evaluation workload: the Facebook-like trace with

@@ -310,7 +310,7 @@ func TestFig10Small(t *testing.T) {
 }
 
 func TestStarvationSmall(t *testing.T) {
-	r, err := Starvation(Config{Seed: 1}, core.FairWindows{N: 4, T: 0.5, Tau: 0.05})
+	r, err := Starvation(Config{Seed: 1}, core.FairWindows{N: 4, T: 5e8, Tau: 5e7})
 	if err != nil {
 		t.Fatal(err)
 	}

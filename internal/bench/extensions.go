@@ -32,18 +32,22 @@ func Approximation(cfg Config) ([]ApproximationRow, error) {
 	cfg = cfg.WithDefaults()
 	cs := cfg.Workload()
 
-	run := func(q float64) ([]float64, time.Duration, error) {
+	opts, err := cfg.options(cfg.LinkBps, cfg.Delta)
+	if err != nil {
+		return nil, err
+	}
+	run := func(q int64) ([]float64, time.Duration, error) {
 		ccts := make([]float64, len(cs))
 		start := time.Now()
 		err := cfg.parallelEachErr(len(cs), func(i int) error {
 			c, n := compact(cs[i])
-			sched, err := core.IntraCoflow(core.NewPRT(n), c, core.Options{
-				LinkBps: cfg.LinkBps, Delta: cfg.Delta, Quantum: q,
-			})
+			o := opts
+			o.Quantum = q
+			sched, err := core.IntraCoflow(core.NewPRT(n), c, o)
 			if err != nil {
-				return fmt.Errorf("bench: approximation q=%g on coflow %d: %w", q, c.ID, err)
+				return fmt.Errorf("bench: approximation q=%gs on coflow %d: %w", core.Seconds(q), c.ID, err)
 			}
-			ccts[i] = sched.Finish
+			ccts[i] = sched.CCT(0)
 			return nil
 		})
 		return ccts, time.Since(start), err
@@ -54,7 +58,7 @@ func Approximation(cfg Config) ([]ApproximationRow, error) {
 		return nil, err
 	}
 	rows := []ApproximationRow{{Quantum: 0, AvgCCTRatio: 1, P95CCTRatio: 1, SchedulingTime: baseTime}}
-	for _, q := range []float64{cfg.Delta / 2, cfg.Delta, 5 * cfg.Delta} {
+	for _, q := range []int64{opts.Delta / 2, opts.Delta, 5 * opts.Delta} {
 		ccts, dur, err := run(q)
 		if err != nil {
 			return rows, err
@@ -66,7 +70,7 @@ func Approximation(cfg Config) ([]ApproximationRow, error) {
 			}
 		}
 		rows = append(rows, ApproximationRow{
-			Quantum:        q,
+			Quantum:        core.Seconds(q),
 			AvgCCTRatio:    stats.Mean(ratios),
 			P95CCTRatio:    stats.Percentile(ratios, 95),
 			SchedulingTime: dur,

@@ -370,9 +370,13 @@ func Starvation(cfg Config, fair core.FairWindows) (StarvationResult, error) {
 func StarvationSized(cfg Config, fair core.FairWindows, hogBytes float64, overheadCoflows int) (StarvationResult, error) {
 	cfg = cfg.WithDefaults()
 	if fair.N == 0 {
-		fair = core.FairWindows{N: 8, T: 1.0, Tau: 0.05}
+		fair = core.FairWindows{N: 8, T: 1e9, Tau: 5e7} // T = 1 s, τ = 50 ms
 	}
-	if err := fair.Validate(cfg.Delta); err != nil {
+	opts, err := cfg.options(cfg.LinkBps, cfg.Delta)
+	if err != nil {
+		return StarvationResult{}, err
+	}
+	if err := fair.Validate(opts.Delta); err != nil {
 		return StarvationResult{}, err
 	}
 	if hogBytes <= 0 {
@@ -416,7 +420,7 @@ func StarvationSized(cfg Config, fair core.FairWindows, hogBytes float64, overhe
 	res := StarvationResult{
 		StarvedCCTWithout: without.CCT[2],
 		StarvedCCTWith:    with.CCT[2],
-		GuaranteeBound:    float64(fair.N) * (fair.T + fair.Tau),
+		GuaranteeBound:    float64(fair.N) * core.Seconds(fair.T+fair.Tau),
 	}
 	if normal.AverageCCT() > 0 {
 		res.OverheadAvgCCT = withFair.AverageCCT() / normal.AverageCCT()
@@ -451,6 +455,10 @@ func Combining(cfg Config, batch int) (CombiningResult, error) {
 		batch = 4
 	}
 	cs := cfg.Workload()
+	opts, err := cfg.options(cfg.LinkBps, cfg.Delta)
+	if err != nil {
+		return CombiningResult{}, err
+	}
 	var soloSum, combSum float64
 	groups := 0
 	for i := 0; i+batch <= len(cs) && groups < 40; i += batch {
@@ -462,12 +470,12 @@ func Combining(cfg Config, batch int) (CombiningResult, error) {
 			zeroed[k].Arrival = 0
 		}
 		prt := core.NewPRT(cfg.Ports)
-		scheds, err := core.InterCoflow(prt, zeroed, core.Options{LinkBps: cfg.LinkBps, Delta: cfg.Delta})
+		scheds, err := core.InterCoflow(prt, zeroed, opts)
 		if err != nil {
 			return CombiningResult{}, err
 		}
 		for _, s := range scheds {
-			soloSum += s.Finish
+			soloSum += s.CCT(0)
 		}
 		// Combined: one merged Coflow; every member's CCT is the combined
 		// finish time.
@@ -475,11 +483,11 @@ func Combining(cfg Config, batch int) (CombiningResult, error) {
 		if err != nil {
 			return CombiningResult{}, err
 		}
-		msched, err := core.IntraCoflow(core.NewPRT(cfg.Ports), merged, core.Options{LinkBps: cfg.LinkBps, Delta: cfg.Delta})
+		msched, err := core.IntraCoflow(core.NewPRT(cfg.Ports), merged, opts)
 		if err != nil {
 			return CombiningResult{}, err
 		}
-		combSum += float64(batch) * msched.Finish
+		combSum += float64(batch) * msched.CCT(0)
 		groups++
 	}
 	n := float64(groups * batch)

@@ -35,8 +35,12 @@ func runIntra(cfg Config, cs []*coflow.Coflow, linkBps, delta float64, withSolst
 	// by the parallel workers.
 	sunObs := cfg.Obs.Scoped("sunflow")
 	solObs := cfg.Obs.Scoped("solstice")
+	opts, err := cfg.options(linkBps, delta)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]intraSample, len(cs))
-	err := cfg.parallelEachErr(len(cs), func(i int) error {
+	err = cfg.parallelEachErr(len(cs), func(i int) error {
 		c, n := compact(cs[i])
 		s := intraSample{
 			Class: c.Classify(),
@@ -47,11 +51,13 @@ func runIntra(cfg Config, cs []*coflow.Coflow, linkBps, delta float64, withSolst
 		}
 		// Stacks are single-goroutine, so each parallel worker iteration
 		// records through fresh ones (nil Prof makes them free no-ops).
-		sched, err := core.IntraCoflow(core.NewPRT(n), c, core.Options{LinkBps: linkBps, Delta: delta, Obs: sunObs, Prof: cfg.Prof.NewStack("sunflow")})
+		o := opts
+		o.Obs, o.Prof = sunObs, cfg.Prof.NewStack("sunflow")
+		sched, err := core.IntraCoflow(core.NewPRT(n), c, o)
 		if err != nil {
 			return fmt.Errorf("bench: sunflow on coflow %d: %w", c.ID, err)
 		}
-		s.SunCCT = sched.Finish
+		s.SunCCT = sched.CCT(0)
 		s.SunSwitch = sched.SwitchingCount()
 		if withSolstice {
 			res, _, err := solstice.Run(c, n, solstice.Options{LinkBps: linkBps, Delta: delta, Obs: solObs, Prof: cfg.Prof.NewStack("solstice")}, fabric.NotAllStop)
@@ -427,17 +433,21 @@ type OrderingRow struct {
 func OrderingSensitivity(cfg Config) ([]OrderingRow, error) {
 	cfg = cfg.WithDefaults()
 	cs := cfg.Workload()
+	opts, err := cfg.options(cfg.LinkBps, cfg.Delta)
+	if err != nil {
+		return nil, err
+	}
 	run := func(order core.Order) ([]float64, error) {
 		out := make([]float64, len(cs))
 		err := cfg.parallelEachErr(len(cs), func(i int) error {
 			c, n := compact(cs[i])
-			sched, err := core.IntraCoflow(core.NewPRT(n), c, core.Options{
-				LinkBps: cfg.LinkBps, Delta: cfg.Delta, Order: order, Seed: cfg.Seed,
-			})
+			o := opts
+			o.Order, o.Seed = order, cfg.Seed
+			sched, err := core.IntraCoflow(core.NewPRT(n), c, o)
 			if err != nil {
 				return fmt.Errorf("bench: ordering %v on coflow %d: %w", order, c.ID, err)
 			}
-			out[i] = sched.Finish
+			out[i] = sched.CCT(0)
 			return nil
 		})
 		return out, err
@@ -497,6 +507,10 @@ func Baselines(cfg Config, maxCoflows int, maxTpL float64) (BaselinesResult, err
 	if maxTpL == 0 {
 		maxTpL = 10
 	}
+	opts, err := cfg.options(cfg.LinkBps, cfg.Delta)
+	if err != nil {
+		return BaselinesResult{}, err
+	}
 	var sample []*coflow.Coflow
 	for _, c := range cfg.Workload() {
 		if c.NumFlows() > 1 && c.PacketLowerBound(cfg.LinkBps) < maxTpL {
@@ -514,7 +528,9 @@ func Baselines(cfg Config, maxCoflows int, maxTpL float64) (BaselinesResult, err
 	edObs := cfg.Obs.Scoped("edmond")
 	perr := cfg.parallelEachErr(len(sample), func(i int) error {
 		c, n := compact(sample[i])
-		sun, err := core.IntraCoflow(core.NewPRT(n), c, core.Options{LinkBps: cfg.LinkBps, Delta: cfg.Delta, Obs: sunObs, Prof: cfg.Prof.NewStack("sunflow")})
+		o := opts
+		o.Obs, o.Prof = sunObs, cfg.Prof.NewStack("sunflow")
+		sun, err := core.IntraCoflow(core.NewPRT(n), c, o)
 		if err != nil {
 			return fmt.Errorf("bench: baselines sunflow on coflow %d: %w", c.ID, err)
 		}
@@ -535,7 +551,7 @@ func Baselines(cfg Config, maxCoflows int, maxTpL float64) (BaselinesResult, err
 		if err != nil {
 			return fmt.Errorf("bench: baselines edmond on coflow %d: %w", c.ID, err)
 		}
-		results[i] = res{sun: sun.Finish, sol: sol.Finish, tm: tm.Finish, ed: ed.Finish}
+		results[i] = res{sun: sun.CCT(0), sol: sol.Finish, tm: tm.Finish, ed: ed.Finish}
 		return nil
 	})
 	if perr != nil {

@@ -32,6 +32,10 @@ func Table3(cfg Config, sizes []int) ([]Table3Row, error) {
 	if len(sizes) == 0 {
 		sizes = []int{8, 16, 32, 64}
 	}
+	opts, err := cfg.options(cfg.LinkBps, cfg.Delta)
+	if err != nil {
+		return nil, err
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	var rows []Table3Row
 	for _, n := range sizes {
@@ -46,7 +50,7 @@ func Table3(cfg Config, sizes []int) ([]Table3Row, error) {
 
 		var err error
 		row.Sunflow = timeIt(func() error {
-			_, e := core.IntraCoflow(core.NewPRT(n), c, core.Options{LinkBps: cfg.LinkBps, Delta: cfg.Delta})
+			_, e := core.IntraCoflow(core.NewPRT(n), c, opts)
 			return e
 		}, &err)
 		if err != nil {

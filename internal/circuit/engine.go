@@ -28,8 +28,9 @@ import (
 	"sunflow/internal/obs/span"
 )
 
-// TimeEps absorbs floating-point residue in event times.
-const TimeEps = 1e-9
+// Every instant and duration in the engine is an int64 tick (ns, see
+// core.Nanos): the clock, the plan, the live set and the plan cache compare
+// exactly.
 
 // Config fixes the fabric and scheduling parameters of an Engine.
 type Config struct {
@@ -37,8 +38,8 @@ type Config struct {
 	Ports int
 	// LinkBps is the per-port bandwidth B in bits/s.
 	LinkBps float64
-	// Delta is the circuit reconfiguration delay δ in seconds.
-	Delta float64
+	// Delta is the circuit reconfiguration delay δ in ticks.
+	Delta int64
 	// Policy orders live Coflows at each replan; nil selects
 	// shortest-Coflow-first by the remaining packet-switched lower bound.
 	// Priority classes (Live.Priority) order ahead of the policy.
@@ -63,16 +64,16 @@ type Config struct {
 type Sink interface {
 	// Retire reports a Coflow whose routable demand drained at finish.
 	// Retirements arrive in (instant, id) order.
-	Retire(c *Live, finish float64)
+	Retire(c *Live, finish int64)
 	// Strand reports one flow quarantined at instant at because a permanent
 	// port failure left it unroutable; bytes is its unserved demand.
-	Strand(c *Live, k fabric.FlowKey, bytes int64, at float64)
+	Strand(c *Live, k fabric.FlowKey, bytes int64, at int64)
 }
 
 // Live is one admitted, unfinished Coflow.
 type Live struct {
 	ID       int
-	Arrival  float64
+	Arrival  int64
 	Priority int
 	// Bytes is the Coflow's total positive input demand at admission, before
 	// rounding to whole bytes.
@@ -89,9 +90,10 @@ type Live struct {
 	Rem []int64
 	// FlowFinish records actual flow completion instants. Written once per
 	// flow, off the replan path, it stays keyed by flow.
-	FlowFinish map[fabric.FlowKey]float64
-	// Finish is the planned completion time under the current plan.
-	Finish float64
+	FlowFinish map[fabric.FlowKey]int64
+	// Finish is the planned completion time under the current plan
+	// (core.Forever before the first pass).
+	Finish int64
 	// Switches counts circuit establishments made on the Coflow's behalf.
 	Switches int
 	// Stranded marks a Coflow that lost at least one flow to a permanent port
@@ -113,9 +115,9 @@ type Live struct {
 	// aligned with Keys (empty if none): subtracted from Rem it yields the
 	// demand still unplanned. Both sides fall by the same whole bytes as a
 	// circuit delivers, so the scheduler input is constant while circuits
-	// hold. lockedEnd is their latest End (-Inf if none).
+	// hold. lockedEnd is their latest End (math.MinInt64 if none).
 	excl      []int64
-	lockedEnd float64
+	lockedEnd int64
 	// cacheAt is the index of the Coflow's plan-cache entry, valid while
 	// Engine.cache[cacheAt] carries its id.
 	cacheAt int
@@ -137,14 +139,14 @@ func compareKeys(a, b fabric.FlowKey) int {
 type Engine struct {
 	cfg    Config
 	policy core.Policy
-	now    float64
+	now    int64
 	live   map[int]*Live
 	// plan holds all reservations not yet fully credited: circuits in flight
 	// plus the planned future.
 	plan []core.Reservation
 	// faults is the fault view; nil on a fault-free fabric, keeping every
 	// fault branch behind one nil check.
-	faults Faults
+	faults *Faults
 	// prt is rebuilt by every replan and reused across passes, so replanning
 	// is allocation-free on the timelines.
 	prt *core.PRT
@@ -164,7 +166,7 @@ type Engine struct {
 }
 
 // New returns an empty Engine whose clock starts at start.
-func New(cfg Config, start float64) *Engine {
+func New(cfg Config, start int64) *Engine {
 	policy := cfg.Policy
 	if policy == nil {
 		policy = core.ShortestFirst{LinkBps: cfg.LinkBps}
@@ -180,7 +182,7 @@ func New(cfg Config, start float64) *Engine {
 }
 
 // Now returns the engine clock.
-func (e *Engine) Now() float64 { return e.now }
+func (e *Engine) Now() int64 { return e.now }
 
 // Len returns the number of live Coflows.
 func (e *Engine) Len() int { return len(e.live) }
@@ -208,7 +210,7 @@ func (e *Engine) SortedIDs() []int {
 // Restore overwrites the engine with checkpointed state: the clock, the live
 // set, the plan and the pass count. The plan cache starts empty, which reuse
 // certification makes invisible in every schedule.
-func (e *Engine) Restore(now float64, live []*Live, plan []core.Reservation, passes uint64) {
+func (e *Engine) Restore(now int64, live []*Live, plan []core.Reservation, passes uint64) {
 	e.now = now
 	e.live = make(map[int]*Live, len(live))
 	e.cands = e.cands[:0]
@@ -221,11 +223,11 @@ func (e *Engine) Restore(now float64, live []*Live, plan []core.Reservation, pas
 	e.dropCache()
 }
 
-// Admit adds c to the live set at the engine clock. Each input flow is
-// rounded once to whole bytes. It reports false, leaving the engine
-// untouched, when no flow carries a whole byte: such a Coflow completes at
-// its arrival and the caller records it.
-func (e *Engine) Admit(c *coflow.Coflow, priority int) bool {
+// Admit adds c, arriving at tick arrival, to the live set at the engine
+// clock. Each input flow is rounded once to whole bytes. It reports false,
+// leaving the engine untouched, when no flow carries a whole byte: such a
+// Coflow completes at its arrival and the caller records it.
+func (e *Engine) Admit(c *coflow.Coflow, arrival int64, priority int) bool {
 	// The flows with whole-byte demand in (Src, Dst) order; a repeated pair's
 	// bytes are summed.
 	type flowBytes struct {
@@ -258,13 +260,13 @@ func (e *Engine) Admit(c *coflow.Coflow, priority int) bool {
 	}
 	lc := &Live{
 		ID:         c.ID,
-		Arrival:    c.Arrival,
+		Arrival:    arrival,
 		Priority:   priority,
 		Bytes:      total,
 		Rem:        rem,
 		Keys:       keys,
-		FlowFinish: make(map[fabric.FlowKey]float64, len(rem)),
-		Finish:     math.Inf(1),
+		FlowFinish: make(map[fabric.FlowKey]int64, len(rem)),
+		Finish:     core.Forever,
 	}
 	if o := e.cfg.Obs; o != nil {
 		o.CoflowsAdmitted.Inc()
@@ -274,7 +276,7 @@ func (e *Engine) Admit(c *coflow.Coflow, priority int) bool {
 			for i, k := range keys {
 				lc.demand[k] = rem[i]
 			}
-			o.Emit(obs.Event{T: e.now, Kind: obs.KindCoflowAdmit, Coflow: c.ID, Src: -1, Dst: -1, Bytes: c.TotalBytes()})
+			o.Emit(obs.Event{T: core.Seconds(e.now), Kind: obs.KindCoflowAdmit, Coflow: c.ID, Src: -1, Dst: -1, Bytes: c.TotalBytes()})
 		}
 	}
 	e.live[c.ID] = lc
@@ -291,17 +293,18 @@ func (e *Engine) Remove(id int) *Live {
 }
 
 // NextEvent returns the next instant the engine must be stepped at: a planned
-// Coflow completion, a fair window end or a fault boundary (+Inf if none).
-func (e *Engine) NextEvent() float64 {
-	te := math.Inf(1)
+// Coflow completion, a fair window end or a fault boundary (core.Forever if
+// none).
+func (e *Engine) NextEvent() int64 {
+	te := int64(core.Forever)
 	for _, lc := range e.live {
-		te = math.Min(te, lc.Finish)
+		te = min(te, lc.Finish)
 	}
 	if e.cfg.Fair != nil {
-		te = math.Min(te, e.cfg.Fair.NextEnd(e.now))
+		te = min(te, e.cfg.Fair.NextEnd(e.now))
 	}
 	if e.faults != nil {
-		te = math.Min(te, e.faults.NextBoundary(e.now))
+		te = min(te, e.faults.NextBoundary(e.now))
 	}
 	return te
 }
@@ -310,7 +313,7 @@ func (e *Engine) NextEvent() float64 {
 // credited, fault boundaries on the way are applied, newly dead flows are
 // quarantined and drained Coflows retire. The caller admits arrivals at t and
 // then calls Replan.
-func (e *Engine) Step(t float64) {
+func (e *Engine) Step(t int64) {
 	e.Credit(t)
 	if e.faults != nil {
 		e.quarantine(t)
@@ -320,7 +323,7 @@ func (e *Engine) Step(t float64) {
 
 // Credit moves the clock to t, crediting transmission in between and applying
 // the fault boundaries it passes, without retiring anything.
-func (e *Engine) Credit(t float64) {
+func (e *Engine) Credit(t int64) {
 	if len(e.live) > 0 {
 		e.credit(e.now, t)
 	}
@@ -347,24 +350,25 @@ func (e *Engine) Replan() error {
 			return nil
 		}
 		if e.faults != nil && errors.Is(err, core.ErrStalled) {
-			if lc := e.live[id]; lc != nil && e.strandFlows(lc, now, math.MaxFloat64) {
+			if lc := e.live[id]; lc != nil && e.strandFlows(lc, now, core.Forever-1) {
 				// Fully stranded Coflows must leave the live set before the
 				// retry or they would stall it again.
 				e.retire(now)
 				continue
 			}
 		}
-		return fmt.Errorf("coflow %d at t=%.6f: %w", id, now, err)
+		return fmt.Errorf("coflow %d at t=%.6f: %w", id, core.Seconds(now), err)
 	}
 }
 
 // due returns, in core.CompareReservations order, the indices of the plan
-// entries starting before to+TimeEps: the established circuits plus those
-// whose setup begins by to, a few per port. The plan stays in emission order.
-func (e *Engine) due(to float64) []int {
+// entries starting before to: the established circuits plus those whose
+// setup began since the last step, a few per port. The plan stays in
+// emission order.
+func (e *Engine) due(to int64) []int {
 	d := e.dueIdx[:0]
 	for i := range e.plan {
-		if e.plan[i].Start < to+TimeEps {
+		if e.plan[i].Start < to {
 			d = append(d, i)
 		}
 	}
@@ -387,13 +391,13 @@ func (e *Engine) due(to float64) []int {
 //   - Rem and FlowFinish depend only on the order of one flow's
 //     reservations, and those have distinct Starts (one circuit per port), so
 //     any start order credits them identically.
-//   - An entry with Start >= to+TimeEps contributes nothing in [from, to):
-//     the setup branch needs Start < to-TimeEps, Delivered is 0 at both
-//     ends, and its circuit_down would need a zero-length reservation.
+//   - An entry with Start >= to contributes nothing in [from, to): the setup
+//     branch needs Start < to, Delivered is 0 at both ends, and its
+//     circuit_down would need a zero-length reservation.
 //
 // Tied-Start reservations on different ports add into the float counters and
 // the trace in (In, Out) order.
-func (e *Engine) credit(from, to float64) {
+func (e *Engine) credit(from, to int64) {
 	if to <= from {
 		return
 	}
@@ -407,34 +411,37 @@ func (e *Engine) credit(from, to float64) {
 	for _, idx := range due {
 		r := &e.plan[idx]
 		lc := e.live[r.CoflowID]
-		if r.Start >= from-TimeEps && r.Start < to-TimeEps {
+		if r.Start >= from && r.Start < to {
 			if lc != nil {
 				lc.Switches++
 			}
-			var retries []float64
+			var retries []int64
 			delta := r.Setup
 			if e.faults != nil {
 				retries = e.establishFaulty(r)
 			}
 			if o != nil {
 				o.CircuitSetups.Inc()
-				o.SetupSeconds.Add(r.Setup)
-				o.HoldSeconds.Add(r.End - r.Start)
+				// The hold as replay derives it from the circuit_up and
+				// circuit_down instants, so the sums agree bit for bit.
+				hold := core.Seconds(r.End) - core.Seconds(r.Start)
+				o.SetupSeconds.Add(core.Seconds(r.Setup))
+				o.HoldSeconds.Add(hold)
 				o.PlannedBytes.Add(float64(r.Bytes))
-				o.InBusySeconds.Add(r.In, r.End-r.Start)
-				o.OutBusySeconds.Add(r.Out, r.End-r.Start)
+				o.InBusySeconds.Add(r.In, hold)
+				o.OutBusySeconds.Add(r.Out, hold)
 				if o.TraceEnabled() {
-					o.Emit(obs.Event{T: r.Start, Kind: obs.KindCircuitUp, Coflow: r.CoflowID, Src: r.In, Dst: r.Out, Bytes: float64(r.Bytes), Dur: r.Setup})
+					o.Emit(obs.Event{T: core.Seconds(r.Start), Kind: obs.KindCircuitUp, Coflow: r.CoflowID, Src: r.In, Dst: r.Out, Bytes: float64(r.Bytes), Dur: core.Seconds(r.Setup)})
 					// Retries follow the circuit_up that owns them so replay
 					// sees an open circuit; Dur carries the per-attempt δ.
 					for _, off := range retries {
-						o.Emit(obs.Event{T: r.Start + off, Kind: obs.KindCircuitRetry, Coflow: r.CoflowID, Src: r.In, Dst: r.Out, Dur: delta})
+						o.Emit(obs.Event{T: core.Seconds(r.Start + off), Kind: obs.KindCircuitRetry, Coflow: r.CoflowID, Src: r.In, Dst: r.Out, Dur: core.Seconds(delta)})
 					}
 				}
 			}
 		}
-		if o.TraceEnabled() && r.End > from+TimeEps && r.End <= to+TimeEps {
-			o.Emit(obs.Event{T: r.End, Kind: obs.KindCircuitDown, Coflow: r.CoflowID, Src: r.In, Dst: r.Out})
+		if o.TraceEnabled() && r.End > from && r.End <= to {
+			o.Emit(obs.Event{T: core.Seconds(r.End), Kind: obs.KindCircuitDown, Coflow: r.CoflowID, Src: r.In, Dst: r.Out})
 		}
 		if lc == nil {
 			continue
@@ -457,24 +464,24 @@ func (e *Engine) credit(from, to float64) {
 		}
 		if lc.flowStarted != nil && !lc.flowStarted[key] {
 			lc.flowStarted[key] = true
-			o.Emit(obs.Event{T: math.Max(from, r.TransmitStart()), Kind: obs.KindFlowStart, Coflow: r.CoflowID, Src: r.In, Dst: r.Out})
+			o.Emit(obs.Event{T: core.Seconds(max(from, r.TransmitStart())), Kind: obs.KindFlowStart, Coflow: r.CoflowID, Src: r.In, Dst: r.Out})
 		}
 		if rem > d {
 			lc.Rem[ki] = rem - d
 			continue
 		}
 		// The flow drains inside this reservation, once the circuit has
-		// carried rem bytes beyond the before it had delivered by from.
-		// before+rem is the same however the window was split, so the
-		// instant solved from the transmit start is too. A circuit whose
-		// Bytes round up its capacity delivers the last of them at End.
-		finish := min(r.End, r.TransmitStart()+float64(before+rem)*8/bps)
+		// carried rem bytes beyond the before it had delivered by from:
+		// p(before+rem) after the transmit start. before+rem is the same
+		// however the window was split, so the instant is too. A circuit
+		// whose Bytes round up its capacity delivers the last of them at End.
+		finish := min(r.End, r.TransmitStart()+core.ProcTicks(before+rem, bps))
 		lc.Rem[ki] = 0
 		e.mayRetire(lc)
 		if _, done := lc.FlowFinish[key]; !done {
 			lc.FlowFinish[key] = finish
 			if o.TraceEnabled() {
-				o.Emit(obs.Event{T: finish, Kind: obs.KindFlowFinish, Coflow: r.CoflowID, Src: r.In, Dst: r.Out, Bytes: float64(lc.demand[key])})
+				o.Emit(obs.Event{T: core.Seconds(finish), Kind: obs.KindFlowFinish, Coflow: r.CoflowID, Src: r.In, Dst: r.Out, Bytes: float64(lc.demand[key])})
 			}
 		}
 	}
@@ -487,7 +494,7 @@ func (e *Engine) credit(from, to float64) {
 // [from, to): during each τ window, circuit [i, A_k(i)] serves the remaining
 // demand of all live Coflows on that port pair with equal instantaneous
 // shares, each floored to whole bytes.
-func (e *Engine) creditFairWindows(from, to float64) {
+func (e *Engine) creditFairWindows(from, to int64) {
 	// sharer is a live Coflow with demand on a window circuit: its id and
 	// the position of the flow in its slices.
 	type sharer struct{ id, ki int }
@@ -496,15 +503,15 @@ func (e *Engine) creditFairWindows(from, to float64) {
 		if o.TraceEnabled() {
 			// Windows can straddle several credit intervals; emit each
 			// boundary only in the interval containing it.
-			if w.Start >= from-TimeEps && w.Start < to-TimeEps {
-				o.Emit(obs.Event{T: w.Start, Kind: obs.KindWindowOpen, Coflow: -1, Src: -1, Dst: -1, Dur: w.End - w.Start})
+			if w.Start >= from && w.Start < to {
+				o.Emit(obs.Event{T: core.Seconds(w.Start), Kind: obs.KindWindowOpen, Coflow: -1, Src: -1, Dst: -1, Dur: core.Seconds(w.End - w.Start)})
 			}
-			if w.End > from+TimeEps && w.End <= to+TimeEps {
-				o.Emit(obs.Event{T: w.End, Kind: obs.KindWindowClose, Coflow: -1, Src: -1, Dst: -1})
+			if w.End > from && w.End <= to {
+				o.Emit(obs.Event{T: core.Seconds(w.End), Kind: obs.KindWindowClose, Coflow: -1, Src: -1, Dst: -1})
 			}
 		}
-		segStart := math.Max(from, w.Start+e.cfg.Delta)
-		segEnd := math.Min(to, w.End)
+		segStart := max(from, w.Start+e.cfg.Delta)
+		segEnd := min(to, w.End)
 		if segEnd <= segStart {
 			continue
 		}
@@ -524,7 +531,7 @@ func (e *Engine) creditFairWindows(from, to float64) {
 			for idx, sh := range sharers {
 				rems[idx] = float64(e.live[sh.id].Rem[sh.ki])
 			}
-			served := core.ShareCircuit(rems, segEnd-segStart, e.cfg.LinkBps)
+			served := core.ShareCircuit(rems, core.Seconds(segEnd-segStart), e.cfg.LinkBps)
 			for idx, sh := range sharers {
 				id, ki := sh.id, sh.ki
 				lc := e.live[id]
@@ -536,7 +543,7 @@ func (e *Engine) creditFairWindows(from, to float64) {
 				}
 				if lc.flowStarted != nil && b > 0 && !lc.flowStarted[key] {
 					lc.flowStarted[key] = true
-					o.Emit(obs.Event{T: segStart, Kind: obs.KindFlowStart, Coflow: id, Src: i, Dst: j})
+					o.Emit(obs.Event{T: core.Seconds(segStart), Kind: obs.KindFlowStart, Coflow: id, Src: i, Dst: j})
 				}
 				lc.Rem[ki] -= b
 				lc.keyOK = false
@@ -549,7 +556,7 @@ func (e *Engine) creditFairWindows(from, to float64) {
 					// tracked; the window end bounds the error by τ.
 					lc.FlowFinish[key] = segEnd
 					if o.TraceEnabled() {
-						o.Emit(obs.Event{T: segEnd, Kind: obs.KindFlowFinish, Coflow: id, Src: i, Dst: j, Bytes: float64(lc.demand[key])})
+						o.Emit(obs.Event{T: core.Seconds(segEnd), Kind: obs.KindFlowFinish, Coflow: id, Src: i, Dst: j, Bytes: float64(lc.demand[key])})
 					}
 				}
 			}
@@ -568,8 +575,8 @@ func (e *Engine) CloseTrace() {
 		return
 	}
 	for _, idx := range e.due(e.now) {
-		if r := &e.plan[idx]; r.Start < e.now-TimeEps && r.End > e.now+TimeEps {
-			o.Emit(obs.Event{T: r.End, Kind: obs.KindCircuitDown, Coflow: r.CoflowID, Src: r.In, Dst: r.Out})
+		if r := &e.plan[idx]; r.Start < e.now && r.End > e.now {
+			o.Emit(obs.Event{T: core.Seconds(r.End), Kind: obs.KindCircuitDown, Coflow: r.CoflowID, Src: r.In, Dst: r.Out})
 		}
 	}
 }
@@ -587,7 +594,7 @@ func (e *Engine) mayRetire(lc *Live) {
 // retire hands Coflows whose routable demand has drained to the sink, in id
 // order so completions at one instant are reported identically on every run.
 // Only the Coflows mayRetire queued can have drained.
-func (e *Engine) retire(now float64) {
+func (e *Engine) retire(now int64) {
 	slices.Sort(e.cands)
 	ids := slices.Compact(e.cands) // an id repeats after Remove and re-admission
 	for _, id := range ids {
@@ -601,11 +608,11 @@ func (e *Engine) retire(now float64) {
 		}
 		// The Coflow finished at its latest flow finish, which can precede
 		// the event instant now.
-		finish := 0.0
+		finish := int64(math.MinInt64)
 		for _, f := range lc.FlowFinish {
-			finish = math.Max(finish, f)
+			finish = max(finish, f)
 		}
-		if finish == 0 {
+		if finish == math.MinInt64 {
 			finish = now
 		}
 		e.cfg.Sink.Retire(lc, finish)
@@ -613,7 +620,7 @@ func (e *Engine) retire(now float64) {
 		if o := e.cfg.Obs; o != nil && !lc.Stranded {
 			o.CoflowsCompleted.Inc()
 			if o.TraceEnabled() {
-				o.Emit(obs.Event{T: finish, Kind: obs.KindCoflowComplete, Coflow: id, Src: -1, Dst: -1, Dur: finish - lc.Arrival})
+				o.Emit(obs.Event{T: core.Seconds(finish), Kind: obs.KindCoflowComplete, Coflow: id, Src: -1, Dst: -1, Dur: core.Seconds(finish - lc.Arrival)})
 			}
 		}
 	}

@@ -27,14 +27,37 @@ type testSink struct {
 	stranded int64
 }
 
-func (s *testSink) Retire(lc *Live, finish float64) {
+func (s *testSink) Retire(lc *Live, finish int64) {
 	if !drained(lc) {
 		s.t.Fatalf("coflow %d retired with Rem %v", lc.ID, lc.Rem)
 	}
 	s.retired = append(s.retired, lc)
 }
 
-func (s *testSink) Strand(_ *Live, _ fabric.FlowKey, bytes int64, _ float64) { s.stranded += bytes }
+func (s *testSink) Strand(_ *Live, _ fabric.FlowKey, bytes int64, _ int64) { s.stranded += bytes }
+
+// ns converts a test's seconds to ticks.
+func ns(sec float64) int64 {
+	t, err := core.Nanos(sec)
+	if err != nil {
+		panic(err)
+	}
+	return t
+}
+
+// modelFaults compiles a fault plan into the engine's tick view.
+func modelFaultsOf(t *testing.T, plan *fault.Plan, ports int) *Faults {
+	t.Helper()
+	m, err := plan.Compile(ports)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := ModelFaults(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
 
 // drained reports whether every remaining flow of lc is at exactly 0.
 func drained(lc *Live) bool {
@@ -84,7 +107,7 @@ func runBookkeepingScenario(t *testing.T, seed int64) map[string]int {
 	shapes := map[string]int{}
 	ports := 3 + rng.Intn(8)
 	sink := &testSink{t: t}
-	cfg := Config{Ports: ports, LinkBps: 1e9, Delta: 0.001 + 0.01*rng.Float64(), Sink: sink}
+	cfg := Config{Ports: ports, LinkBps: 1e9, Delta: ns(0.001 + 0.01*rng.Float64()), Sink: sink}
 	switch seed % 3 {
 	case 0:
 		cfg.Policy = core.ShortestFirst{LinkBps: cfg.LinkBps}
@@ -98,7 +121,7 @@ func runBookkeepingScenario(t *testing.T, seed int64) map[string]int {
 		cfg.Policy = core.PriorityClasses{Class: class, Within: core.ShortestFirst{LinkBps: cfg.LinkBps}}
 	}
 	if seed%4 == 1 {
-		cfg.Fair = &core.FairWindows{N: ports, T: 0.3 + rng.Float64(), Tau: 0.05}
+		cfg.Fair = &core.FairWindows{N: ports, T: ns(0.3 + rng.Float64()), Tau: ns(0.05)}
 		shapes["fair windows"]++
 	}
 	// Every seed observes, for the delivered-bytes counter of oracle (d);
@@ -112,7 +135,7 @@ func runBookkeepingScenario(t *testing.T, seed int64) map[string]int {
 	// credit consults a model's state (setup attempts), and refCredit and the
 	// split credit make the same calls in the same order, so all stay in
 	// lockstep.
-	var refFaults, splitFaults Faults
+	var refFaults, splitFaults *Faults
 	if seed%5 == 2 {
 		plan := &fault.Plan{Seed: seed}
 		for n := 1 + rng.Intn(3); n > 0; n-- {
@@ -132,14 +155,8 @@ func runBookkeepingScenario(t *testing.T, seed int64) map[string]int {
 		if rng.Intn(2) == 0 {
 			plan.DegradedLinkProb = 0.3
 		}
-		m, err := plan.Compile(ports)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.SetFaults(m)
-		rm, _ := plan.Compile(ports)
-		sm, _ := plan.Compile(ports)
-		refFaults, splitFaults = rm, sm
+		e.SetFaults(modelFaultsOf(t, plan, ports))
+		refFaults, splitFaults = modelFaultsOf(t, plan, ports), modelFaultsOf(t, plan, ports)
 		shapes["faults"]++
 	}
 
@@ -152,7 +169,7 @@ func runBookkeepingScenario(t *testing.T, seed int64) map[string]int {
 		livePasses += e.Len()
 		checkOrder(t, seed, e)
 	}
-	advance := func(to float64, step bool) {
+	advance := func(to int64, step bool) {
 		from := e.now
 		ref := refClone(e, refFaults)
 		if len(ref.live) > 0 {
@@ -163,7 +180,7 @@ func runBookkeepingScenario(t *testing.T, seed int64) map[string]int {
 			// The advance never passes an event, so no fault boundary lies
 			// strictly inside the window and crediting alone is compared.
 			sp = refClone(e, splitFaults)
-			mid := from + rng.Float64()*(to-from)
+			mid := from + int64(rng.Float64()*float64(to-from))
 			sp.credit(from, mid)
 			sp.credit(mid, to)
 			shapes["split"]++
@@ -238,7 +255,7 @@ func runBookkeepingScenario(t *testing.T, seed int64) map[string]int {
 		if prio != 0 {
 			shapes["classes"]++
 		}
-		if e.Admit(coflow.New(id, e.now, flows), prio) {
+		if e.Admit(coflow.New(id, core.Seconds(e.now), flows), e.now, prio) {
 			admitted += whole
 		} else {
 			if whole != 0 {
@@ -256,17 +273,17 @@ func runBookkeepingScenario(t *testing.T, seed int64) map[string]int {
 			}
 			replan()
 		case r < 13: // an event instant
-			if te := e.NextEvent(); !math.IsInf(te, 1) {
+			if te := e.NextEvent(); te != core.Forever {
 				advance(te, true)
 				replan()
 			}
 		case r < 16: // an instant between events, as an arrival would be
-			te := math.Min(e.NextEvent(), e.now+1)
-			advance(e.now+rng.Float64()*(te-e.now), true)
+			te := min(e.NextEvent(), e.now+ns(1))
+			advance(e.now+int64(rng.Float64()*float64(te-e.now)), true)
 			replan()
 		case r < 17: // a credit-only advance, as the daemon makes
-			te := math.Min(e.NextEvent(), e.now+1)
-			advance(e.now+rng.Float64()*(te-e.now), false)
+			te := min(e.NextEvent(), e.now+ns(1))
+			advance(e.now+int64(rng.Float64()*float64(te-e.now)), false)
 		case r < 19:
 			if ids := e.SortedIDs(); len(ids) > 0 {
 				id := ids[rng.Intn(len(ids))]
@@ -287,7 +304,7 @@ func runBookkeepingScenario(t *testing.T, seed int64) map[string]int {
 	}
 	for n := 0; e.Len() > 0; n++ {
 		te := e.NextEvent()
-		if math.IsInf(te, 1) || n > 5000 {
+		if te == core.Forever || n > 5000 {
 			t.Fatalf("seed %d: %d coflows never finish (next event %v)", seed, e.Len(), te)
 		}
 		advance(te, true)
@@ -379,7 +396,7 @@ func cloneLive(lc *Live) *Live {
 
 // refClone returns a detached copy of the engine's crediting state — clock,
 // live set and plan — with no observer or sink, crediting against faults.
-func refClone(e *Engine, faults Faults) *Engine {
+func refClone(e *Engine, faults *Faults) *Engine {
 	ref := &Engine{cfg: e.cfg, now: e.now, live: map[int]*Live{}, plan: slices.Clone(e.plan), faults: faults}
 	ref.cfg.Obs, ref.cfg.Prof, ref.cfg.Sink = nil, nil, nil
 	for id, lc := range e.live {
@@ -405,7 +422,7 @@ func restored(e *Engine, cfg Config) *Engine {
 // refCredit is crediting as a whole-plan walk: every plan entry in
 // core.CompareReservations order, with credit's setup, delivery and drain
 // rules and no observer output. Entries that start after to are visited too.
-func refCredit(e *Engine, from, to float64) {
+func refCredit(e *Engine, from, to int64) {
 	if to <= from {
 		return
 	}
@@ -413,7 +430,7 @@ func refCredit(e *Engine, from, to float64) {
 	for idx := range e.plan {
 		r := &e.plan[idx]
 		lc := e.live[r.CoflowID]
-		if r.Start >= from-TimeEps && r.Start < to-TimeEps {
+		if r.Start >= from && r.Start < to {
 			if lc != nil {
 				lc.Switches++
 			}
@@ -439,10 +456,77 @@ func refCredit(e *Engine, from, to float64) {
 		}
 		lc.Rem[ki] = 0
 		if _, done := lc.FlowFinish[key]; !done {
-			lc.FlowFinish[key] = min(r.End, r.TransmitStart()+float64(before+rem)*8/bps)
+			lc.FlowFinish[key] = min(r.End, r.TransmitStart()+core.ProcTicks(before+rem, bps))
 		}
 	}
 	if e.cfg.Fair != nil {
 		e.creditFairWindows(from, to)
+	}
+}
+
+// TestEngineContinuationIsByteExact: when a shortened circuit locks, the next
+// pass's IntraCoflow input for its flow is the whole-byte remainder the
+// circuit leaves, and the search places exactly the continuation the pass
+// that shortened it chained — so the Coflow planned around that
+// continuation replays from the plan cache. Coflow 2's flow 3→2 is cut short
+// by coflow 1's later circuit on output 2; coflow 3 is planned around 2's
+// continuation on input 3. A fourth arrival on idle ports replans while the
+// shortened circuit holds. The arrival at 2.107 s is one where float-second
+// arithmetic truncates the shortened circuit's bytes by one, and so chains a
+// continuation 8 ns shorter than the one replanned from the remainder.
+func TestEngineContinuationIsByteExact(t *testing.T) {
+	o := obs.New()
+	e := New(Config{Ports: 6, LinkBps: 1e9, Delta: ns(0.01), Policy: core.FIFO{}, Obs: o, Sink: &testSink{t: t}}, 0)
+	if !e.incremental {
+		t.Skip("plan cache disabled (SUNFLOW_FULL_REPLAN)")
+	}
+	t0 := ns(2.107)
+	admit := func(id int, at int64, flows ...coflow.Flow) {
+		t.Helper()
+		e.Step(at)
+		if !e.Admit(coflow.New(id, core.Seconds(at), flows), at, 0) {
+			t.Fatalf("coflow %d refused", id)
+		}
+	}
+	admit(1, t0, coflow.Flow{Src: 0, Dst: 1, Bytes: 10e6}, coflow.Flow{Src: 0, Dst: 2, Bytes: 5e6})
+	admit(2, t0, coflow.Flow{Src: 3, Dst: 2, Bytes: 37e6 + 3})
+	admit(3, t0, coflow.Flow{Src: 3, Dst: 0, Bytes: 10e6})
+	if err := e.Replan(); err != nil {
+		t.Fatal(err)
+	}
+	var cut core.Reservation
+	var chained []core.Reservation
+	for _, r := range e.Plan() {
+		if r.CoflowID == 2 && r.Start == t0 {
+			cut = r
+		} else if r.CoflowID == 2 {
+			chained = append(chained, r)
+		}
+	}
+	if cut.End-cut.Start >= cut.Setup+core.ProcTicks(37e6+3, 1e9) || len(chained) == 0 {
+		t.Fatalf("coflow 2's first circuit %+v is not shortened ahead of a continuation %+v", cut, chained)
+	}
+
+	skipped := o.IntraSkipped.Load()
+	admit(4, t0+ns(0.05), coflow.Flow{Src: 5, Dst: 5, Bytes: 1e6})
+	if err := e.Replan(); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Lookup(2).excl; len(got) != 1 || got[0] != cut.Bytes-cut.Delivered(e.now, 1e9) {
+		t.Fatalf("locked exclusion %v, want the shortened circuit's undelivered %d bytes", got, cut.Bytes-cut.Delivered(e.now, 1e9))
+	}
+	ce := e.cache[e.Lookup(2).cacheAt]
+	if want := []coflow.Flow{{Src: 3, Dst: 2, Bytes: float64(37e6 + 3 - cut.Bytes)}}; !slices.Equal(ce.flows, want) {
+		t.Fatalf("coflow 2 planned from %v, want the whole-byte remainder %v", ce.flows, want)
+	}
+	if !slices.Equal(ce.res, chained) {
+		t.Fatalf("coflow 2 continuation %+v, chained %+v", ce.res, chained)
+	}
+	c3 := e.cache[e.Lookup(3).cacheAt]
+	if !slices.Contains(c3.ctx, core.PortSpan{Start: chained[0].Start, End: chained[0].End, Port: 3}) {
+		t.Fatalf("coflow 3's certificate %+v does not cover coflow 2's continuation", c3.ctx)
+	}
+	if hits := o.IntraSkipped.Load() - skipped; hits != 1 {
+		t.Fatalf("%d plan-cache hits, want 1 (coflow 3, planned around the continuation)", hits)
 	}
 }

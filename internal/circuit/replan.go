@@ -16,19 +16,20 @@ import (
 // pass at its priority-order position. The entry is clean at the same
 // position of the next pass — its reservations replayed instead of re-running
 // IntraCoflow — when the Coflow id and its exclusion-adjusted remainder (the
-// exact IntraCoflow input) are bit-identical and no cached reservation starts
-// before (or within TimeEps of) the new pass instant.
+// exact IntraCoflow input) are identical and no cached reservation starts
+// before the new pass instant.
 type planCacheEntry struct {
 	id int
 	// flows is the IntraCoflow input the schedule was computed from, in
-	// (Src, Dst) order. Compared exactly — a one-ulp drift in any term re-runs
-	// the scheduler, keeping reuse bit-identical by construction.
+	// (Src, Dst) order. Compared exactly — any changed byte re-runs the
+	// scheduler, keeping reuse bit-identical by construction.
 	flows []coflow.Flow
 	// res is the cached IntraCoflow output; owned by the entry (the plan
 	// holds copies).
 	res []core.Reservation
-	// minStart and maxEnd are res's extremes (+Inf/-Inf when empty).
-	minStart, maxEnd float64
+	// minStart and maxEnd are res's extremes (core.Forever/math.MinInt64
+	// when empty).
+	minStart, maxEnd int64
 	// ctx is the port context the schedule was computed against: the busy
 	// intervals visible on the input flows' ports when IntraCoflow ran,
 	// snapshotted just before the run and trimmed to horizon. The intra
@@ -36,10 +37,10 @@ type planCacheEntry struct {
 	// this context, so a bit-exact match certifies the cached output.
 	ctx []core.PortSpan
 	// horizon bounds the table range the cached search could have consulted:
-	// maxEnd + δ + 2·TimeEps (-Inf for an empty schedule). Every window the
-	// search probes starts below maxEnd and extends at most δ plus the eps
-	// tolerances.
-	horizon float64
+	// maxEnd + δ. Every round of the search runs at an instant t < maxEnd,
+	// and a commitment at or after t+δ < maxEnd+δ can neither make its slot
+	// too short nor cut a reservation that ends by maxEnd.
+	horizon int64
 }
 
 // replanScratch pools the per-pass buffers of replanOnce, making a
@@ -64,7 +65,7 @@ type replanScratch struct {
 // (non-preemption), everything else is rescheduled with IntraCoflow in
 // priority order against the remaining demand. It returns the Coflow that
 // could not be placed alongside the error.
-func (e *Engine) replanOnce(now float64) (id int, err error) {
+func (e *Engine) replanOnce(now int64) (id int, err error) {
 	o := e.cfg.Obs
 	if o != nil || e.cfg.Prof != nil {
 		// One measurement feeds the counters and the span, so the span tree's
@@ -97,7 +98,7 @@ func (e *Engine) replanOnce(now float64) (id int, err error) {
 	// has its demand replanned.
 	locked := e.plan[:0]
 	for _, r := range e.plan {
-		if r.Start < now-TimeEps && r.End > now+TimeEps {
+		if r.Start < now && r.End > now {
 			locked = append(locked, r)
 		}
 	}
@@ -165,11 +166,12 @@ func (e *Engine) replanOnce(now float64) (id int, err error) {
 // ranked is one live Coflow in a pass's scheduling order, with its sort key
 // and its remainder header.
 type ranked struct {
-	prio         int
-	key, arrival float64
-	id           int
-	lc           *Live
-	tmp          *coflow.Coflow
+	prio    int
+	key     float64
+	arrival int64
+	id      int
+	lc      *Live
+	tmp     *coflow.Coflow
 }
 
 // order builds every live Coflow's remainder header from Rem, clears its
@@ -190,7 +192,7 @@ func (e *Engine) order() []ranked {
 	keys := int64(0)
 	for _, lc := range e.live {
 		tmp := remainderFrom(sc.tmps[len(rs)], lc, nil)
-		lc.lockedEnd, lc.excl = math.Inf(-1), lc.excl[:0]
+		lc.lockedEnd, lc.excl = math.MinInt64, lc.excl[:0]
 		if keyed && !lc.keyOK {
 			lc.key, lc.keyOK = kp.Key(tmp), true
 			keys++
@@ -236,7 +238,7 @@ var errBulkFallback = errors.New("circuit: cached schedule replay conflicted")
 // pins that; and the port context is compared bit-exactly against the
 // snapshot taken when the cached schedule was computed, trimmed on both sides
 // to intervals still visible from the pass start.
-func (e *Engine) schedulePass(now float64, ordered []ranked, locked []core.Reservation, reuse bool) (int, error) {
+func (e *Engine) schedulePass(now int64, ordered []ranked, locked []core.Reservation, reuse bool) (int, error) {
 	prt := e.prt
 	sc := &e.scratch
 	skips := int64(0)
@@ -256,7 +258,7 @@ func (e *Engine) schedulePass(now float64, ordered []ranked, locked []core.Reser
 			ce = &e.cache[k]
 		}
 		var res []core.Reservation
-		finish := 0.0
+		var finish int64
 		if ce != nil && e.reusable(ce, tmp, lc, now) {
 			for i := range ce.res {
 				if err := prt.TryReserve(ce.res[i]); err != nil {
@@ -266,7 +268,7 @@ func (e *Engine) schedulePass(now float64, ordered []ranked, locked []core.Reser
 			// The cached schedule is bit-identical to what IntraCoflow would
 			// recompute; only the planned finish needs refreshing — its base
 			// is the pass start, which moved since the cached pass.
-			res, finish = ce.res, math.Max(math.Max(now, lc.Arrival), ce.maxEnd)
+			res, finish = ce.res, max(now, lc.Arrival, ce.maxEnd)
 			sc.nextCache = append(sc.nextCache, *ce)
 			skips++
 		} else {
@@ -274,10 +276,10 @@ func (e *Engine) schedulePass(now float64, ordered []ranked, locked []core.Reser
 			// then run the scheduler. The snapshot must precede the run —
 			// IntraCoflow's own placements are its output, not its input.
 			toSchedule := e.schedInput(tmp, lc)
-			start := math.Max(now, lc.Arrival)
+			start := max(now, lc.Arrival)
 			if reuse {
 				sc.ins, sc.outs = flowPorts(toSchedule.Flows, sc.ins, sc.outs)
-				sc.spans = prt.SpansOn(start, math.Inf(1), sc.ins, sc.outs, sc.spans[:0])
+				sc.spans = prt.SpansOn(start, core.Forever, sc.ins, sc.outs, sc.spans[:0])
 			}
 			sched, err := core.IntraCoflow(prt, toSchedule, core.Options{
 				LinkBps:   e.cfg.LinkBps,
@@ -295,7 +297,7 @@ func (e *Engine) schedulePass(now float64, ordered []ranked, locked []core.Reser
 			res, finish = sched.Reservations, sched.Finish
 			if reuse {
 				ne := newCacheEntry(tmp.ID, toSchedule.Flows, res)
-				ne.horizon = ne.maxEnd + e.cfg.Delta + 2*TimeEps
+				ne.horizon = ne.maxEnd + e.cfg.Delta
 				// The snapshot below the horizon, in a slice of its own size: the
 				// entry keeps it for the Coflow's lifetime.
 				visible := slices.DeleteFunc(sc.spans, func(sp core.PortSpan) bool { return sp.Start >= ne.horizon })
@@ -340,13 +342,11 @@ func (e *Engine) dropCache() {
 }
 
 // reusable reports whether the cached entry can be replayed for the Coflow
-// this pass: its input flows are bit-identical; none of its placements have
-// started or fall in the (now, now+TimeEps] fuzz band — placements there
-// were made against commitments the eps-tolerant comparisons could now round
-// the other way; and the busy intervals currently visible on its ports below
-// its horizon match the cached snapshot bit for bit.
-func (e *Engine) reusable(ce *planCacheEntry, tmp *coflow.Coflow, lc *Live, now float64) bool {
-	if ce.minStart < now || (ce.minStart > now && ce.minStart <= now+TimeEps) {
+// this pass: its input flows are identical; none of its placements has
+// started; and the busy intervals currently visible on its ports below its
+// horizon match the cached snapshot exactly.
+func (e *Engine) reusable(ce *planCacheEntry, tmp *coflow.Coflow, lc *Live, now int64) bool {
+	if ce.minStart < now {
 		return false
 	}
 	if !slices.Equal(ce.flows, e.schedInput(tmp, lc).Flows) { // Flow is comparable: bit-exact
@@ -354,7 +354,7 @@ func (e *Engine) reusable(ce *planCacheEntry, tmp *coflow.Coflow, lc *Live, now 
 	}
 	sc := &e.scratch
 	sc.ins, sc.outs = flowPorts(ce.flows, sc.ins, sc.outs)
-	return e.prt.SpansMatch(ce.ctx, math.Max(now, lc.Arrival), ce.horizon, sc.ins, sc.outs)
+	return e.prt.SpansMatch(ce.ctx, max(now, lc.Arrival), ce.horizon, sc.ins, sc.outs)
 }
 
 // flowPorts fills ins and outs with the sorted unique source and destination
@@ -387,12 +387,12 @@ func newCacheEntry(id int, flows []coflow.Flow, res []core.Reservation) planCach
 		id:       id,
 		flows:    append([]coflow.Flow(nil), flows...),
 		res:      res,
-		minStart: math.Inf(1),
-		maxEnd:   math.Inf(-1),
+		minStart: core.Forever,
+		maxEnd:   math.MinInt64,
 	}
 	for i := range res {
-		ce.minStart = math.Min(ce.minStart, res[i].Start)
-		ce.maxEnd = math.Max(ce.maxEnd, res[i].End)
+		ce.minStart = min(ce.minStart, res[i].Start)
+		ce.maxEnd = max(ce.maxEnd, res[i].End)
 	}
 	return ce
 }
@@ -402,7 +402,7 @@ func newCacheEntry(id int, flows []coflow.Flow, res []core.Reservation) planCach
 // aligned with lc.Keys. Flows come out in (Src, Dst) order without sorting:
 // lc.Keys was sorted once at admission.
 func remainderFrom(tmp *coflow.Coflow, lc *Live, exclude []int64) *coflow.Coflow {
-	tmp.ID, tmp.Arrival = lc.ID, lc.Arrival
+	tmp.ID, tmp.Arrival = lc.ID, core.Seconds(lc.Arrival)
 	flows := tmp.Flows[:0]
 	for i, b := range lc.Rem {
 		if len(exclude) > 0 {

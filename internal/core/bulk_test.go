@@ -24,7 +24,7 @@ func randomDisjointPlan(t *testing.T, rng *rand.Rand, ports int) []Reservation {
 	for c := 0; c < 3; c++ {
 		cf := randomCoflow(rng, ports, 6)
 		cf.ID = c
-		s, err := IntraCoflow(prt, cf, Options{LinkBps: 1e9, Delta: 0.01})
+		s, err := IntraCoflow(prt, cf, Options{LinkBps: 1e9, Delta: ns(0.01)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,7 +59,7 @@ func TestQuickBulkLoadEquivalentToPreload(t *testing.T) {
 		}
 		for probe := 0; probe < 50; probe++ {
 			i, j := rng.Intn(ports), rng.Intn(ports)
-			at := rng.Float64() * 2
+			at := ns(rng.Float64() * 2)
 			if bulk.FreeAt(i, j, at) != ref.FreeAt(i, j, at) {
 				t.Logf("seed %d: FreeAt(%d,%d,%v) diverges", seed, i, j, at)
 				return false
@@ -73,8 +73,8 @@ func TestQuickBulkLoadEquivalentToPreload(t *testing.T) {
 		// the preloaded one accepts.
 		cf := randomCoflow(rng, ports, 5)
 		cf.ID = 99
-		sb, errB := IntraCoflow(bulk, cf, Options{LinkBps: 1e9, Delta: 0.01})
-		sr, errR := IntraCoflow(ref, cf, Options{LinkBps: 1e9, Delta: 0.01})
+		sb, errB := IntraCoflow(bulk, cf, Options{LinkBps: 1e9, Delta: ns(0.01)})
+		sr, errR := IntraCoflow(ref, cf, Options{LinkBps: 1e9, Delta: ns(0.01)})
 		if (errB == nil) != (errR == nil) {
 			return false
 		}
@@ -97,9 +97,9 @@ func TestQuickBulkLoadEquivalentToPreload(t *testing.T) {
 
 func TestBulkAddSplitAcrossCalls(t *testing.T) {
 	rs := []Reservation{
-		{CoflowID: 1, In: 0, Out: 1, Start: 0, End: 1, Setup: 0.01, Bytes: 1e6},
-		{CoflowID: 2, In: 0, Out: 1, Start: 1, End: 2, Setup: 0.01, Bytes: 1e6},
-		{CoflowID: 3, In: 1, Out: 0, Start: 0.5, End: 1.5, Setup: 0.01, Bytes: 1e6},
+		{CoflowID: 1, In: 0, Out: 1, Start: 0, End: ns(1), Setup: ns(0.01), Bytes: 1e6},
+		{CoflowID: 2, In: 0, Out: 1, Start: ns(1), End: ns(2), Setup: ns(0.01), Bytes: 1e6},
+		{CoflowID: 3, In: 1, Out: 0, Start: ns(0.5), End: ns(1.5), Setup: ns(0.01), Bytes: 1e6},
 	}
 	p := NewPRT(2)
 	p.BulkAdd(rs[:1])
@@ -110,7 +110,7 @@ func TestBulkAddSplitAcrossCalls(t *testing.T) {
 	if p.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", p.Len())
 	}
-	if p.FreeAt(0, 1, 0.5) {
+	if p.FreeAt(0, 1, ns(0.5)) {
 		t.Fatal("port pair reported free inside a bulk-loaded reservation")
 	}
 }
@@ -118,8 +118,8 @@ func TestBulkAddSplitAcrossCalls(t *testing.T) {
 func TestFinishBulkRejectsOverlap(t *testing.T) {
 	p := NewPRT(2)
 	p.BulkAdd([]Reservation{
-		{CoflowID: 1, In: 0, Out: 1, Start: 0, End: 1},
-		{CoflowID: 2, In: 0, Out: 1, Start: 0.5, End: 1.5},
+		{CoflowID: 1, In: 0, Out: 1, Start: 0, End: ns(1)},
+		{CoflowID: 2, In: 0, Out: 1, Start: ns(0.5), End: ns(1.5)},
 	})
 	if err := p.FinishBulk(); !errors.Is(err, ErrDoubleBooked) {
 		t.Fatalf("overlapping bulk load: got %v, want ErrDoubleBooked", err)
@@ -156,18 +156,25 @@ func TestFinishBulkRejectsCompactedTimeline(t *testing.T) {
 	}
 }
 
-func TestFinishBulkToleratesEpsAbutment(t *testing.T) {
-	// Insert tolerates a timeEps overlap between adjacent reservations;
-	// FinishBulk must apply the same tolerance or valid cached schedules
-	// would spuriously fail to reload.
+func TestFinishBulkAcceptsAbutment(t *testing.T) {
+	// Insert accepts a reservation starting at the tick its neighbour ends;
+	// FinishBulk must too, or valid cached schedules would spuriously fail
+	// to reload. One tick more overlaps.
 	p := NewPRT(2)
 	if err := bulkLoad(p, []Reservation{
-		{CoflowID: 1, In: 0, Out: 1, Start: 0, End: 1 + timeEps/2},
+		{CoflowID: 1, In: 0, Out: 1, Start: 0, End: 1},
 		{CoflowID: 2, In: 0, Out: 1, Start: 1, End: 2},
 	}); err != nil {
-		t.Fatalf("eps-abutting bulk load: %v", err)
+		t.Fatalf("abutting bulk load: %v", err)
 	}
-	if p.NextCommitment(0, 1, math.Inf(-1)) != 0 {
+	if p.NextCommitment(0, 1, math.MinInt64) != 0 {
 		t.Fatal("NextCommitment lost the first bulk interval")
+	}
+	p.Reset()
+	if err := bulkLoad(p, []Reservation{
+		{CoflowID: 1, In: 0, Out: 1, Start: 0, End: 2},
+		{CoflowID: 2, In: 0, Out: 1, Start: 1, End: 3},
+	}); !errors.Is(err, ErrDoubleBooked) {
+		t.Fatalf("one-tick overlap: got %v, want ErrDoubleBooked", err)
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -34,20 +33,20 @@ func prtScenario(rng *rand.Rand, ports int) *PRT {
 	prt := NewPRT(ports)
 	blackout := rng.Intn(2) == 0
 	if blackout {
-		fw := FairWindows{N: ports, T: 0.5 + rng.Float64(), Tau: 0.01 + 0.05*rng.Float64()}
+		fw := FairWindows{N: ports, T: ns(0.5 + rng.Float64()), Tau: ns(0.01 + 0.05*rng.Float64())}
 		prt.SetBlackout(fw)
 	}
 	// Preloads: short reservations scattered over the near future, placed
 	// with TryReserve so colliding draws are simply skipped.
 	for k, n := 0, rng.Intn(6); k < n; k++ {
-		start := rng.Float64() * 2
+		start := ns(rng.Float64() * 2)
 		_ = prt.TryReserve(Reservation{
 			CoflowID: -100 - k,
 			In:       rng.Intn(ports),
 			Out:      rng.Intn(ports),
 			Start:    start,
-			End:      start + 0.05 + rng.Float64()*0.5,
-			Setup:    0.01,
+			End:      start + ns(0.05+rng.Float64()*0.5),
+			Setup:    ns(0.01),
 		})
 	}
 	// Fault-style outage blocks, occasionally permanent. A permanent block
@@ -56,15 +55,15 @@ func prtScenario(rng *rand.Rand, ports int) *PRT {
 	// check never fires — in both implementations), so +Inf outages are only
 	// drawn on blackout-free tables, where they surface as ErrStalled.
 	for k, n := 0, rng.Intn(3); k < n; k++ {
-		start := rng.Float64() * 2
-		end := start + 0.1 + rng.Float64()
+		start := ns(rng.Float64() * 2)
+		end := start + ns(0.1+rng.Float64())
 		if !blackout && rng.Intn(8) == 0 {
-			end = math.Inf(1)
+			end = Forever
 		}
 		prt.Block(rng.Intn(ports), start, end)
 	}
 	if rng.Intn(2) == 0 {
-		prt.CompactBefore(rng.Float64() * 3)
+		prt.CompactBefore(ns(rng.Float64() * 3))
 	}
 	return prt
 }
@@ -72,13 +71,13 @@ func prtScenario(rng *rand.Rand, ports int) *PRT {
 func randomOptions(rng *rand.Rand) Options {
 	opts := Options{
 		LinkBps: gbps,
-		Delta:   []float64{0, 0.001, 0.01}[rng.Intn(3)],
-		Start:   rng.Float64() * 2,
+		Delta:   ns([]float64{0, 0.001, 0.01}[rng.Intn(3)]),
+		Start:   ns(rng.Float64() * 2),
 		Order:   Order(rng.Intn(3)),
 		Seed:    rng.Int63(),
 	}
 	if rng.Intn(4) == 0 {
-		opts.Quantum = 0.001 + 0.01*rng.Float64()
+		opts.Quantum = ns(0.001 + 0.01*rng.Float64())
 	}
 	return opts
 }
@@ -109,9 +108,9 @@ func samePRT(a, b *PRT) bool {
 	return true
 }
 
-// sameSchedule is bit-exact equality of schedules. reflect.DeepEqual covers
+// sameSchedule is exact equality of schedules. reflect.DeepEqual covers
 // the reservation slice — which FlowFinish derives each flow's finish from —
-// and every float field.
+// and every field.
 func sameSchedule(a, b *Schedule) bool { return reflect.DeepEqual(a, b) }
 
 // TestQuickFastMatchesReferenceIntra is the core acceptance property: over
@@ -127,13 +126,13 @@ func sameSchedule(a, b *Schedule) bool { return reflect.DeepEqual(a, b) }
 //   - primed: 1–2 Coflows scheduled first, as InterCoflow does, so touched
 //     ports carry commitments starting after the search start (free bits go
 //     stale) and back-to-back intervals;
-//   - eps-adjacent: a commitment starting within timeEps of the end of the
+//   - adjacent: a commitment starting at, or one tick after, the end of the
 //     one before it on a touched port;
 //   - a release at a blackout end: a commitment on a touched port ending
 //     exactly where a blackout window does, so a round that examines every
 //     demand also refreshes a released port.
 func TestQuickFastMatchesReferenceIntra(t *testing.T) {
-	var wide, manyPorts, primed, epsAdjacent, blackoutRelease int
+	var wide, manyPorts, primed, adjacent, blackoutRelease int
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		ports := 3 + rng.Intn(8)
@@ -164,8 +163,8 @@ func TestQuickFastMatchesReferenceIntra(t *testing.T) {
 			if !ok || stalled {
 				return ok
 			}
-			if epsAdjacentPair(rng, fastPRT, refPRT, c, opts) {
-				epsAdjacent++
+			if adjacentPair(rng, fastPRT, refPRT, c, opts) {
+				adjacent++
 			}
 			if releaseAtBlackoutEnd(rng, fastPRT, refPRT, c, opts) {
 				blackoutRelease++
@@ -204,7 +203,7 @@ func TestQuickFastMatchesReferenceIntra(t *testing.T) {
 		{"a Coflow with more than 128 demands", wide},
 		{"more than 64 ports", manyPorts},
 		{"a primed table", primed},
-		{"an eps-adjacent commitment", epsAdjacent},
+		{"an adjacent commitment", adjacent},
 		{"a release at a blackout end", blackoutRelease},
 	} {
 		if shape.n == 0 {
@@ -221,7 +220,7 @@ func primeTables(t *testing.T, seed int64, rng *rand.Rand, fast, ref *PRT, c *co
 	for k, n := 0, 1+rng.Intn(2); k < n; k++ {
 		prior := randomCoflow(rng, fast.Ports(), max(2, len(c.Flows)))
 		popts := opts
-		popts.Start = opts.Start * rng.Float64()
+		popts.Start = ns(Seconds(opts.Start) * rng.Float64())
 		fs, fErr := IntraCoflow(fast, prior, popts)
 		popts.Reference = true
 		rs, rErr := IntraCoflow(ref, prior, popts)
@@ -248,36 +247,33 @@ func releaseAtBlackoutEnd(rng *rand.Rand, fast, ref *PRT, c *coflow.Coflow, opts
 		return false
 	}
 	f := c.Flows[rng.Intn(len(c.Flows))]
-	end := fast.blackout.NextEnd(opts.Start + rng.Float64())
-	r := Reservation{CoflowID: -202, In: rng.Intn(fast.Ports()), Out: f.Dst, Start: end - 0.05 - 0.3*rng.Float64(), End: end, Setup: 0.01}
-	if !fast.CanReserve(r) {
+	end := fast.blackout.NextEnd(opts.Start + ns(rng.Float64()))
+	r := Reservation{CoflowID: -202, In: rng.Intn(fast.Ports()), Out: f.Dst, Start: end - ns(0.05+0.3*rng.Float64()), End: end, Setup: ns(0.01)}
+	if fast.TryReserve(r) != nil {
 		return false
 	}
-	fast.Reserve(r)
 	ref.Reserve(r)
 	return true
 }
 
-// epsAdjacentPair reserves, on both tables, two commitments back to back on
-// an input port of c — the second starting within timeEps of the first's end,
-// above or below it — both starting after opts.Start. It reports whether the
-// pair landed (on both tables alike; a collision with existing commitments
-// skips it).
-func epsAdjacentPair(rng *rand.Rand, fast, ref *PRT, c *coflow.Coflow, opts Options) bool {
+// adjacentPair reserves, on both tables, two commitments back to back on an
+// input port of c — the second starting at the first's end or one tick
+// after it — both starting after opts.Start. It reports whether the pair
+// landed (on both tables alike; a collision with existing commitments skips
+// it).
+func adjacentPair(rng *rand.Rand, fast, ref *PRT, c *coflow.Coflow, opts Options) bool {
 	f := c.Flows[rng.Intn(len(c.Flows))]
-	start := opts.Start + 0.01 + rng.Float64()
-	mid := start + 0.02 + 0.2*rng.Float64()
-	next := mid + (rng.Float64()*2-1)*0.9*timeEps
-	a := Reservation{CoflowID: -200, In: f.Src, Out: rng.Intn(fast.Ports()), Start: start, End: mid, Setup: 0.01}
-	b := Reservation{CoflowID: -201, In: f.Src, Out: rng.Intn(fast.Ports()), Start: next, End: next + 0.02 + 0.2*rng.Float64(), Setup: 0.01}
-	// a and b overlap by less than timeEps, which the table accepts, so each
-	// need only clear what is there already.
-	if !fast.CanReserve(a) || !fast.CanReserve(b) {
-		return false
-	}
-	fast.Preload([]Reservation{a, b})
-	ref.Preload([]Reservation{a, b})
-	return true
+	start := opts.Start + ns(0.01+rng.Float64())
+	mid := start + ns(0.02+0.2*rng.Float64())
+	next := mid + int64(rng.Float64()*2)
+	a := Reservation{CoflowID: -200, In: f.Src, Out: rng.Intn(fast.Ports()), Start: start, End: mid, Setup: ns(0.01)}
+	b := Reservation{CoflowID: -201, In: f.Src, Out: rng.Intn(fast.Ports()), Start: next, End: next + ns(0.02+0.2*rng.Float64()), Setup: ns(0.01)}
+	// a and b do not overlap, so each need only clear what is there
+	// already; the tables are identical, so ref accepts exactly what fast
+	// does.
+	okA, okB := fast.TryReserve(a) == nil, fast.TryReserve(b) == nil
+	_, _ = ref.TryReserve(a), ref.TryReserve(b)
+	return okA && okB
 }
 
 // TestQuickFastMatchesReferenceInter runs whole inter-Coflow passes — the
@@ -346,7 +342,7 @@ func TestQuickCompactionIsExact(t *testing.T) {
 		var err2 error
 		for _, c := range ordered {
 			co := opts
-			co.Start = math.Max(opts.Start, c.Arrival)
+			co.Start = max(opts.Start, ns(c.Arrival))
 			var s *Schedule
 			if s, err2 = IntraCoflow(plain, c, co); err2 != nil {
 				break
@@ -374,8 +370,8 @@ func TestQuickCompactionIsExact(t *testing.T) {
 		// busyTime over random slices must agree despite the archives.
 		for k := 0; k < 10; k++ {
 			i := rng.Intn(ports)
-			from := rng.Float64() * 10
-			to := from + rng.Float64()*10
+			from := ns(rng.Float64() * 10)
+			to := from + ns(rng.Float64()*10)
 			if compacted.busyTime(i, from, to) != plain.busyTime(i, from, to) {
 				return false
 			}
@@ -387,35 +383,39 @@ func TestQuickCompactionIsExact(t *testing.T) {
 	}
 }
 
-// TestQuickRemoveTolerance: satellite guarantee for timeline.remove — a
-// TryReserve rollback must remove the input-side interval it just inserted
-// even when the caller's start differs by float residue, and must never
-// remove a neighbour further than timeEps away.
-func TestQuickRemoveTolerance(t *testing.T) {
+// TestQuickRemoveExact: satellite guarantee for timeline.remove — a
+// TryReserve rollback removes the interval starting exactly at the given
+// tick, in the live window or the archive, and a start one tick off removes
+// nothing.
+func TestQuickRemoveExact(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		var tl timeline
-		starts := make([]float64, 0, 8)
+		starts := make([]int64, 0, 8)
 		for k := 0; k < 8; k++ {
-			s := float64(k) + rng.Float64()*0.5
-			if tl.insert(s, s+0.2, 0) {
+			s := ns(float64(k) + rng.Float64()*0.5)
+			if tl.insert(s, s+ns(0.2), 0) {
 				starts = append(starts, s)
 			}
 		}
 		// Sometimes compact a prefix into the archive, so removal is
 		// exercised on both halves.
 		if rng.Intn(2) == 0 {
-			tl.compact(float64(rng.Intn(9)))
+			tl.compact(ns(float64(rng.Intn(9))))
 		}
 		pick := starts[rng.Intn(len(starts))]
-		// Perturb within eps: removal must still find the interval.
-		tl.remove(pick + (rng.Float64()*2-1)*0.9e-9)
+		tl.remove(pick + 1)
+		if got := len(tl.iv) + len(tl.old); got != len(starts) {
+			t.Logf("seed %d: a start one tick off removed an interval", seed)
+			return false
+		}
+		tl.remove(pick)
 		if got := len(tl.iv) + len(tl.old); got != len(starts)-1 {
 			t.Logf("seed %d: remove missed, %d intervals left of %d", seed, got, len(starts))
 			return false
 		}
 		for _, iv := range mergedIntervals(&tl) {
-			if math.Abs(iv.start-pick) <= timeEps {
+			if iv.start == pick {
 				return false // removed the wrong one
 			}
 		}

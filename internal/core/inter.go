@@ -2,7 +2,7 @@ package core
 
 import (
 	"cmp"
-	"math"
+	"fmt"
 	"slices"
 	"sort"
 
@@ -121,8 +121,9 @@ func (PriorityClasses) Name() string { return "priority-classes" }
 // complete without being blocked by less prioritized ones; lower-priority
 // reservations are shortened where needed (Figure 2).
 //
-// Each Coflow's scheduling starts at max(opts.Start, its arrival time).
-// Returned schedules parallel the input order.
+// Each Coflow's scheduling starts at max(opts.Start, its arrival), the
+// arrival converted to ticks by Nanos. Returned schedules parallel the input
+// order.
 //
 // As the pass advances, the PRT is compacted up to the earliest scheduling
 // start of the Coflows still to place (a suffix minimum): intervals the
@@ -133,11 +134,17 @@ func (PriorityClasses) Name() string { return "priority-classes" }
 func InterCoflow(prt *PRT, ordered []*coflow.Coflow, opts Options) ([]*Schedule, error) {
 	sp := opts.Prof.Start("inter")
 	defer sp.Finish()
-	// starts[k] = min over c in ordered[k:] of that Coflow's scheduling start.
-	starts := make([]float64, len(ordered)+1)
-	starts[len(ordered)] = math.Inf(1)
+	// own[k] is ordered[k]'s scheduling start; starts[k] = min(own[k:]).
+	own := make([]int64, len(ordered))
+	starts := make([]int64, len(ordered)+1)
+	starts[len(ordered)] = Forever
 	for k := len(ordered) - 1; k >= 0; k-- {
-		starts[k] = math.Min(starts[k+1], math.Max(opts.Start, ordered[k].Arrival))
+		arrival, err := Nanos(ordered[k].Arrival)
+		if err != nil {
+			return nil, fmt.Errorf("core: coflow %d arrival: %w", ordered[k].ID, err)
+		}
+		own[k] = max(opts.Start, arrival)
+		starts[k] = min(starts[k+1], own[k])
 	}
 	scheds := make([]*Schedule, 0, len(ordered))
 	for k, c := range ordered {
@@ -145,7 +152,7 @@ func InterCoflow(prt *PRT, ordered []*coflow.Coflow, opts Options) ([]*Schedule,
 		prt.CompactBefore(starts[k])
 		csp.Finish()
 		co := opts
-		co.Start = math.Max(opts.Start, c.Arrival)
+		co.Start = own[k]
 		s, err := IntraCoflow(prt, c, co)
 		if err != nil {
 			return scheds, err

@@ -106,7 +106,7 @@ func TestInterHighPriorityUnblocked(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(scheds[0].Finish-solo.Finish) > 1e-9 {
+		if math.Abs(Seconds(scheds[0].Finish-solo.Finish)) > 1e-9 {
 			t.Fatalf("high priority coflow delayed: inter %v vs solo %v", scheds[0].Finish, solo.Finish)
 		}
 	}
@@ -135,11 +135,11 @@ func TestInterLowPriorityShortenedReservation(t *testing.T) {
 	}
 	// C1's second flow must start exactly at its release time (0.01+0.04).
 	c1res := scheds[0].Reservations
-	if math.Abs(c1res[1].Start-0.05) > 1e-9 {
+	if math.Abs(Seconds(c1res[1].Start)-0.05) > 1e-9 {
 		t.Fatalf("C1 second reservation start = %v, want 0.05", c1res[1].Start)
 	}
 	// C2's first slice must end before C1 needs in.1.
-	if scheds[1].Reservations[0].End > c1res[1].Start+1e-9 {
+	if Seconds(scheds[1].Reservations[0].End) > Seconds(c1res[1].Start)+1e-9 {
 		t.Fatalf("C2 blocks C1: %v > %v", scheds[1].Reservations[0].End, c1res[1].Start)
 	}
 }
@@ -151,10 +151,10 @@ func TestInterRespectsArrivalTimes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if scheds[0].Reservations[0].Start < 1.0 {
+	if Seconds(scheds[0].Reservations[0].Start) < 1.0 {
 		t.Fatalf("scheduled before arrival: %v", scheds[0].Reservations[0].Start)
 	}
-	if got := scheds[0].CCT(c1.Arrival); math.Abs(got-0.018) > 1e-9 {
+	if got := scheds[0].CCT(ns(c1.Arrival)); math.Abs(got-0.018) > 1e-9 {
 		t.Fatalf("CCT = %v, want 0.018", got)
 	}
 }

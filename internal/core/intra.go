@@ -49,20 +49,20 @@ func (o Order) String() string {
 type Options struct {
 	// LinkBps is the per-port link bandwidth B in bits per second.
 	LinkBps float64
-	// Delta is the circuit reconfiguration delay δ in seconds.
-	Delta float64
-	// Start is the time scheduling begins (t0 in Figure 1c).
-	Start float64
+	// Delta is the circuit reconfiguration delay δ in ticks (ns).
+	Delta int64
+	// Start is the tick scheduling begins at (t0 in Figure 1c).
+	Start int64
 	// Order is the reservation ordering; see Order.
 	Order Order
 	// Seed drives RandomOrder shuffling.
 	Seed int64
 	// Quantum, when positive, rounds each flow's processing time up to a
-	// multiple of this many seconds before scheduling — the approximation
+	// multiple of this many ticks before scheduling — the approximation
 	// §6 sketches to prune the circuit-release-event loop and cut scheduler
 	// latency. Circuits are held for the rounded time, so CCT can only
 	// grow; the ablation benchmarks quantify the trade.
-	Quantum float64
+	Quantum int64
 	// Reference selects the straightforward scan-based scheduler loop over
 	// the event-driven fast path. Both produce bit-identical schedules —
 	// the differential property tests enforce it — so Reference exists as
@@ -102,17 +102,17 @@ type Schedule struct {
 	CoflowID int
 	// Reservations lists the circuits reserved, in creation order.
 	Reservations []Reservation
-	// Start is the time scheduling began for this Coflow.
-	Start float64
-	// Finish is the time the last reservation releases its ports; the CCT
+	// Start is the tick scheduling began at for this Coflow.
+	Start int64
+	// Finish is the tick the last reservation releases its ports; the CCT
 	// relative to Start is Finish-Start.
-	Finish float64
+	Finish int64
 }
 
 // FlowFinish returns the time the (src, dst) flow's demand drains: the end of
 // its last reservation. ok is false when the schedule reserved nothing for
 // the flow.
-func (s *Schedule) FlowFinish(src, dst int) (t float64, ok bool) {
+func (s *Schedule) FlowFinish(src, dst int) (t int64, ok bool) {
 	for k := len(s.Reservations) - 1; k >= 0; k-- {
 		if r := &s.Reservations[k]; r.In == src && r.Out == dst {
 			return r.End, true
@@ -121,8 +121,9 @@ func (s *Schedule) FlowFinish(src, dst int) (t float64, ok bool) {
 	return 0, false
 }
 
-// CCT returns the Coflow completion time measured from the given arrival.
-func (s *Schedule) CCT(arrival float64) float64 { return s.Finish - arrival }
+// CCT returns the Coflow completion time in seconds measured from the given
+// arrival tick.
+func (s *Schedule) CCT(arrival int64) float64 { return Seconds(s.Finish - arrival) }
 
 // SwitchingCount returns the number of circuit establishments scheduled.
 func (s *Schedule) SwitchingCount() int { return len(s.Reservations) }
@@ -132,56 +133,52 @@ func (s *Schedule) SwitchingCount() int { return len(s.Reservations) }
 // port pair with remaining demand.
 var ErrStalled = errors.New("core: scheduler stalled with unfinished demand")
 
-// demand is one pending flow with its remaining processing time and whole
-// bytes.
+// demand is one pending flow with its remaining whole bytes b and their
+// processing time p = p(b) in ticks (see procTime).
 type demand struct {
 	i, j int
-	p    float64
+	p    int64
 	b    int64
 }
 
+// procTime returns p(b) (ProcTicks), rounded up to a multiple of
+// opts.Quantum when one is set.
+func procTime(b int64, opts *Options) int64 {
+	p := ProcTicks(b, opts.LinkBps)
+	if q := opts.Quantum; q > 0 && p > 0 {
+		p = (p + q - 1) / q * q
+	}
+	return p
+}
+
 // serve debits a reservation of hold l from d and returns the whole bytes it
-// carries. Times stay in float seconds; bytes only label the reservations:
-// the one that finishes the demand carries every remaining byte, a shortened
-// one the whole bytes its transmit time holds, capped at the remainder.
-func (d *demand) serve(l float64, opts *Options) int64 {
-	d.p -= l - opts.Delta
+// carries: every remaining byte when the hold is the full δ+p, otherwise the
+// ⌊(l−δ)·B/8e9⌋ its transmit time carries. The remainder's processing time
+// is p(b − carried), exactly what a later pass plans from the whole-byte
+// remainder.
+func (d *demand) serve(l int64, opts *Options) int64 {
 	b := d.b
-	if d.p > timeEps {
-		b = min(b, int64((l-opts.Delta)*opts.LinkBps/8))
+	if l < opts.Delta+d.p {
+		b = min(b, carried(l-opts.Delta, opts.LinkBps))
 	}
 	d.b -= b
+	d.p = procTime(d.b, opts)
 	return b
 }
 
-// releaseHeap is a min-heap of circuit release times (reference path).
-type releaseHeap []float64
+// releaseHeap is a min-heap of circuit release ticks (reference path).
+type releaseHeap []int64
 
 func (h releaseHeap) Len() int            { return len(h) }
 func (h releaseHeap) Less(a, b int) bool  { return h[a] < h[b] }
 func (h releaseHeap) Swap(a, b int)       { h[a], h[b] = h[b], h[a] }
-func (h *releaseHeap) Push(x interface{}) { *h = append(*h, x.(float64)) }
+func (h *releaseHeap) Push(x interface{}) { *h = append(*h, x.(int64)) }
 func (h *releaseHeap) Pop() interface{} {
 	old := *h
 	n := len(old)
 	x := old[n-1]
 	*h = old[:n-1]
 	return x
-}
-
-// covered reports whether the heap already holds an entry u within
-// [t-timeEps, t]. The scheduler's round at u drains every release up to
-// u+timeEps, t included, so pushing t again would be redundant. The check is
-// deliberately one-sided: a new release below an existing entry must still
-// be pushed — the round cursor advances to the minimum of an eps-cluster,
-// and dropping a smaller value would shift round times by float residue.
-func (h releaseHeap) covered(t float64) bool {
-	for _, v := range h {
-		if t-timeEps <= v && v <= t {
-			return true
-		}
-	}
-	return false
 }
 
 // IntraCoflow runs the non-preemptive intra-Coflow scheduler of Algorithm 1
@@ -191,10 +188,11 @@ func (h releaseHeap) covered(t float64) bool {
 // prioritizes earlier Coflows). The PRT is updated in place and the Coflow's
 // schedule is returned.
 //
-// Each flow with processing time p(i,j) = d(i,j)·8/B desires one reservation
-// of length δ+p; when a port pair has a later commitment closer than that,
-// the reservation is shortened and the remainder of the flow is reserved
-// again later — paying another δ, exactly as MakeReservation prescribes.
+// Each flow of d whole bytes has processing time p = ⌈8·d·1e9/B⌉ ticks and
+// desires one reservation of length δ+p; when a port pair has a later
+// commitment closer than that, the reservation is shortened and the
+// remainder of the flow is reserved again later — paying another δ, exactly
+// as MakeReservation prescribes.
 //
 // Two interchangeable loop implementations exist: the event-driven fast path
 // (default) re-examines only the demands touching a freed port at each
@@ -251,26 +249,14 @@ func IntraCoflow(prt *PRT, c *coflow.Coflow, opts Options) (*Schedule, error) {
 	return sched, err
 }
 
-// buildPending converts the Coflow's positive-demand flows into scheduler
-// demands, appending to dst, and orders them per opts.
+// buildPending converts the Coflow's flows, rounded to whole bytes, into
+// scheduler demands, appending to dst, and orders them per opts. A flow
+// under half a byte has nothing to carry; any other has p ≥ 1 tick.
 func buildPending(dst []demand, c *coflow.Coflow, opts Options) []demand {
 	for _, f := range c.Flows {
-		if f.Bytes <= 0 {
-			continue
+		if b := int64(math.Round(f.Bytes)); b > 0 {
+			dst = append(dst, demand{i: f.Src, j: f.Dst, p: procTime(b, &opts), b: b})
 		}
-		p := f.ProcTime(opts.LinkBps)
-		if opts.Quantum > 0 {
-			p = math.Ceil(p/opts.Quantum) * opts.Quantum
-		}
-		b := int64(math.Round(f.Bytes))
-		if b > 0 && p <= timeEps {
-			// Whole bytes that transmit within the time noise floor (a few
-			// bytes at tens of Gb/s) still need a circuit: hold it just
-			// past the floor, or every pass skips the demand and its
-			// Coflow never drains.
-			p = 2 * timeEps
-		}
-		dst = append(dst, demand{i: f.Src, j: f.Dst, p: p, b: b})
 	}
 	orderDemands(dst, opts)
 	return dst
@@ -305,51 +291,20 @@ func intraScan(prt *PRT, c *coflow.Coflow, opts Options) (*Schedule, int, error)
 		placed := len(sched.Reservations)
 		for idx := range pending {
 			d := &pending[idx]
-			if d.p <= timeEps || !prt.FreeAt(d.i, d.j, t) {
+			if d.p == 0 || !prt.FreeAt(d.i, d.j, t) {
 				continue
 			}
-			tm := prt.NextCommitment(d.i, d.j, t)
-			lm := tm - t
-			ld := opts.Delta + d.p
-			// A slot shorter than δ (or exactly δ, which would carry no
-			// data) is useless: leave the ports free for another Coflow.
-			if lm <= opts.Delta+timeEps {
+			l, ok := slot(prt.NextCommitment(d.i, d.j, t), t, d, &opts)
+			if !ok {
 				continue
 			}
-			l := math.Min(lm, ld)
-			r := Reservation{
-				CoflowID: c.ID,
-				In:       d.i,
-				Out:      d.j,
-				Start:    t,
-				End:      t + l,
-				Setup:    opts.Delta,
-				Bytes:    d.serve(l, &opts),
-			}
-			prt.Reserve(r)
-			sched.Reservations = append(sched.Reservations, r)
-			if o := opts.Obs; o != nil {
-				o.Reservations.Inc()
-				if l < ld-timeEps {
-					// The slot was cut short by a later commitment: the
-					// flow's remainder will pay another δ.
-					o.ResShortened.Inc()
-				}
-			}
-			if !releases.covered(r.End) {
-				heap.Push(&releases, r.End)
-			}
-			if r.End > sched.Finish {
-				sched.Finish = r.End
-			}
+			heap.Push(&releases, place(prt, sched, d, t, l, &opts))
 		}
 
-		// Drop satisfied demands; residues at the arithmetic noise floor
-		// count as satisfied, matching the skip threshold above, or they
-		// would linger unschedulable forever.
+		// Drop satisfied demands.
 		live := pending[:0]
 		for _, d := range pending {
-			if d.p > timeEps {
+			if d.p > 0 {
 				live = append(live, d)
 			}
 		}
@@ -362,7 +317,7 @@ func intraScan(prt *PRT, c *coflow.Coflow, opts Options) (*Schedule, int, error)
 		// the end of a blackout window also frees ports. Entries at or
 		// before the cursor belong to rounds already run: drain them all in
 		// one pass, then peek the first live one.
-		for releases.Len() > 0 && releases[0] <= t+timeEps {
+		for releases.Len() > 0 && releases[0] <= t {
 			heap.Pop(&releases)
 		}
 		blk := prt.nextBlackoutEnd(t)
@@ -370,11 +325,11 @@ func intraScan(prt *PRT, c *coflow.Coflow, opts Options) (*Schedule, int, error)
 		if releases.Len() > 0 && releases[0] < next {
 			next = releases[0]
 		}
-		if math.IsInf(next, 1) || stuck(atBlackoutEnd, len(sched.Reservations) > placed, releases.Len() > 0 && !math.IsInf(releases[0], 1)) {
-			return nil, examined, fmt.Errorf("%w: %d flows blocked at t=%.6f for %v", ErrStalled, len(pending), t, c)
+		if next == Forever || stuck(atBlackoutEnd, len(sched.Reservations) > placed, releases.Len() > 0 && releases[0] != Forever) {
+			return nil, examined, fmt.Errorf("%w: %d flows blocked at t=%.6f for %v", ErrStalled, len(pending), Seconds(t), c)
 		}
 		t = next
-		atBlackoutEnd = blk <= t+timeEps
+		atBlackoutEnd = blk == t
 	}
 	return sched, examined, nil
 }
@@ -383,7 +338,7 @@ func intraScan(prt *PRT, c *coflow.Coflow, opts Options) (*Schedule, int, error)
 // time t the input port in and/or output port out become free. Negative port
 // values mean "no port on this side" (events seeded from a single timeline).
 type portEvent struct {
-	t       float64
+	t       int64
 	in, out int32
 }
 
@@ -449,7 +404,7 @@ type intraScratch struct {
 	// words set this round (lo > hi when none is).
 	wake   []uint64
 	lo, hi int
-	ends   []float64
+	ends   []int64
 	// examined counts demand visits this pass (sched.intra_examined).
 	examined int
 }
@@ -481,7 +436,7 @@ type portSide struct {
 	// valid.
 	cur  []int
 	free []uint64
-	next []float64
+	next []int64
 	// mask and all hold one bitset of words (⌈n/64⌉) words per port: bit q
 	// of p's mask marks p's unfinished demand toward peer q, and all keeps
 	// the finished ones too, so the number of bits of all below q is that
@@ -508,7 +463,7 @@ func clearBit(b []uint64, q int) { b[q>>6] &^= 1 << (uint(q) & 63) }
 func (ps *portSide) reset(tls []timeline, n, words int) {
 	ps.tls, ps.words = tls, words
 	if cap(ps.list) < n {
-		ps.list, ps.cur, ps.next = make([][]int32, n), make([]int, n), make([]float64, n)
+		ps.list, ps.cur, ps.next = make([][]int32, n), make([]int, n), make([]int64, n)
 	}
 	ps.list, ps.cur, ps.next = ps.list[:n], ps.cur[:n], ps.next[:n]
 	ps.free = slices.Grow(ps.free[:0], words)[:words]
@@ -519,7 +474,7 @@ func (ps *portSide) reset(tls []timeline, n, words int) {
 
 // refresh recomputes port p's free bit and next commitment exactly at t and
 // reports whether p is free.
-func (ps *portSide) refresh(p int, t float64) bool {
+func (ps *portSide) refresh(p int, t int64) bool {
 	tl := &ps.tls[p]
 	c := tl.seek(ps.cur[p], t)
 	ps.cur[p] = c
@@ -534,7 +489,7 @@ func (ps *portSide) refresh(p int, t float64) bool {
 
 // freeAt reports whether port p is free at round instant t, refreshing it
 // only when its free bit may have gone stale.
-func (ps *portSide) freeAt(p int, t float64) bool {
+func (ps *portSide) freeAt(p int, t int64) bool {
 	return hasBit(ps.free, p) && (t < ps.next[p] || ps.refresh(p, t))
 }
 
@@ -580,24 +535,16 @@ func intraFast(prt *PRT, c *coflow.Coflow, opts Options) (*Schedule, int, error)
 
 	// Index live demands by port: count them per port, then carve each
 	// port's list out of one flat buffer, so indexing allocates nothing once
-	// the buffers have grown. A demand already at the noise floor is dropped
-	// up front — the reference scan never reserves for it — so remaining
-	// counts exactly the schedulable work.
+	// the buffers have grown.
 	n := prt.n
 	s.in.reset(prt.in, n, (n+63)/64)
 	s.out.reset(prt.out, n, (n+63)/64)
 	s.counts = slices.Grow(s.counts[:0], 2*n)[:2*n]
 	clear(s.counts)
-	remaining := 0
+	remaining := len(pending)
 	for di := range pending {
-		if pending[di].p > timeEps {
-			remaining++
-			s.counts[pending[di].i]++
-			s.counts[n+pending[di].j]++
-		}
-	}
-	if remaining == 0 {
-		return sched, 0, nil
+		s.counts[pending[di].i]++
+		s.counts[n+pending[di].j]++
 	}
 	s.flat = slices.Grow(s.flat[:0], 2*remaining)[:2*remaining]
 	off := 0
@@ -613,12 +560,11 @@ func intraFast(prt *PRT, c *coflow.Coflow, opts Options) (*Schedule, int, error)
 		}
 	}
 	for di := range pending {
-		if d := &pending[di]; d.p > timeEps {
-			s.in.list[d.i] = append(s.in.list[d.i], int32(di))
-			s.out.list[d.j] = append(s.out.list[d.j], int32(di))
-			setBit(s.in.row(d.i, s.in.mask), d.j)
-			setBit(s.out.row(d.j, s.out.mask), d.i)
-		}
+		d := &pending[di]
+		s.in.list[d.i] = append(s.in.list[d.i], int32(di))
+		s.out.list[d.j] = append(s.out.list[d.j], int32(di))
+		setBit(s.in.row(d.i, s.in.mask), d.j)
+		setBit(s.out.row(d.j, s.out.mask), d.i)
 	}
 	if opts.Order != OrderedPort {
 		// Only the port order leaves every list sorted by peer already.
@@ -652,13 +598,13 @@ func intraFast(prt *PRT, c *coflow.Coflow, opts Options) (*Schedule, int, error)
 		placed := len(sched.Reservations)
 		if wakeAll {
 			for di := range pending {
-				remaining = s.examine(prt, c, &opts, sched, &pending[di], t, remaining)
+				remaining = s.examine(prt, &opts, sched, &pending[di], t, remaining)
 			}
 		} else {
 			for w := s.lo; w <= s.hi; w++ {
 				for word := s.wake[w]; word != 0; word &= word - 1 {
 					di := w<<6 | bits.TrailingZeros64(word)
-					remaining = s.examine(prt, c, &opts, sched, &pending[di], t, remaining)
+					remaining = s.examine(prt, &opts, sched, &pending[di], t, remaining)
 				}
 				s.wake[w] = 0
 			}
@@ -677,15 +623,15 @@ func intraFast(prt *PRT, c *coflow.Coflow, opts Options) (*Schedule, int, error)
 		if len(s.events) > 0 && s.events[0].t < next {
 			next = s.events[0].t
 		}
-		if math.IsInf(next, 1) || stuck(atBlackoutEnd, len(sched.Reservations) > placed, len(s.events) > 0 && !math.IsInf(s.events[0].t, 1)) {
-			return nil, s.examined, fmt.Errorf("%w: %d flows blocked at t=%.6f for %v", ErrStalled, remaining, t, c)
+		if next == Forever || stuck(atBlackoutEnd, len(sched.Reservations) > placed, len(s.events) > 0 && s.events[0].t != Forever) {
+			return nil, s.examined, fmt.Errorf("%w: %d flows blocked at t=%.6f for %v", ErrStalled, remaining, Seconds(t), c)
 		}
 		t = next
 		// A blackout end frees every port at once: all demands may have
 		// become schedulable, so this round examines them all.
-		wakeAll = blk <= t+timeEps
+		wakeAll = blk == t
 		atBlackoutEnd = wakeAll
-		for len(s.events) > 0 && s.events[0].t <= t+timeEps {
+		for len(s.events) > 0 && s.events[0].t <= t {
 			e := evPop(&s.events)
 			if e.in >= 0 && s.in.refresh(int(e.in), t) && !wakeAll {
 				s.wakeFrom(&s.in, &s.out, int(e.in))
@@ -702,7 +648,7 @@ func intraFast(prt *PRT, c *coflow.Coflow, opts Options) (*Schedule, int, error)
 // seedPort prepares touched port p of side ps for a pass starting at start:
 // snapshots its peer mask into all, pushes its commitments' ends as release
 // events shaped like ev, and places its cursor and state at start.
-func (s *intraScratch) seedPort(ps *portSide, p int, start float64, ev portEvent) {
+func (s *intraScratch) seedPort(ps *portSide, p int, start int64, ev portEvent) {
 	if len(ps.list[p]) == 0 {
 		return
 	}
@@ -722,59 +668,66 @@ func (s *intraScratch) seedPort(ps *portSide, p int, start float64, ev portEvent
 // reserve the longest admissible slot if the ports are free, mirroring
 // intraScan's inner loop statement for statement. It returns the updated
 // count of unfinished demands.
-func (s *intraScratch) examine(prt *PRT, c *coflow.Coflow, opts *Options, sched *Schedule, d *demand, t float64, remaining int) int {
+func (s *intraScratch) examine(prt *PRT, opts *Options, sched *Schedule, d *demand, t int64, remaining int) int {
 	s.examined++
-	if d.p <= timeEps || !s.in.freeAt(d.i, t) || !s.out.freeAt(d.j, t) ||
+	if d.p == 0 || !s.in.freeAt(d.i, t) || !s.out.freeAt(d.j, t) ||
 		(prt.blackout != nil && prt.blackout.Covers(t)) {
 		return remaining
 	}
 	// Both ports are free with no change since their last refresh, so next
 	// holds their next commitments at t.
-	tm := math.Min(s.in.next[d.i], s.out.next[d.j])
+	tm := min(s.in.next[d.i], s.out.next[d.j])
 	if prt.blackout != nil {
-		tm = math.Min(tm, prt.blackout.NextStart(t))
+		tm = min(tm, prt.blackout.NextStart(t))
 	}
-	lm := tm - t
-	ld := opts.Delta + d.p
-	// A slot shorter than δ (or exactly δ, which would carry no data) is
-	// useless: leave the ports free for another Coflow.
-	if lm <= opts.Delta+timeEps {
+	l, ok := slot(tm, t, d, opts)
+	if !ok {
 		return remaining
 	}
-	l := math.Min(lm, ld)
-	r := Reservation{
-		CoflowID: c.ID,
-		In:       d.i,
-		Out:      d.j,
-		Start:    t,
-		End:      t + l,
-		Setup:    opts.Delta,
-		Bytes:    d.serve(l, opts),
-	}
-	prt.Reserve(r)
+	end := place(prt, sched, d, t, l, opts)
 	clearBit(s.in.free, d.i)
 	clearBit(s.out.free, d.j)
+	// The release frees both ports; one event refreshes both. Reservations
+	// are longer than δ, so end is strictly after this round.
+	evPush(&s.events, portEvent{t: end, in: int32(d.i), out: int32(d.j)})
+	if d.p == 0 {
+		clearBit(s.in.row(d.i, s.in.mask), d.j)
+		clearBit(s.out.row(d.j, s.out.mask), d.i)
+		remaining--
+	}
+	return remaining
+}
+
+// slot returns the hold of the reservation demand d gets at round instant t
+// given tm, the next commitment on its ports: δ+p, or up to tm when that
+// comes first. ok is false when the slot would be at most δ long and carry
+// no data: the ports are left free for another Coflow.
+func slot(tm, t int64, d *demand, opts *Options) (l int64, ok bool) {
+	if tm <= t+opts.Delta {
+		return 0, false
+	}
+	if ld := opts.Delta + d.p; tm >= t+ld {
+		return ld, true
+	}
+	return tm - t, true
+}
+
+// place reserves the hold [t, t+l) for demand d on the table and in sched,
+// serving d, and returns the release instant t+l.
+func place(prt *PRT, sched *Schedule, d *demand, t, l int64, opts *Options) int64 {
+	r := Reservation{CoflowID: sched.CoflowID, In: d.i, Out: d.j, Start: t, End: t + l, Setup: opts.Delta, Bytes: d.serve(l, opts)}
+	prt.Reserve(r)
 	sched.Reservations = append(sched.Reservations, r)
+	sched.Finish = max(sched.Finish, r.End)
 	if o := opts.Obs; o != nil {
 		o.Reservations.Inc()
-		if l < ld-timeEps {
+		if d.p > 0 {
 			// The slot was cut short by a later commitment: the flow's
 			// remainder will pay another δ.
 			o.ResShortened.Inc()
 		}
 	}
-	// The release frees both ports; one event refreshes both. Reservations
-	// carry data (l > δ+eps), so r.End is strictly after this round.
-	evPush(&s.events, portEvent{t: r.End, in: int32(d.i), out: int32(d.j)})
-	if d.p <= timeEps {
-		clearBit(s.in.row(d.i, s.in.mask), d.j)
-		clearBit(s.out.row(d.j, s.out.mask), d.i)
-		remaining--
-	}
-	if r.End > sched.Finish {
-		sched.Finish = r.End
-	}
-	return remaining
+	return r.End
 }
 
 // stuck reports a pass that can never place its remaining demand: a round at
@@ -788,10 +741,10 @@ func stuck(atBlackoutEnd, placed, releasePending bool) bool {
 }
 
 // nextBlackoutEnd returns the end of the first blackout window after t, or
-// +Inf when no blackout is installed.
-func (p *PRT) nextBlackoutEnd(t float64) float64 {
+// Forever when no blackout is installed.
+func (p *PRT) nextBlackoutEnd(t int64) int64 {
 	if p.blackout == nil {
-		return math.Inf(1)
+		return Forever
 	}
 	return p.blackout.NextEnd(t)
 }
@@ -829,21 +782,13 @@ func byPorts(a, b demand) int {
 	return cmp.Compare(a.j, b.j)
 }
 
-// portSets returns the distinct input and output ports of the demands.
+// portSets returns the distinct input and output ports of the demands, each
+// sorted.
 func portSets(pending []demand) (ins, outs []int) {
-	inSet := make(map[int]bool)
-	outSet := make(map[int]bool)
 	for _, d := range pending {
-		inSet[d.i] = true
-		outSet[d.j] = true
-	}
-	for i := range inSet {
-		ins = append(ins, i)
-	}
-	for j := range outSet {
-		outs = append(outs, j)
+		ins, outs = append(ins, d.i), append(outs, d.j)
 	}
 	slices.Sort(ins)
 	slices.Sort(outs)
-	return ins, outs
+	return slices.Compact(ins), slices.Compact(outs)
 }

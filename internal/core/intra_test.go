@@ -11,7 +11,16 @@ import (
 
 const gbps = 1e9
 
-var testOpts = Options{LinkBps: gbps, Delta: 0.01}
+var testOpts = Options{LinkBps: gbps, Delta: ns(0.01)}
+
+// ns converts a test's seconds to ticks.
+func ns(sec float64) int64 {
+	t, err := Nanos(sec)
+	if err != nil {
+		panic(err)
+	}
+	return t
+}
 
 // mustIntra schedules on a fresh PRT and fails the test on error.
 func mustIntra(t *testing.T, c *coflow.Coflow, n int, opts Options) *Schedule {
@@ -40,13 +49,13 @@ func TestIntraSingleFlow(t *testing.T) {
 		t.Fatalf("reservations = %d, want 1", len(s.Reservations))
 	}
 	// CCT = δ + p = 10ms + 8ms.
-	if want := 0.018; math.Abs(s.Finish-want) > 1e-9 {
+	if want := 0.018; math.Abs(Seconds(s.Finish)-want) > 1e-9 {
 		t.Fatalf("Finish = %v, want %v", s.Finish, want)
 	}
 	if got := s.CCT(0); math.Abs(got-0.018) > 1e-9 {
 		t.Fatalf("CCT = %v", got)
 	}
-	if f, ok := s.FlowFinish(0, 1); !ok || math.Abs(f-0.018) > 1e-9 {
+	if f, ok := s.FlowFinish(0, 1); !ok || math.Abs(Seconds(f)-0.018) > 1e-9 {
 		t.Fatalf("FlowFinish(0, 1) = %v, %v", f, ok)
 	}
 	if _, ok := s.FlowFinish(1, 0); ok {
@@ -86,8 +95,8 @@ func TestIntraOneToManyOptimal(t *testing.T) {
 		{Src: 0, Dst: 3, Bytes: 3e6},
 	})
 	s := mustIntra(t, c, 4, testOpts)
-	tcl := c.CircuitLowerBound(gbps, testOpts.Delta)
-	if math.Abs(s.Finish-tcl) > 1e-9 {
+	tcl := c.CircuitLowerBound(gbps, Seconds(testOpts.Delta))
+	if math.Abs(Seconds(s.Finish)-tcl) > 1e-9 {
 		t.Fatalf("O2M CCT = %v, want TcL = %v", s.Finish, tcl)
 	}
 	if s.SwitchingCount() != 3 {
@@ -102,8 +111,8 @@ func TestIntraManyToOneOptimal(t *testing.T) {
 		{Src: 3, Dst: 0, Bytes: 5e6},
 	})
 	s := mustIntra(t, c, 4, testOpts)
-	tcl := c.CircuitLowerBound(gbps, testOpts.Delta)
-	if math.Abs(s.Finish-tcl) > 1e-9 {
+	tcl := c.CircuitLowerBound(gbps, Seconds(testOpts.Delta))
+	if math.Abs(Seconds(s.Finish)-tcl) > 1e-9 {
 		t.Fatalf("M2O CCT = %v, want TcL = %v", s.Finish, tcl)
 	}
 }
@@ -124,7 +133,7 @@ func TestIntraDisjointFlowsRunInParallel(t *testing.T) {
 			t.Fatalf("reservation did not start immediately: %+v", r)
 		}
 	}
-	if want := 0.01 + 0.032; math.Abs(s.Finish-want) > 1e-9 {
+	if want := 0.01 + 0.032; math.Abs(Seconds(s.Finish)-want) > 1e-9 {
 		t.Fatalf("Finish = %v, want %v", s.Finish, want)
 	}
 }
@@ -146,7 +155,7 @@ func TestIntraServesAllDemand(t *testing.T) {
 	// both planners must still serve their whole bytes.
 	tiny := coflow.New(1, 0, []coflow.Flow{{Src: 0, Dst: 1, Bytes: 1}, {Src: 1, Dst: 2, Bytes: 12}, {Src: 2, Dst: 0, Bytes: 0.6}})
 	for _, ref := range []bool{false, true} {
-		served := servedBytes(mustIntra(t, tiny, 3, Options{LinkBps: 100e9, Delta: 0.01, Reference: ref}))
+		served := servedBytes(mustIntra(t, tiny, 3, Options{LinkBps: 100e9, Delta: ns(0.01), Reference: ref}))
 		for _, f := range tiny.Flows {
 			if got, want := served[[2]int{f.Src, f.Dst}], math.Round(f.Bytes); got != want {
 				t.Fatalf("reference=%v: flow %d->%d served %v of %v", ref, f.Src, f.Dst, got, want)
@@ -176,13 +185,13 @@ func TestIntraLemma1FactorOfTwo(t *testing.T) {
 		c := randomCoflow(rng, 10, 30)
 		opts := Options{
 			LinkBps: []float64{1e9, 1e10, 1e11}[rng.Intn(3)],
-			Delta:   []float64{1e-5, 1e-3, 1e-2, 1e-1}[rng.Intn(4)],
+			Delta:   ns([]float64{1e-5, 1e-3, 1e-2, 1e-1}[rng.Intn(4)]),
 			Order:   orders[rng.Intn(len(orders))],
 			Seed:    rng.Int63(),
 		}
 		s := mustIntra(t, c, 10, opts)
-		tcl := c.CircuitLowerBound(opts.LinkBps, opts.Delta)
-		if s.Finish > 2*tcl+1e-9 {
+		tcl := c.CircuitLowerBound(opts.LinkBps, Seconds(opts.Delta))
+		if Seconds(s.Finish) > 2*tcl+1e-9 {
 			t.Fatalf("Lemma 1 violated: TS=%v > 2·TcL=%v (δ=%v, B=%v, order=%v)",
 				s.Finish, 2*tcl, opts.Delta, opts.LinkBps, opts.Order)
 		}
@@ -195,9 +204,9 @@ func TestIntraLemma2Bound(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		c := randomCoflow(rng, 8, 20)
 		s := mustIntra(t, c, 8, testOpts)
-		alpha := c.Alpha(testOpts.LinkBps, testOpts.Delta)
+		alpha := c.Alpha(testOpts.LinkBps, Seconds(testOpts.Delta))
 		tpl := c.PacketLowerBound(testOpts.LinkBps)
-		if s.Finish > 2*(1+alpha)*tpl+1e-9 {
+		if Seconds(s.Finish) > 2*(1+alpha)*tpl+1e-9 {
 			t.Fatalf("Lemma 2 violated: TS=%v > %v", s.Finish, 2*(1+alpha)*tpl)
 		}
 	}
@@ -230,10 +239,10 @@ func TestIntraOrderingInsensitivity(t *testing.T) {
 	// single random Coflow).
 	rng := rand.New(rand.NewSource(42))
 	c := randomCoflow(rng, 10, 40)
-	base := mustIntra(t, c, 10, Options{LinkBps: gbps, Delta: 0.01, Order: OrderedPort})
+	base := mustIntra(t, c, 10, Options{LinkBps: gbps, Delta: ns(0.01), Order: OrderedPort})
 	for _, o := range []Order{RandomOrder, SortedDemand} {
-		s := mustIntra(t, c, 10, Options{LinkBps: gbps, Delta: 0.01, Order: o, Seed: 1})
-		ratio := s.Finish / base.Finish
+		s := mustIntra(t, c, 10, Options{LinkBps: gbps, Delta: ns(0.01), Order: o, Seed: 1})
+		ratio := Seconds(s.Finish) / Seconds(base.Finish)
 		if ratio < 0.5 || ratio > 2 {
 			t.Fatalf("ordering %v ratio %v out of envelope", o, ratio)
 		}
@@ -243,7 +252,7 @@ func TestIntraOrderingInsensitivity(t *testing.T) {
 func TestIntraRandomOrderDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	c := randomCoflow(rng, 8, 20)
-	o := Options{LinkBps: gbps, Delta: 0.01, Order: RandomOrder, Seed: 321}
+	o := Options{LinkBps: gbps, Delta: ns(0.01), Order: RandomOrder, Seed: 321}
 	a := mustIntra(t, c, 8, o)
 	b := mustIntra(t, c, 8, o)
 	if a.Finish != b.Finish || len(a.Reservations) != len(b.Reservations) {
@@ -256,7 +265,7 @@ func TestIntraAroundPreloadedReservation(t *testing.T) {
 	// reservation (inter-Coflow mechanics, Figure 2): the flow wants
 	// δ+0.08 = 0.09s but only 0.05s is available, so it is split.
 	prt := NewPRT(2)
-	prt.Preload([]Reservation{{CoflowID: 99, In: 0, Out: 1, Start: 0.05, End: 0.10, Setup: 0.01, Bytes: 0.04 * gbps / 8}})
+	prt.Preload([]Reservation{{CoflowID: 99, In: 0, Out: 1, Start: ns(0.05), End: ns(0.10), Setup: ns(0.01), Bytes: 0.04 * gbps / 8}})
 	c := coflow.New(1, 0, []coflow.Flow{{Src: 0, Dst: 0, Bytes: 10e6}}) // p = 80ms
 	s, err := IntraCoflow(prt, c, testOpts)
 	if err != nil {
@@ -266,11 +275,11 @@ func TestIntraAroundPreloadedReservation(t *testing.T) {
 		t.Fatalf("want a split reservation, got %+v", s.Reservations)
 	}
 	first := s.Reservations[0]
-	if first.Start != 0 || math.Abs(first.End-0.05) > 1e-9 {
+	if first.Start != 0 || math.Abs(Seconds(first.End)-0.05) > 1e-9 {
 		t.Fatalf("first reservation = %+v, want [0, 0.05)", first)
 	}
 	second := s.Reservations[1]
-	if second.Start < 0.10-1e-9 {
+	if Seconds(second.Start) < 0.10-1e-9 {
 		t.Fatalf("second reservation starts at %v inside the preloaded slot", second.Start)
 	}
 	// Total payload must equal the demand; the second reservation pays a
@@ -284,7 +293,7 @@ func TestIntraGapShorterThanDeltaIsSkipped(t *testing.T) {
 	// A free gap of only δ/2 before a commitment cannot host a circuit; the
 	// flow must wait for the release.
 	prt := NewPRT(2)
-	prt.Preload([]Reservation{{CoflowID: 99, In: 0, Out: 1, Start: 0.005, End: 0.10}})
+	prt.Preload([]Reservation{{CoflowID: 99, In: 0, Out: 1, Start: ns(0.005), End: ns(0.10)}})
 	c := coflow.New(1, 0, []coflow.Flow{{Src: 0, Dst: 0, Bytes: 1e6}})
 	s, err := IntraCoflow(prt, c, testOpts)
 	if err != nil {
@@ -293,7 +302,7 @@ func TestIntraGapShorterThanDeltaIsSkipped(t *testing.T) {
 	if len(s.Reservations) != 1 {
 		t.Fatalf("reservations = %+v", s.Reservations)
 	}
-	if s.Reservations[0].Start < 0.10-1e-9 {
+	if Seconds(s.Reservations[0].Start) < 0.10-1e-9 {
 		t.Fatalf("reservation start %v should wait for the release at 0.10", s.Reservations[0].Start)
 	}
 }
@@ -304,13 +313,13 @@ func TestQuickIntraLemma1(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		c := randomCoflow(rng, 6, 15)
 		delta := math.Pow(10, -1-4*rng.Float64()) // 1e-5 .. 1e-1
-		opts := Options{LinkBps: gbps, Delta: delta, Order: RandomOrder, Seed: seed}
+		opts := Options{LinkBps: gbps, Delta: ns(delta), Order: RandomOrder, Seed: seed}
 		prt := NewPRT(6)
 		s, err := IntraCoflow(prt, c, opts)
 		if err != nil {
 			return false
 		}
-		return s.Finish <= 2*c.CircuitLowerBound(gbps, delta)+1e-9
+		return Seconds(s.Finish) <= 2*c.CircuitLowerBound(gbps, Seconds(opts.Delta))+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

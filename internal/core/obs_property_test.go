@@ -17,7 +17,7 @@ func TestIntraObsReservationsMatchPRT(t *testing.T) {
 	tr := trace.Generator{Ports: 10, Coflows: 8, MaxWidth: 4, Seed: 11}.Trace()
 	prt := NewPRT(tr.Ports)
 	o := obs.New()
-	opts := Options{LinkBps: gbps, Delta: 0.01, Obs: o}
+	opts := Options{LinkBps: gbps, Delta: ns(0.01), Obs: o}
 
 	total := 0
 	for _, c := range tr.Coflows {
@@ -51,7 +51,7 @@ func TestIntraObsExamined(t *testing.T) {
 	tr := trace.Generator{Ports: 10, Coflows: 8, MaxWidth: 4, Seed: 11}.Trace()
 	run := func(reference bool) *obs.Observer {
 		prt, o := NewPRT(tr.Ports), obs.New()
-		opts := Options{LinkBps: gbps, Delta: 0.01, Obs: o, Reference: reference}
+		opts := Options{LinkBps: gbps, Delta: ns(0.01), Obs: o, Reference: reference}
 		for _, c := range tr.Coflows {
 			if _, err := IntraCoflow(prt, c, opts); err != nil {
 				t.Fatal(err)

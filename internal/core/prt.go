@@ -19,13 +19,10 @@ import (
 	"sort"
 )
 
-// timeEps absorbs floating-point residue when comparing schedule times.
-const timeEps = 1e-9
-
 // Reservation is one circuit held on the port pair [In, Out] during
-// [Start, End). The first Setup seconds configure the circuit; the remainder
-// transmits at the full link rate. A reservation is the unit of switching: each
-// reservation costs exactly one circuit establishment.
+// [Start, End), in ticks (ns). The first Setup ticks configure the circuit;
+// the remainder transmits at the full link rate. A reservation is the unit of
+// switching: each reservation costs exactly one circuit establishment.
 type Reservation struct {
 	// CoflowID is the Coflow the reservation serves.
 	CoflowID int
@@ -33,13 +30,13 @@ type Reservation struct {
 	In, Out int
 	// Start and End delimit the half-open interval during which both ports
 	// are held.
-	Start, End float64
+	Start, End int64
 	// Setup is the circuit reconfiguration delay paid at the start of the
 	// reservation (δ).
-	Setup float64
+	Setup int64
 	// Bytes is the whole-byte demand the reservation serves: the flow's
 	// remaining bytes on the reservation that finishes it, otherwise the
-	// whole bytes the hold carries, ⌊(End-Start-Setup)·B/8⌋.
+	// whole bytes the hold carries, ⌊(End-Start-Setup)·B/8e9⌋.
 	Bytes int64
 }
 
@@ -51,29 +48,27 @@ func CompareReservations(a, b Reservation) int {
 }
 
 // TransmitStart returns the instant the circuit begins carrying data.
-func (r Reservation) TransmitStart() float64 { return r.Start + r.Setup }
+func (r Reservation) TransmitStart() int64 { return r.Start + r.Setup }
 
 // Delivered returns how many of the reservation's Bytes the circuit has
 // carried by t at bps bits/s: none before TransmitStart, all of them from
-// End on, and the whole bytes transmitted so far in between. An instant
-// within timeEps of End counts as End, as it does for every port-release
-// comparison: a circuit a replan at t treats as ended has delivered all its
-// bytes. Differences of Delivered telescope, so crediting a window in pieces
-// debits exactly what crediting it whole does.
-func (r Reservation) Delivered(t, bps float64) int64 {
+// End on, and min(Bytes, ⌊(t−TransmitStart)·B/8e9⌋) in between. Differences
+// of Delivered telescope, so crediting a window in pieces debits exactly
+// what crediting it whole does.
+func (r Reservation) Delivered(t int64, bps float64) int64 {
 	ts := r.TransmitStart()
 	switch {
 	case t <= ts:
 		return 0
-	case t >= r.End-timeEps:
+	case t >= r.End:
 		return r.Bytes
 	}
-	return min(r.Bytes, int64((t-ts)*bps/8))
+	return min(r.Bytes, carried(t-ts, bps))
 }
 
 // interval is one busy period on a single port's timeline.
 type interval struct {
-	start, end float64
+	start, end int64
 	peer       int // the port on the other side of the circuit
 }
 
@@ -87,68 +82,67 @@ type interval struct {
 // the live window and consult the archive only when the query time precedes
 // the whole window. Because sorted non-overlapping intervals are also sorted
 // by end, binary search is valid on ends as well as starts in both halves.
-//
-// oldBusy summarises the archive (len(old) intervals, oldBusy busy seconds)
-// so utilization accounting over a range covering the archive is O(1); the
-// archived intervals themselves are kept so every query — a busyTime slice, a
-// fault Block straddling the horizon, a rollback remove — stays exact.
+// The archived intervals are kept so every query — a fault Block straddling
+// the horizon, a rollback remove — stays exact.
 type timeline struct {
-	iv      []interval // live window: intervals ending after the horizon
-	old     []interval // archive: retired intervals, ascending start
-	oldBusy float64    // total busy seconds archived in old
+	iv  []interval // live window: intervals ending after the horizon
+	old []interval // archive: retired intervals, ascending start
 }
 
+// halves returns the archive and the live window, in merged start order.
+func (tl *timeline) halves() [2][]interval { return [2][]interval{tl.old, tl.iv} }
+
 // searchAfter returns the index of the first live interval with start > t.
-func (tl *timeline) searchAfter(t float64) int {
+func (tl *timeline) searchAfter(t int64) int {
 	return sort.Search(len(tl.iv), func(i int) bool { return tl.iv[i].start > t })
 }
 
 // searchOldAfter returns the index of the first archived interval with
 // start > t.
-func (tl *timeline) searchOldAfter(t float64) int {
+func (tl *timeline) searchOldAfter(t int64) int {
 	return sort.Search(len(tl.old), func(i int) bool { return tl.old[i].start > t })
 }
 
 // freeAt reports whether the port is free at time t, i.e. no interval
 // contains t.
-func (tl *timeline) freeAt(t float64) bool { return tl.freeFrom(tl.searchAfter(t), t) }
+func (tl *timeline) freeAt(t int64) bool { return tl.freeFrom(tl.searchAfter(t), t) }
 
 // freeFrom is freeAt given i, the index of the first live interval with
 // start > t.
-func (tl *timeline) freeFrom(i int, t float64) bool {
+func (tl *timeline) freeFrom(i int, t int64) bool {
 	if i > 0 {
 		// The candidate containing interval is the one before index i; any
 		// archived interval ends at or before this one's start.
-		return tl.iv[i-1].end <= t+timeEps
+		return tl.iv[i-1].end <= t
 	}
 	// t precedes the live window: the candidate is in the archive.
 	if k := tl.searchOldAfter(t); k > 0 {
-		return tl.old[k-1].end <= t+timeEps
+		return tl.old[k-1].end <= t
 	}
 	return true
 }
 
 // nextStart returns the start of the earliest interval beginning after t, or
-// +Inf when the port has no later commitment.
-func (tl *timeline) nextStart(t float64) float64 { return tl.nextStartFrom(tl.searchAfter(t), t) }
+// Forever when the port has no later commitment.
+func (tl *timeline) nextStart(t int64) int64 { return tl.nextStartFrom(tl.searchAfter(t), t) }
 
 // nextStartFrom is nextStart given i, the index of the first live interval
 // with start > t.
-func (tl *timeline) nextStartFrom(i int, t float64) float64 {
+func (tl *timeline) nextStartFrom(i int, t int64) int64 {
 	// Archived intervals all start before live ones, so if any archived start
 	// lies after t it is the answer.
 	if n := len(tl.old); n > 0 && tl.old[n-1].start > t {
 		return tl.old[tl.searchOldAfter(t)].start
 	}
 	if i == len(tl.iv) {
-		return math.Inf(1)
+		return Forever
 	}
 	return tl.iv[i].start
 }
 
 // seek advances i, an index into the live window at or before the first
 // interval with start > t, to exactly that interval.
-func (tl *timeline) seek(i int, t float64) int {
+func (tl *timeline) seek(i int, t int64) int {
 	for i < len(tl.iv) && tl.iv[i].start <= t {
 		i++
 	}
@@ -159,32 +153,31 @@ func (tl *timeline) seek(i int, t float64) int {
 // overlap. Insertion keeps both halves sorted: an interval sorting before an
 // archived one is spliced into the archive so the old-before-live start order
 // is preserved.
-func (tl *timeline) insert(start, end float64, peer int) bool {
+func (tl *timeline) insert(start, end int64, peer int) bool {
 	if no := len(tl.old); no > 0 && tl.old[no-1].start > start {
 		k := tl.searchOldAfter(start)
-		if k > 0 && tl.old[k-1].end > start+timeEps {
+		if k > 0 && tl.old[k-1].end > start {
 			return false
 		}
 		// The successor old[k] exists (old[no-1].start > start) and already
 		// precedes every live interval, so clearing it clears the window too.
-		if tl.old[k].start < end-timeEps {
+		if tl.old[k].start < end {
 			return false
 		}
 		tl.old = append(tl.old, interval{})
 		copy(tl.old[k+1:], tl.old[k:])
 		tl.old[k] = interval{start: start, end: end, peer: peer}
-		tl.oldBusy += end - start
 		return true
 	}
 	i := tl.searchAfter(start)
 	if i > 0 {
-		if tl.iv[i-1].end > start+timeEps {
+		if tl.iv[i-1].end > start {
 			return false
 		}
-	} else if no := len(tl.old); no > 0 && tl.old[no-1].end > start+timeEps {
+	} else if no := len(tl.old); no > 0 && tl.old[no-1].end > start {
 		return false
 	}
-	if i < len(tl.iv) && tl.iv[i].start < end-timeEps {
+	if i < len(tl.iv) && tl.iv[i].start < end {
 		return false
 	}
 	tl.iv = append(tl.iv, interval{})
@@ -193,48 +186,15 @@ func (tl *timeline) insert(start, end float64, peer int) bool {
 	return true
 }
 
-// canInsert reports whether insert would accept [start, end), without
-// mutating the timeline.
-func (tl *timeline) canInsert(start, end float64) bool {
-	if no := len(tl.old); no > 0 && tl.old[no-1].start > start {
-		k := tl.searchOldAfter(start)
-		if k > 0 && tl.old[k-1].end > start+timeEps {
-			return false
-		}
-		return tl.old[k].start >= end-timeEps
-	}
-	i := tl.searchAfter(start)
-	if i > 0 {
-		if tl.iv[i-1].end > start+timeEps {
-			return false
-		}
-	} else if no := len(tl.old); no > 0 && tl.old[no-1].end > start+timeEps {
-		return false
-	}
-	return i == len(tl.iv) || tl.iv[i].start >= end-timeEps
-}
-
-// findStart locates the interval starting within timeEps of start, by binary
-// search.
-func findStart(ivs []interval, start float64) (int, bool) {
-	i := sort.Search(len(ivs), func(k int) bool { return ivs[k].start > start+timeEps })
-	if i > 0 && math.Abs(ivs[i-1].start-start) <= timeEps {
-		return i - 1, true
-	}
-	return 0, false
-}
-
-// remove deletes the interval starting at start (within timeEps), if present.
+// remove deletes the interval starting at start, if present.
 // The live window is tried first — rollback of a just-inserted reservation is
 // the hot case — then the archive.
-func (tl *timeline) remove(start float64) {
-	if i, ok := findStart(tl.iv, start); ok {
-		tl.iv = append(tl.iv[:i], tl.iv[i+1:]...)
-		return
-	}
-	if i, ok := findStart(tl.old, start); ok {
-		tl.oldBusy -= tl.old[i].end - tl.old[i].start
-		tl.old = append(tl.old[:i], tl.old[i+1:]...)
+func (tl *timeline) remove(start int64) {
+	byStart := func(v interval, t int64) int { return cmp.Compare(v.start, t) }
+	if i, ok := slices.BinarySearchFunc(tl.iv, start, byStart); ok {
+		tl.iv = slices.Delete(tl.iv, i, i+1)
+	} else if i, ok := slices.BinarySearchFunc(tl.old, start, byStart); ok {
+		tl.old = slices.Delete(tl.old, i, i+1)
 	}
 }
 
@@ -242,27 +202,21 @@ func (tl *timeline) remove(start float64) {
 // leaving existing intervals untouched. The walk runs over the archive then
 // the live window — the merged ascending order — so windows straddling the
 // compaction horizon compose exactly as on an uncompacted timeline.
-func (tl *timeline) block(start, end float64) {
+func (tl *timeline) block(start, end int64) {
 	if end <= start {
 		return
 	}
 	cur := start
 	var gaps []interval
-	k := sort.Search(len(tl.old), func(i int) bool { return tl.old[i].end > start+timeEps })
-	for ; k < len(tl.old) && tl.old[k].start < end-timeEps; k++ {
-		if tl.old[k].start > cur+timeEps {
-			gaps = append(gaps, interval{start: cur, end: math.Min(tl.old[k].start, end), peer: -1})
+	for _, ivs := range tl.halves() {
+		for k := endsAfter(ivs, start); k < len(ivs) && ivs[k].start < end; k++ {
+			if ivs[k].start > cur {
+				gaps = append(gaps, interval{start: cur, end: min(ivs[k].start, end), peer: -1})
+			}
+			cur = max(cur, ivs[k].end)
 		}
-		cur = math.Max(cur, tl.old[k].end)
 	}
-	k = sort.Search(len(tl.iv), func(i int) bool { return tl.iv[i].end > start+timeEps })
-	for ; k < len(tl.iv) && tl.iv[k].start < end-timeEps; k++ {
-		if tl.iv[k].start > cur+timeEps {
-			gaps = append(gaps, interval{start: cur, end: math.Min(tl.iv[k].start, end), peer: -1})
-		}
-		cur = math.Max(cur, tl.iv[k].end)
-	}
-	if cur < end-timeEps {
+	if cur < end {
 		gaps = append(gaps, interval{start: cur, end: end, peer: -1})
 	}
 	for _, g := range gaps {
@@ -273,53 +227,26 @@ func (tl *timeline) block(start, end float64) {
 // endsAfter appends to dst the end times of all intervals ending after t.
 // Sorted starts plus non-overlap make ends sorted too, so the suffix of each
 // half is found by binary search.
-func (tl *timeline) endsAfter(t float64, dst []float64) []float64 {
-	k := sort.Search(len(tl.old), func(i int) bool { return tl.old[i].end > t+timeEps })
-	for _, v := range tl.old[k:] {
-		dst = append(dst, v.end)
-	}
-	k = sort.Search(len(tl.iv), func(i int) bool { return tl.iv[i].end > t+timeEps })
-	for _, v := range tl.iv[k:] {
-		dst = append(dst, v.end)
+func (tl *timeline) endsAfter(t int64, dst []int64) []int64 {
+	for _, ivs := range tl.halves() {
+		for _, v := range ivs[endsAfter(ivs, t):] {
+			dst = append(dst, v.end)
+		}
 	}
 	return dst
 }
 
-// busy sums reserved time within [from, to), using the archive summary when
-// the range covers the whole archive.
-func (tl *timeline) busy(from, to float64) float64 {
-	var sum float64
-	if n := len(tl.old); n > 0 {
-		if from <= tl.old[0].start && to >= tl.old[n-1].end {
-			sum += tl.oldBusy
-		} else {
-			k := sort.Search(n, func(i int) bool { return tl.old[i].end > from })
-			for ; k < n && tl.old[k].start < to; k++ {
-				lo, hi := math.Max(tl.old[k].start, from), math.Min(tl.old[k].end, to)
-				if hi > lo {
-					sum += hi - lo
-				}
-			}
-		}
-	}
-	k := sort.Search(len(tl.iv), func(i int) bool { return tl.iv[i].end > from })
-	for ; k < len(tl.iv) && tl.iv[k].start < to; k++ {
-		lo, hi := math.Max(tl.iv[k].start, from), math.Min(tl.iv[k].end, to)
-		if hi > lo {
-			sum += hi - lo
-		}
-	}
-	return sum
+// endsAfter returns the index of the first of the sorted intervals ivs that
+// ends after t.
+func endsAfter(ivs []interval, t int64) int {
+	return sort.Search(len(ivs), func(i int) bool { return ivs[i].end > t })
 }
 
 // compact retires the live intervals ending at or before h into the archive.
-func (tl *timeline) compact(h float64) {
-	k := sort.Search(len(tl.iv), func(i int) bool { return tl.iv[i].end > h })
+func (tl *timeline) compact(h int64) {
+	k := endsAfter(tl.iv, h)
 	if k == 0 {
 		return
-	}
-	for _, v := range tl.iv[:k] {
-		tl.oldBusy += v.end - v.start
 	}
 	tl.old = append(tl.old, tl.iv[:k]...)
 	n := copy(tl.iv, tl.iv[k:])
@@ -336,7 +263,6 @@ func (tl *timeline) grow(n int) {
 func (tl *timeline) reset() {
 	tl.iv = tl.iv[:0]
 	tl.old = tl.old[:0]
-	tl.oldBusy = 0
 }
 
 // Blackout describes recurring periods during which ports may not accept
@@ -344,13 +270,14 @@ func (tl *timeline) reset() {
 // §4.2, which dedicate τ-long slices of every (T+τ) interval to a fixed
 // round-robin assignment shared by all Coflows.
 type Blackout interface {
-	// Covers reports whether normal reservations are forbidden at time t.
-	Covers(t float64) bool
+	// Covers reports whether normal reservations are forbidden at tick t.
+	Covers(t int64) bool
 	// NextStart returns the start of the first blackout beginning after t,
-	// or +Inf.
-	NextStart(t float64) float64
-	// NextEnd returns the end of the first blackout ending after t, or +Inf.
-	NextEnd(t float64) float64
+	// or Forever.
+	NextStart(t int64) int64
+	// NextEnd returns the end of the first blackout ending after t, or
+	// Forever.
+	NextEnd(t int64) int64
 }
 
 // PRT is the Port Reservation Table of Algorithm 1: per-port timelines of
@@ -361,7 +288,7 @@ type PRT struct {
 	in, out  []timeline
 	blackout Blackout
 	count    int
-	horizon  float64
+	horizon  int64
 	// bulk counts reservations appended by BulkAdd but not yet committed by
 	// FinishBulk.
 	bulk int
@@ -383,7 +310,7 @@ func (p *PRT) intraScratch() *intraScratch {
 
 // NewPRT returns an empty PRT for an n-port switch.
 func NewPRT(n int) *PRT {
-	return &PRT{n: n, in: make([]timeline, n), out: make([]timeline, n), horizon: math.Inf(-1)}
+	return &PRT{n: n, in: make([]timeline, n), out: make([]timeline, n), horizon: math.MinInt64}
 }
 
 // Ports returns the switch port count N.
@@ -406,17 +333,17 @@ func (p *PRT) Reset() {
 	p.blackout = nil
 	p.count = 0
 	p.bulk = 0
-	p.horizon = math.Inf(-1)
+	p.horizon = math.MinInt64
 }
 
 // CompactBefore retires, on every port timeline, the intervals ending at or
 // before t into the per-port archive. The horizon only advances: calls with
 // t at or below the current horizon are no-ops. Compaction never changes any
-// query's answer — archived intervals still back freeAt, Block, busyTime and
-// remove on the cold side — it only keeps the live windows the hot queries
+// query's answer — archived intervals still back freeAt, Block and remove on
+// the cold side — it only keeps the live windows the hot queries
 // bind against small. InterCoflow drives it with the schedule cursor.
-func (p *PRT) CompactBefore(t float64) {
-	if t <= p.horizon || math.IsInf(t, 1) {
+func (p *PRT) CompactBefore(t int64) {
+	if t <= p.horizon || t == Forever {
 		return
 	}
 	p.horizon = t
@@ -426,23 +353,13 @@ func (p *PRT) CompactBefore(t float64) {
 	}
 }
 
-// Horizon returns the current compaction horizon, -Inf before any
+// Horizon returns the current compaction horizon, math.MinInt64 before any
 // compaction.
-func (p *PRT) Horizon() float64 { return p.horizon }
-
-// Compacted reports the archive size: how many intervals have been retired
-// across all port timelines and their total busy seconds.
-func (p *PRT) Compacted() (intervals int, busySeconds float64) {
-	for i := range p.in {
-		intervals += len(p.in[i].old) + len(p.out[i].old)
-		busySeconds += p.in[i].oldBusy + p.out[i].oldBusy
-	}
-	return intervals, busySeconds
-}
+func (p *PRT) Horizon() int64 { return p.horizon }
 
 // FreeAt reports whether both in.i and out.j are free at time t and t is not
 // inside a blackout window.
-func (p *PRT) FreeAt(i, j int, t float64) bool {
+func (p *PRT) FreeAt(i, j int, t int64) bool {
 	if p.blackout != nil && p.blackout.Covers(t) {
 		return false
 	}
@@ -453,10 +370,10 @@ func (p *PRT) FreeAt(i, j int, t float64) bool {
 // out.j after t — the bound that shortens reservations at the inter-Coflow
 // level (Algorithm 1, line 16) — also accounting for the next blackout
 // window.
-func (p *PRT) NextCommitment(i, j int, t float64) float64 {
-	tm := math.Min(p.in[i].nextStart(t), p.out[j].nextStart(t))
+func (p *PRT) NextCommitment(i, j int, t int64) int64 {
+	tm := min(p.in[i].nextStart(t), p.out[j].nextStart(t))
 	if p.blackout != nil {
-		tm = math.Min(tm, p.blackout.NextStart(t))
+		tm = min(tm, p.blackout.NextStart(t))
 	}
 	return tm
 }
@@ -478,25 +395,15 @@ func (p *PRT) TryReserve(r Reservation) error {
 		return fmt.Errorf("%w: %+v", ErrEmptyReservation, r)
 	}
 	if !p.in[r.In].insert(r.Start, r.End, r.Out) {
-		return fmt.Errorf("%w: input port %d at [%.9f,%.9f)", ErrDoubleBooked, r.In, r.Start, r.End)
+		return fmt.Errorf("%w: input port %d at [%d,%d)", ErrDoubleBooked, r.In, r.Start, r.End)
 	}
 	if !p.out[r.Out].insert(r.Start, r.End, r.In) {
 		// Roll the input side back so a failed TryReserve is a no-op.
 		p.in[r.In].remove(r.Start)
-		return fmt.Errorf("%w: output port %d at [%.9f,%.9f)", ErrDoubleBooked, r.Out, r.Start, r.End)
+		return fmt.Errorf("%w: output port %d at [%d,%d)", ErrDoubleBooked, r.Out, r.Start, r.End)
 	}
 	p.count++
 	return nil
-}
-
-// CanReserve reports whether TryReserve would accept the reservation, without
-// mutating the table. The incremental replanner probes a cached schedule's
-// placements against the current table before replaying them.
-func (p *PRT) CanReserve(r Reservation) bool {
-	if r.End <= r.Start {
-		return false
-	}
-	return p.in[r.In].canInsert(r.Start, r.End) && p.out[r.Out].canInsert(r.Start, r.End)
 }
 
 // Reserve records the reservation on both port timelines. It panics if the
@@ -510,11 +417,11 @@ func (p *PRT) Reserve(r Reservation) {
 }
 
 // Block marks [start, end) unusable on both sides of the port — a fault
-// outage. End may be +Inf for a permanent failure. Portions of the window
+// outage. End may be Forever for a permanent failure. Portions of the window
 // already covered by existing intervals are skipped, so blocking composes
 // with reservations preloaded first (an established circuit spanning a
 // future outage edge is truncated by the simulator at the edge, not here).
-func (p *PRT) Block(port int, start, end float64) {
+func (p *PRT) Block(port int, start, end int64) {
 	p.in[port].block(start, end)
 	p.out[port].block(start, end)
 }
@@ -545,8 +452,7 @@ func (p *PRT) BulkAdd(rs []Reservation) {
 
 // FinishBulk restores the timeline invariants after one or more BulkAdd
 // calls: each touched timeline is re-sorted (skipped when the appends arrived
-// already ordered) and verified non-overlapping under the same timeEps
-// tolerance insert applies. On error (ErrEmptyReservation, ErrDoubleBooked,
+// already ordered) and verified non-overlapping, as insert checks. On error (ErrEmptyReservation, ErrDoubleBooked,
 // or a compacted timeline) the table state is unspecified and the caller must
 // Reset before reusing it — the incremental replanner falls back to a full
 // rebuild there.
@@ -576,10 +482,10 @@ func (tl *timeline) finishBulk(side string, port int) error {
 	}
 	for k := range iv {
 		if iv[k].end <= iv[k].start {
-			return fmt.Errorf("%w: %s port %d at [%.9f,%.9f)", ErrEmptyReservation, side, port, iv[k].start, iv[k].end)
+			return fmt.Errorf("%w: %s port %d at [%d,%d)", ErrEmptyReservation, side, port, iv[k].start, iv[k].end)
 		}
-		if k > 0 && iv[k-1].end > iv[k].start+timeEps {
-			return fmt.Errorf("%w: %s port %d at [%.9f,%.9f)", ErrDoubleBooked, side, port, iv[k].start, iv[k].end)
+		if k > 0 && iv[k-1].end > iv[k].start {
+			return fmt.Errorf("%w: %s port %d at [%d,%d)", ErrDoubleBooked, side, port, iv[k].start, iv[k].end)
 		}
 	}
 	return nil
@@ -587,10 +493,10 @@ func (tl *timeline) finishBulk(side string, port int) error {
 
 // PortSpan is one busy interval on a port timeline as reported by SpansOn —
 // the unit of the incremental replanner's context snapshots. Spans compare
-// exactly: two snapshots are interchangeable only when every float matches
-// bit for bit.
+// exactly: two snapshots are interchangeable only when every instant
+// matches.
 type PortSpan struct {
-	Start, End float64
+	Start, End int64
 	Port       int32
 	// Out distinguishes the output-side timeline from the input side.
 	Out bool
@@ -601,7 +507,7 @@ type PortSpan struct {
 // ending strictly after t and starting before horizon, in (side, port,
 // start) order. Callers pass the port lists sorted so the order is
 // canonical.
-func (p *PRT) SpansOn(t, horizon float64, ins, outs []int, dst []PortSpan) []PortSpan {
+func (p *PRT) SpansOn(t, horizon int64, ins, outs []int, dst []PortSpan) []PortSpan {
 	for _, i := range ins {
 		dst = p.in[i].spansOn(t, horizon, int32(i), false, dst)
 	}
@@ -614,30 +520,24 @@ func (p *PRT) SpansOn(t, horizon float64, ins, outs []int, dst []PortSpan) []Por
 // spansOn appends the timeline's intervals with end > t and start < horizon.
 // The archive precedes the live window in start order, so the concatenated
 // walk is sorted.
-func (tl *timeline) spansOn(t, horizon float64, port int32, out bool, dst []PortSpan) []PortSpan {
-	k := sort.Search(len(tl.old), func(i int) bool { return tl.old[i].end > t })
-	for _, v := range tl.old[k:] {
-		if v.start >= horizon {
-			break
+func (tl *timeline) spansOn(t, horizon int64, port int32, out bool, dst []PortSpan) []PortSpan {
+	for _, ivs := range tl.halves() {
+		for _, v := range ivs[endsAfter(ivs, t):] {
+			if v.start >= horizon {
+				break
+			}
+			dst = append(dst, PortSpan{Start: v.start, End: v.end, Port: port, Out: out})
 		}
-		dst = append(dst, PortSpan{Start: v.start, End: v.end, Port: port, Out: out})
-	}
-	k = sort.Search(len(tl.iv), func(i int) bool { return tl.iv[i].end > t })
-	for _, v := range tl.iv[k:] {
-		if v.start >= horizon {
-			break
-		}
-		dst = append(dst, PortSpan{Start: v.start, End: v.end, Port: port, Out: out})
 	}
 	return dst
 }
 
 // SpansMatch reports whether the table's visible context — what SpansOn(t,
-// horizon, ins, outs) would return — is bit-identical to the cached snapshot
+// horizon, ins, outs) would return — is identical to the cached snapshot
 // trimmed to the same visibility threshold (spans whose end is at or before
 // t expired out of both views symmetrically). It streams the comparison
 // without materializing the current snapshot.
-func (p *PRT) SpansMatch(spans []PortSpan, t, horizon float64, ins, outs []int) bool {
+func (p *PRT) SpansMatch(spans []PortSpan, t, horizon int64, ins, outs []int) bool {
 	for _, i := range ins {
 		var ok bool
 		if spans, ok = p.in[i].matchSpans(spans, t, horizon, int32(i), false); !ok {
@@ -662,7 +562,7 @@ func (p *PRT) SpansMatch(spans []PortSpan, t, horizon float64, ins, outs []int) 
 // matchSpans consumes the cached snapshot's prefix belonging to this
 // timeline, comparing it against the current intervals. It returns the
 // remaining snapshot and whether the prefix matched.
-func (tl *timeline) matchSpans(spans []PortSpan, t, horizon float64, port int32, out bool) ([]PortSpan, bool) {
+func (tl *timeline) matchSpans(spans []PortSpan, t, horizon int64, port int32, out bool) ([]PortSpan, bool) {
 	next := func() (PortSpan, bool) {
 		for len(spans) > 0 {
 			sp := spans[0]
@@ -680,36 +580,25 @@ func (tl *timeline) matchSpans(spans []PortSpan, t, horizon float64, port int32,
 		sp, ok := next()
 		return ok && sp.Start == v.start && sp.End == v.end
 	}
-	k := sort.Search(len(tl.old), func(i int) bool { return tl.old[i].end > t })
-	for _, v := range tl.old[k:] {
-		if v.start >= horizon {
-			break
-		}
-		if !match(v) {
-			return spans, false
-		}
-	}
-	k = sort.Search(len(tl.iv), func(i int) bool { return tl.iv[i].end > t })
-	for _, v := range tl.iv[k:] {
-		if v.start >= horizon {
-			break
-		}
-		if !match(v) {
-			return spans, false
+	for _, ivs := range tl.halves() {
+		for _, v := range ivs[endsAfter(ivs, t):] {
+			if v.start >= horizon {
+				break
+			}
+			if !match(v) {
+				return spans, false
+			}
 		}
 	}
 	// The snapshot must hold nothing more for this timeline.
-	if sp, ok := next(); ok {
-		_ = sp
-		return spans, false
-	}
-	return spans, true
+	_, more := next()
+	return spans, !more
 }
 
 // ReleasesAfter appends to dst the end times, strictly after t, of existing
 // reservations touching any of the given input and output ports. The intra
 // scheduler advances through these instants (Algorithm 1, line 10).
-func (p *PRT) ReleasesAfter(t float64, ins, outs []int, dst []float64) []float64 {
+func (p *PRT) ReleasesAfter(t int64, ins, outs []int, dst []int64) []int64 {
 	for _, i := range ins {
 		dst = p.in[i].endsAfter(t, dst)
 	}
@@ -717,10 +606,4 @@ func (p *PRT) ReleasesAfter(t float64, ins, outs []int, dst []float64) []float64
 		dst = p.out[j].endsAfter(t, dst)
 	}
 	return dst
-}
-
-// busyTime sums reserved time on input port i within [from, to) — used by
-// tests and utilization accounting.
-func (p *PRT) busyTime(i int, from, to float64) float64 {
-	return p.in[i].busy(from, to)
 }

@@ -15,12 +15,12 @@ type PortEvent struct {
 	Peer int
 	// CoflowID identifies whose traffic the agent should send.
 	CoflowID int
-	// SetupAt is when the switch starts configuring the circuit.
-	SetupAt float64
-	// TransmitAt is when the circuit is up and the host may send.
-	TransmitAt float64
-	// ReleaseAt is when the circuit is torn down.
-	ReleaseAt float64
+	// SetupAt is the tick the switch starts configuring the circuit at.
+	SetupAt int64
+	// TransmitAt is the tick the circuit is up and the host may send.
+	TransmitAt int64
+	// ReleaseAt is the tick the circuit is torn down.
+	ReleaseAt int64
 	// Bytes is how many whole bytes the host should send during the window.
 	Bytes int64
 }
@@ -64,11 +64,11 @@ func Gantt(width int, scheds ...*Schedule) string {
 	if len(all) == 0 || width <= 0 {
 		return ""
 	}
-	start, end := math.Inf(1), math.Inf(-1)
+	start, end := int64(math.MaxInt64), int64(math.MinInt64)
 	maxIn := 0
 	for _, r := range all {
-		start = math.Min(start, r.Start)
-		end = math.Max(end, r.End)
+		start = min(start, r.Start)
+		end = max(end, r.End)
 		if r.In > maxIn {
 			maxIn = r.In
 		}
@@ -76,9 +76,9 @@ func Gantt(width int, scheds ...*Schedule) string {
 	if end <= start {
 		return ""
 	}
-	scale := float64(width) / (end - start)
-	cell := func(t float64) int {
-		c := int((t - start) * scale)
+	scale := float64(width) / float64(end-start)
+	cell := func(t int64) int {
+		c := int(float64(t-start) * scale)
 		if c < 0 {
 			c = 0
 		}
@@ -96,7 +96,7 @@ func Gantt(width int, scheds ...*Schedule) string {
 	sort.Slice(all, func(a, b int) bool { return all[a].Start < all[b].Start })
 	for _, r := range all {
 		used[r.In] = true
-		lo, hi := cell(r.Start), cell(r.End-1e-12)
+		lo, hi := cell(r.Start), cell(r.End-1)
 		txLo := cell(r.TransmitStart())
 		mark := byte('0' + r.Out%10)
 		for c := lo; c <= hi; c++ {
@@ -109,7 +109,7 @@ func Gantt(width int, scheds ...*Schedule) string {
 	}
 
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "time %.3fs .. %.3fs ('#' setup, digit = out port mod 10)\n", start, end)
+	fmt.Fprintf(&sb, "time %.3fs .. %.3fs ('#' setup, digit = out port mod 10)\n", Seconds(start), Seconds(end))
 	for i, row := range rows {
 		if !used[i] {
 			continue

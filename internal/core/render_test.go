@@ -31,7 +31,7 @@ func TestPortProgram(t *testing.T) {
 		if e.CoflowID != 1 {
 			t.Fatalf("event %d coflow = %d", i, e.CoflowID)
 		}
-		if i > 0 && prog[i].SetupAt < prog[i-1].ReleaseAt-1e-9 {
+		if i > 0 && prog[i].SetupAt < prog[i-1].ReleaseAt {
 			t.Fatalf("events overlap: %+v then %+v", prog[i-1], prog[i])
 		}
 	}
@@ -79,10 +79,10 @@ func TestGanttDegenerate(t *testing.T) {
 func TestQuantumRoundsDemandUp(t *testing.T) {
 	c := coflow.New(1, 0, []coflow.Flow{{Src: 0, Dst: 0, Bytes: 1e6}}) // 8 ms
 	opts := testOpts
-	opts.Quantum = 0.005 // round to 10 ms
+	opts.Quantum = ns(0.005) // round to 10 ms
 	s := mustIntra(t, c, 1, opts)
 	// CCT = δ + ceil(8/5)·5 ms = 10 + 10 ms.
-	if want := 0.02; s.Finish < want-1e-9 || s.Finish > want+1e-9 {
+	if want := 0.02; Seconds(s.Finish) < want-1e-9 || Seconds(s.Finish) > want+1e-9 {
 		t.Fatalf("quantized CCT = %v, want %v", s.Finish, want)
 	}
 	// Quantization can only lengthen the schedule.
@@ -111,14 +111,14 @@ func TestQuantumKeepsLemma1OnQuantizedBound(t *testing.T) {
 		{Src: 1, Dst: 1, Bytes: 7e6},
 	})
 	opts := testOpts
-	opts.Quantum = 0.016
+	opts.Quantum = ns(0.016)
 	s := mustIntra(t, c, 2, opts)
 	rounded := coflow.New(1, 0, []coflow.Flow{
 		{Src: 0, Dst: 0, Bytes: 4e6},
 		{Src: 0, Dst: 1, Bytes: 6e6},
 		{Src: 1, Dst: 1, Bytes: 8e6},
 	})
-	if s.Finish > 2*rounded.CircuitLowerBound(gbps, opts.Delta)+1e-9 {
+	if Seconds(s.Finish) > 2*rounded.CircuitLowerBound(gbps, Seconds(opts.Delta))+1e-9 {
 		t.Fatalf("quantized schedule violates Lemma 1 on the rounded demand")
 	}
 }

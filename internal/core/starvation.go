@@ -2,12 +2,12 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
 // FairWindows implements the starvation-avoidance design of §4.2: time is
-// divided into recurring intervals of length T+τ. The first T seconds of
+// divided into recurring intervals of length T+τ, all in ticks (ns). The
+// first T of
 // each interval belong to normal (priority-ordered) Sunflow scheduling; the
 // trailing τ seconds run one fixed assignment A_k from a round-robin list
 // Φ = {A_1,…,A_N} whose union covers all N² circuits, so every Coflow
@@ -20,18 +20,18 @@ type FairWindows struct {
 	// N is the switch port count; it is also the number of assignments in Φ.
 	N int
 	// T is the length of the normal scheduling interval; must satisfy T ≫ τ.
-	T float64
+	T int64
 	// Tau is the fair-window length τ; must exceed the reconfiguration
 	// delay δ so a window can carry data.
-	Tau float64
+	Tau int64
 	// Offset shifts the phase of the first window (the first fair window is
 	// [Offset+T, Offset+T+Tau)). Usually zero.
-	Offset float64
+	Offset int64
 }
 
 // Validate reports an error for parameters violating T ≫ τ > δ (checked as
 // T > τ > delta).
-func (fw FairWindows) Validate(delta float64) error {
+func (fw FairWindows) Validate(delta int64) error {
 	if fw.N <= 0 {
 		return fmt.Errorf("core: fair windows need a positive port count, got %d", fw.N)
 	}
@@ -45,35 +45,40 @@ func (fw FairWindows) Validate(delta float64) error {
 }
 
 // period returns T+τ.
-func (fw FairWindows) period() float64 { return fw.T + fw.Tau }
+func (fw FairWindows) period() int64 { return fw.T + fw.Tau }
 
 // indexAt returns the index k of the (T+τ)-interval containing t.
-func (fw FairWindows) indexAt(t float64) int {
-	return int(math.Floor((t - fw.Offset) / fw.period()))
+func (fw FairWindows) indexAt(t int64) int64 {
+	d, p := t-fw.Offset, fw.period()
+	k := d / p
+	if d%p < 0 {
+		k-- // floor, not truncation, before the offset
+	}
+	return k
 }
 
+// windowStart returns the start of the fair window of interval k.
+func (fw FairWindows) windowStart(k int64) int64 { return fw.Offset + k*fw.period() + fw.T }
+
 // Covers reports whether t lies inside a fair (τ) window.
-func (fw FairWindows) Covers(t float64) bool {
-	k := fw.indexAt(t)
-	ws := fw.Offset + float64(k)*fw.period() + fw.T
-	return t >= ws-timeEps && t < ws+fw.Tau-timeEps
+func (fw FairWindows) Covers(t int64) bool {
+	ws := fw.windowStart(fw.indexAt(t))
+	return t >= ws && t < ws+fw.Tau
 }
 
 // NextStart returns the start of the first fair window beginning after t.
-func (fw FairWindows) NextStart(t float64) float64 {
-	k := fw.indexAt(t)
-	ws := fw.Offset + float64(k)*fw.period() + fw.T
-	if ws > t+timeEps {
+func (fw FairWindows) NextStart(t int64) int64 {
+	ws := fw.windowStart(fw.indexAt(t))
+	if ws > t {
 		return ws
 	}
 	return ws + fw.period()
 }
 
 // NextEnd returns the end of the first fair window ending after t.
-func (fw FairWindows) NextEnd(t float64) float64 {
-	k := fw.indexAt(t)
-	we := fw.Offset + float64(k)*fw.period() + fw.T + fw.Tau
-	if we > t+timeEps {
+func (fw FairWindows) NextEnd(t int64) int64 {
+	we := fw.windowStart(fw.indexAt(t)) + fw.Tau
+	if we > t {
 		return we
 	}
 	return we + fw.period()
@@ -84,7 +89,7 @@ type Window struct {
 	// Index is the window's sequence number k (0-based).
 	Index int
 	// Start and End delimit the τ interval.
-	Start, End float64
+	Start, End int64
 	// Assign is the fixed assignment A_(k mod N): input port i connects to
 	// output port Assign[i].
 	Assign []int
@@ -103,20 +108,17 @@ func (fw FairWindows) Assignment(k int) []int {
 }
 
 // WindowsIn returns the fair windows overlapping [from, to), in order.
-func (fw FairWindows) WindowsIn(from, to float64) []Window {
+func (fw FairWindows) WindowsIn(from, to int64) []Window {
 	var out []Window
-	k := fw.indexAt(from)
-	if k < 0 {
-		k = 0
-	}
+	k := max(fw.indexAt(from), 0)
 	for {
-		ws := fw.Offset + float64(k)*fw.period() + fw.T
+		ws := fw.windowStart(k)
 		we := ws + fw.Tau
 		if ws >= to {
 			return out
 		}
 		if we > from {
-			out = append(out, Window{Index: k, Start: ws, End: we, Assign: fw.Assignment(k)})
+			out = append(out, Window{Index: int(k), Start: ws, End: we, Assign: fw.Assignment(int(k))})
 		}
 		k++
 	}

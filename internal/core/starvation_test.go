@@ -8,46 +8,46 @@ import (
 )
 
 func testWindows() FairWindows {
-	return FairWindows{N: 4, T: 1.0, Tau: 0.1}
+	return FairWindows{N: 4, T: ns(1.0), Tau: ns(0.1)}
 }
 
 func TestFairWindowsValidate(t *testing.T) {
 	fw := testWindows()
-	if err := fw.Validate(0.01); err != nil {
+	if err := fw.Validate(ns(0.01)); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
-	if err := (FairWindows{N: 4, T: 1, Tau: 0.005}).Validate(0.01); err == nil {
+	if err := (FairWindows{N: 4, T: ns(1), Tau: ns(0.005)}).Validate(ns(0.01)); err == nil {
 		t.Fatal("τ ≤ δ accepted")
 	}
-	if err := (FairWindows{N: 4, T: 0.05, Tau: 0.1}).Validate(0.01); err == nil {
+	if err := (FairWindows{N: 4, T: ns(0.05), Tau: ns(0.1)}).Validate(ns(0.01)); err == nil {
 		t.Fatal("T ≤ τ accepted")
 	}
-	if err := (FairWindows{N: 0, T: 1, Tau: 0.1}).Validate(0.01); err == nil {
+	if err := (FairWindows{N: 0, T: ns(1), Tau: ns(0.1)}).Validate(ns(0.01)); err == nil {
 		t.Fatal("zero ports accepted")
 	}
 }
 
 func TestFairWindowsGeometry(t *testing.T) {
 	fw := testWindows() // period 1.1, windows at [1.0,1.1), [2.1,2.2), ...
-	if fw.Covers(0.5) {
+	if fw.Covers(ns(0.5)) {
 		t.Fatal("0.5 should be normal time")
 	}
-	if !fw.Covers(1.05) {
+	if !fw.Covers(ns(1.05)) {
 		t.Fatal("1.05 should be inside the first window")
 	}
-	if fw.Covers(1.15) {
+	if fw.Covers(ns(1.15)) {
 		t.Fatal("1.15 should be past the first window")
 	}
-	if got := fw.NextStart(0); math.Abs(got-1.0) > 1e-12 {
+	if got := fw.NextStart(0); got != ns(1.0) {
 		t.Fatalf("NextStart(0) = %v", got)
 	}
-	if got := fw.NextStart(1.0); math.Abs(got-2.1) > 1e-9 {
+	if got := fw.NextStart(ns(1.0)); got != ns(2.1) {
 		t.Fatalf("NextStart(1.0) = %v (start is not after itself)", got)
 	}
-	if got := fw.NextEnd(1.05); math.Abs(got-1.1) > 1e-9 {
+	if got := fw.NextEnd(ns(1.05)); got != ns(1.1) {
 		t.Fatalf("NextEnd(1.05) = %v", got)
 	}
-	if got := fw.NextEnd(1.2); math.Abs(got-2.2) > 1e-9 {
+	if got := fw.NextEnd(ns(1.2)); got != ns(2.2) {
 		t.Fatalf("NextEnd(1.2) = %v", got)
 	}
 }
@@ -80,23 +80,23 @@ func TestFairWindowsAssignmentsCoverAllCircuits(t *testing.T) {
 
 func TestFairWindowsWindowsIn(t *testing.T) {
 	fw := testWindows()
-	ws := fw.WindowsIn(0, 3.5)
+	ws := fw.WindowsIn(0, ns(3.5))
 	if len(ws) != 3 {
 		t.Fatalf("WindowsIn(0,3.5) = %d windows, want 3", len(ws))
 	}
-	if math.Abs(ws[0].Start-1.0) > 1e-9 || math.Abs(ws[1].Start-2.1) > 1e-9 {
+	if ws[0].Start != ns(1.0) || ws[1].Start != ns(2.1) {
 		t.Fatalf("window starts %v %v", ws[0].Start, ws[1].Start)
 	}
 	// Partial overlap at the left edge is returned too.
-	ws = fw.WindowsIn(1.05, 1.2)
+	ws = fw.WindowsIn(ns(1.05), ns(1.2))
 	if len(ws) != 1 {
 		t.Fatalf("partial overlap missed: %v", ws)
 	}
 }
 
 func TestIntraCoflowAvoidsBlackout(t *testing.T) {
-	fw := FairWindows{N: 2, T: 0.1, Tau: 0.05}
-	if err := fw.Validate(0.01); err != nil {
+	fw := FairWindows{N: 2, T: ns(0.1), Tau: ns(0.05)}
+	if err := fw.Validate(ns(0.01)); err != nil {
 		t.Fatal(err)
 	}
 	prt := NewPRT(2)
@@ -110,7 +110,7 @@ func TestIntraCoflowAvoidsBlackout(t *testing.T) {
 	}
 	for _, r := range s.Reservations {
 		for _, w := range fw.WindowsIn(r.Start, r.End) {
-			if w.Start < r.End-1e-9 && w.End > r.Start+1e-9 {
+			if w.Start < r.End && w.End > r.Start {
 				t.Fatalf("reservation [%v,%v) intrudes into window [%v,%v)", r.Start, r.End, w.Start, w.End)
 			}
 		}

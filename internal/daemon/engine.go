@@ -41,7 +41,6 @@ import (
 	"sunflow/internal/coflow"
 	"sunflow/internal/core"
 	"sunflow/internal/fabric"
-	"sunflow/internal/fault"
 	"sunflow/internal/obs"
 )
 
@@ -77,8 +76,9 @@ type FlowSpec struct {
 
 // Event is one accepted daemon input: the WAL record, the HTTP request body
 // and the Engine transition are all this struct. At is logical time in
-// seconds; events whose At precedes the Engine clock are applied "late" at
-// the current clock (the At still counts as the Coflow's arrival for CCT).
+// seconds, converted once to an integer-nanosecond tick by core.Nanos; events
+// whose At precedes the Engine clock are applied "late" at the current clock
+// (the At still counts as the Coflow's arrival for CCT).
 type Event struct {
 	// Seq is the WAL sequence number, assigned at admission; zero in request
 	// bodies.
@@ -177,7 +177,7 @@ type Engine struct {
 	reg coflow.Coflow
 	// outages is the fault view: the declared outages that can still affect
 	// scheduling.
-	outages outageIndex
+	outages *circuit.Faults
 	// done maps finished Coflow ids to their completion records.
 	done map[int]Completion
 	// digest chains a SHA-256 over every applied event and the plan it
@@ -203,14 +203,18 @@ func NewEngine(cfg EngineConfig, o *obs.Observer) (*Engine, error) {
 	e := &Engine{
 		cfg:     cfg,
 		specs:   map[int]liveSpec{},
-		outages: newOutageIndex(cfg.Ports),
+		outages: circuit.NewFaults(cfg.Ports),
 		done:    map[int]Completion{},
 		obs:     o,
+	}
+	delta, err := core.Nanos(cfg.Delta)
+	if err != nil {
+		return nil, fmt.Errorf("daemon: reconfiguration delay: %w", err)
 	}
 	e.eng = circuit.New(circuit.Config{
 		Ports:   cfg.Ports,
 		LinkBps: cfg.LinkBps,
-		Delta:   cfg.Delta,
+		Delta:   delta,
 		Order:   cfg.Order,
 		Seed:    cfg.Seed,
 		Obs:     o,
@@ -222,15 +226,15 @@ func NewEngine(cfg EngineConfig, o *obs.Observer) (*Engine, error) {
 // completionSink records the circuit engine's retirements as completions.
 type completionSink Engine
 
-func (s *completionSink) Retire(lc *circuit.Live, finish float64) {
+func (s *completionSink) Retire(lc *circuit.Live, finish int64) {
 	(*Engine)(s).complete(lc, finish, false)
 }
 
 // Strand needs no record: the live Coflow accumulates StrandedBytes.
-func (s *completionSink) Strand(*circuit.Live, fabric.FlowKey, int64, float64) {}
+func (s *completionSink) Strand(*circuit.Live, fabric.FlowKey, int64, int64) {}
 
-// Now returns the Engine's logical clock.
-func (e *Engine) Now() float64 { return e.eng.Now() }
+// Now returns the Engine's logical clock in seconds.
+func (e *Engine) Now() float64 { return core.Seconds(e.eng.Now()) }
 
 // LiveCount returns the number of registered, unfinished Coflows.
 func (e *Engine) LiveCount() int { return e.eng.Len() }
@@ -281,42 +285,56 @@ func (e *Engine) Live() []LiveStatus {
 			rem += b
 		}
 		out = append(out, LiveStatus{
-			Coflow: id, Arrival: lc.Arrival, Priority: lc.Priority,
-			RemainingBytes: float64(rem), PlannedFinish: lc.Finish, Stranded: lc.Stranded,
+			Coflow: id, Arrival: core.Seconds(lc.Arrival), Priority: lc.Priority,
+			RemainingBytes: float64(rem), PlannedFinish: core.Seconds(lc.Finish), Stranded: lc.Stranded,
 		})
 	}
 	return out
 }
 
 // validate rejects malformed events before any state is touched, so a
-// rejection is side-effect free and replays identically.
-func (e *Engine) validate(ev Event) error {
-	if math.IsNaN(ev.At) || math.IsInf(ev.At, 0) || ev.At < 0 {
-		return fmt.Errorf("%w: invalid time %v", ErrBadEvent, ev.At)
+// rejection is side-effect free and replays identically. It returns the
+// event's instant in ticks.
+func (e *Engine) validate(ev Event) (int64, error) {
+	at, err := core.Nanos(ev.At)
+	if err != nil || ev.At < 0 {
+		return 0, fmt.Errorf("%w: invalid time %v", ErrBadEvent, ev.At)
 	}
 	switch ev.Kind {
 	case KindRegister:
 		for i, f := range ev.Flows {
 			if f.Src < 0 || f.Src >= e.cfg.Ports || f.Dst < 0 || f.Dst >= e.cfg.Ports {
-				return fmt.Errorf("%w: flow %d ports (%d,%d) outside [0,%d)", ErrBadEvent, i, f.Src, f.Dst, e.cfg.Ports)
+				return 0, fmt.Errorf("%w: flow %d ports (%d,%d) outside [0,%d)", ErrBadEvent, i, f.Src, f.Dst, e.cfg.Ports)
 			}
 			if math.IsNaN(f.Bytes) || math.IsInf(f.Bytes, 0) || f.Bytes < 0 {
-				return fmt.Errorf("%w: flow %d has invalid size %v", ErrBadEvent, i, f.Bytes)
+				return 0, fmt.Errorf("%w: flow %d has invalid size %v", ErrBadEvent, i, f.Bytes)
 			}
 		}
 	case KindAdvance, KindComplete:
 		// Nothing beyond the time check.
 	case KindFault:
 		if ev.Port < 0 || ev.Port >= e.cfg.Ports {
-			return fmt.Errorf("%w: fault names port %d outside [0,%d)", ErrBadEvent, ev.Port, e.cfg.Ports)
+			return 0, fmt.Errorf("%w: fault names port %d outside [0,%d)", ErrBadEvent, ev.Port, e.cfg.Ports)
 		}
 		if math.IsNaN(ev.Duration) {
-			return fmt.Errorf("%w: fault has NaN duration", ErrBadEvent)
+			return 0, fmt.Errorf("%w: fault has NaN duration", ErrBadEvent)
+		}
+		if _, err := outageEnd(ev); err != nil {
+			return 0, fmt.Errorf("%w: fault end %v: %w", ErrBadEvent, ev.At+ev.Duration, err)
 		}
 	default:
-		return fmt.Errorf("%w: unknown kind %q", ErrBadEvent, ev.Kind)
+		return 0, fmt.Errorf("%w: unknown kind %q", ErrBadEvent, ev.Kind)
 	}
-	return nil
+	return at, nil
+}
+
+// outageEnd returns the tick a fault event's outage ends at: At+Duration, or
+// core.Forever for a permanent one (Duration <= 0 or +Inf).
+func outageEnd(ev Event) (int64, error) {
+	if ev.Duration <= 0 || math.IsInf(ev.Duration, 1) {
+		return core.Forever, nil
+	}
+	return core.Nanos(ev.At + ev.Duration)
 }
 
 // Apply runs one event through the state machine. It returns whether the
@@ -325,39 +343,42 @@ func (e *Engine) validate(ev Event) error {
 // rejection itself is folded into the digest (a replayed WAL re-rejects
 // identically, so recovery stays aligned).
 func (e *Engine) Apply(ev Event) (applied bool, err error) {
-	if err := e.validate(ev); err != nil {
+	at, err := e.validate(ev)
+	if err != nil {
 		e.foldDigest(ev, false)
 		return false, err
 	}
 	switch ev.Kind {
 	case KindRegister:
-		applied, err = e.applyRegister(ev)
+		applied, err = e.applyRegister(ev, at)
 	case KindAdvance:
-		applied, err = true, e.advanceTo(ev.At)
+		applied, err = true, e.advanceTo(at)
 	case KindComplete:
-		applied, err = e.applyComplete(ev)
+		applied, err = e.applyComplete(ev, at)
 	case KindFault:
-		applied, err = e.applyFault(ev)
+		applied, err = e.applyFault(ev, at)
 	}
 	e.foldDigest(ev, applied)
 	return applied, err
 }
 
-func (e *Engine) applyRegister(ev Event) (bool, error) {
+func (e *Engine) applyRegister(ev Event, at int64) (bool, error) {
 	hash := hashSpec(ev.Priority, ev.Flows)
 	if lc := e.eng.Lookup(ev.Coflow); lc != nil {
-		if slices.Equal(e.specs[ev.Coflow].flows, ev.Flows) && lc.Arrival == ev.At && lc.Priority == ev.Priority {
+		if slices.Equal(e.specs[ev.Coflow].flows, ev.Flows) && lc.Arrival == at && lc.Priority == ev.Priority {
 			return false, nil // client retry of an acked registration
 		}
 		return false, fmt.Errorf("%w: id %d", ErrDuplicateCoflow, ev.Coflow)
 	}
 	if done, ok := e.done[ev.Coflow]; ok {
-		if done.Arrival == ev.At && done.SpecHash == hash {
+		// Compared in ticks: a record restored from a version-2 snapshot
+		// holds the registration's raw seconds.
+		if arrival, _ := core.Nanos(done.Arrival); arrival == at && done.SpecHash == hash {
 			return false, nil // client retry of a registration that already finished
 		}
 		return false, fmt.Errorf("%w: id %d already completed", ErrDuplicateCoflow, ev.Coflow)
 	}
-	if err := e.advanceTo(math.Max(ev.At, e.Now())); err != nil {
+	if err := e.advanceTo(max(at, e.eng.Now())); err != nil {
 		return false, err
 	}
 	c := &e.reg
@@ -365,23 +386,24 @@ func (e *Engine) applyRegister(ev Event) (bool, error) {
 	for _, f := range ev.Flows {
 		c.Flows = append(c.Flows, coflow.Flow(f))
 	}
-	if !e.eng.Admit(c, ev.Priority) {
+	if !e.eng.Admit(c, at, ev.Priority) {
 		// Zero-demand Coflows complete instantly, like the simulator.
-		e.done[ev.Coflow] = Completion{Arrival: ev.At, Finish: ev.At, CCT: 0, SpecHash: hash}
+		arrival := core.Seconds(at)
+		e.done[ev.Coflow] = Completion{Arrival: arrival, Finish: arrival, CCT: 0, SpecHash: hash}
 		return true, nil
 	}
 	e.specs[ev.Coflow] = liveSpec{flows: append([]FlowSpec(nil), ev.Flows...), hash: hash}
 	return true, e.replan()
 }
 
-func (e *Engine) applyComplete(ev Event) (bool, error) {
+func (e *Engine) applyComplete(ev Event, at int64) (bool, error) {
 	if e.eng.Lookup(ev.Coflow) == nil {
 		if _, done := e.done[ev.Coflow]; done {
 			return false, nil // already finished: idempotent
 		}
 		return false, fmt.Errorf("%w: id %d", ErrUnknownCoflow, ev.Coflow)
 	}
-	if err := e.advanceTo(math.Max(ev.At, e.Now())); err != nil {
+	if err := e.advanceTo(max(at, e.eng.Now())); err != nil {
 		return false, err
 	}
 	// The advance may have drained it on plan; then the external completion
@@ -390,19 +412,19 @@ func (e *Engine) applyComplete(ev Event) (bool, error) {
 	if lc == nil {
 		return false, nil
 	}
-	e.complete(lc, e.Now(), true)
+	e.complete(lc, e.eng.Now(), true)
 	if o := e.obs; o != nil {
 		o.CoflowsCompleted.Inc()
 	}
 	return true, e.replan()
 }
 
-// complete records the Coflow's completion record at finish.
-func (e *Engine) complete(lc *circuit.Live, finish float64, forced bool) {
+// complete records the Coflow's completion record at tick finish.
+func (e *Engine) complete(lc *circuit.Live, finish int64, forced bool) {
 	e.done[lc.ID] = Completion{
-		Arrival:  lc.Arrival,
-		Finish:   finish,
-		CCT:      finish - lc.Arrival,
+		Arrival:  core.Seconds(lc.Arrival),
+		Finish:   core.Seconds(finish),
+		CCT:      core.Seconds(finish - lc.Arrival),
 		Switches: lc.Switches,
 		Stranded: lc.Stranded,
 		Bytes:    float64(lc.StrandedBytes),
@@ -412,19 +434,16 @@ func (e *Engine) complete(lc *circuit.Live, finish float64, forced bool) {
 	delete(e.specs, lc.ID)
 }
 
-func (e *Engine) applyFault(ev Event) (bool, error) {
-	if err := e.advanceTo(math.Max(ev.At, e.Now())); err != nil {
+func (e *Engine) applyFault(ev Event, at int64) (bool, error) {
+	if err := e.advanceTo(max(at, e.eng.Now())); err != nil {
 		return false, err
 	}
-	end := math.Inf(1)
-	if ev.Duration > 0 && !math.IsInf(ev.Duration, 1) {
-		end = ev.At + ev.Duration
-	}
-	og := fault.Outage{Port: ev.Port, Start: ev.At, End: end}
-	now := e.Now()
-	e.outages.add(og)
-	e.eng.SetFaults(&e.outages)
-	if og.Start <= now+circuit.TimeEps && og.End > now+circuit.TimeEps {
+	end, _ := outageEnd(ev) // validate checked it
+	og := circuit.Outage{Port: ev.Port, Start: at, End: end}
+	now := e.eng.Now()
+	e.outages.Add(og)
+	e.eng.SetFaults(e.outages)
+	if og.Start <= now && og.End > now {
 		// The port is down as of now: circuits in flight across it release
 		// immediately and their undelivered capacity returns to the planner.
 		e.eng.PortDown(og)
@@ -443,13 +462,13 @@ func (e *Engine) replan() error {
 // advanceTo moves logical time to t, stepping the circuit engine through
 // every planned completion and outage edge on the way exactly like the
 // simulator's event loop, then drops the outages that have ended.
-func (e *Engine) advanceTo(t float64) error {
+func (e *Engine) advanceTo(t int64) error {
 	for step := 0; ; step++ {
 		if step > maxSteps {
 			return fmt.Errorf("daemon: advance exceeded %d internal events at t=%.6f", maxSteps, e.Now())
 		}
 		te := e.eng.NextEvent()
-		if math.IsInf(te, 1) || te > t+circuit.TimeEps {
+		if te > t {
 			break
 		}
 		e.eng.Step(te)
@@ -457,10 +476,10 @@ func (e *Engine) advanceTo(t float64) error {
 			return err
 		}
 	}
-	if t > e.Now() {
+	if t > e.eng.Now() {
 		e.eng.Credit(t)
 	}
-	if e.outages.expire(e.Now()) {
+	if e.outages.N > 0 && e.outages.Expire(e.eng.Now()) {
 		// No outage left: the fabric is fault-free again and schedule reuse
 		// resumes.
 		e.eng.SetFaults(nil)
@@ -501,15 +520,15 @@ func (e *Engine) foldDigest(ev Event, applied bool) {
 	} else {
 		putU(0)
 	}
-	putF(e.Now())
+	putU(uint64(e.eng.Now()))
 	putU(uint64(len(e.eng.Plan())))
 	for _, r := range canonicalPlan(e.eng.Plan()) {
 		putU(uint64(int64(r.CoflowID)))
 		putU(uint64(int64(r.In)))
 		putU(uint64(int64(r.Out)))
-		putF(r.Start)
-		putF(r.End)
-		putF(r.Setup)
+		putU(uint64(r.Start))
+		putU(uint64(r.End))
+		putU(uint64(r.Setup))
 		putU(uint64(r.Bytes))
 	}
 	sum := h.Sum(nil)

@@ -4,9 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"sunflow/internal/coflow"
+	"sunflow/internal/core"
 	"sunflow/internal/obs"
 	"sunflow/internal/sim"
 	"sunflow/internal/trace"
@@ -333,6 +335,39 @@ func TestEngineRejectsBadEvents(t *testing.T) {
 	}
 }
 
+// TestEngineRejectsUnrepresentableTimes: an instant no int64 nanosecond tick
+// holds — an At of 1e300 s, or a fault whose At+Duration is — is rejected
+// with ErrBadEvent before it touches the state machine. The rejection still
+// folds into the digest, so a replayed WAL re-rejects identically.
+func TestEngineRejectsUnrepresentableTimes(t *testing.T) {
+	cfg := EngineConfig{Ports: 4, LinkBps: 1e9, Delta: 0.01}
+	e, err := NewEngine(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Apply(Event{Kind: KindRegister, At: 1, Coflow: 1, Flows: []FlowSpec{{Src: 0, Dst: 1, Bytes: 1e8}}}); err != nil {
+		t.Fatal(err)
+	}
+	now, plan, live, digest := e.Now(), e.Plan(), e.Live(), e.Digest()
+	for _, ev := range []Event{
+		{Kind: KindRegister, At: 1e300, Coflow: 2, Flows: []FlowSpec{{Src: 2, Dst: 3, Bytes: 1}}},
+		{Kind: KindAdvance, At: 1e300},
+		{Kind: KindComplete, At: 9.3e9, Coflow: 1},
+		{Kind: KindFault, At: 2, Port: 0, Duration: 1e300},
+	} {
+		if _, err := e.Apply(ev); !errors.Is(err, ErrBadEvent) {
+			t.Errorf("event %+v: got %v, want ErrBadEvent", ev, err)
+		}
+		if e.Digest() == digest {
+			t.Errorf("event %+v: rejection not folded into the digest", ev)
+		}
+		digest = e.Digest()
+	}
+	if e.Now() != now || !reflect.DeepEqual(e.Plan(), plan) || !reflect.DeepEqual(e.Live(), live) || e.DoneCount() != 0 {
+		t.Fatal("a rejected event changed the engine state")
+	}
+}
+
 // TestEnginePriorityOverride: a higher-priority Coflow is scheduled ahead of
 // an equal-length rival registered at the same instant, completing first even
 // though shortest-first alone would favor the rival's lower id.
@@ -497,7 +532,7 @@ func TestEngineLateEventAppliesAtCurrentClock(t *testing.T) {
 	if c.Finish < 10 {
 		t.Fatalf("finish %v precedes the clock the Coflow was admitted at", c.Finish)
 	}
-	if c.CCT != c.Finish-3 {
+	if finish, _ := core.Nanos(c.Finish); c.CCT != core.Seconds(finish-3e9) {
 		t.Fatalf("CCT %v inconsistent with arrival 3, finish %v", c.CCT, c.Finish)
 	}
 }

@@ -54,7 +54,7 @@ func goldenEvents() []Event {
 }
 
 // goldenDigest is the engine digest after the whole goldenEvents stream.
-const goldenDigest = "5f98978af8098f051c683d3794eb513bff48cce3e8b8c7551ce312bc25ce14d3"
+const goldenDigest = "ec95b0d25554fcbc5f80929071eea01d4f92f4ae7cb47b84de66ebac4ca6bbcf"
 
 // TestGoldenEngineDigest pins the digest chain over goldenEvents. It holds
 // with and without SUNFLOW_FULL_REPLAN=1.
@@ -80,15 +80,16 @@ func TestGoldenEngineDigest(t *testing.T) {
 // goldenDataDir holds a version-2 snapshot taken after goldenEvents()[:60]
 // plus a WAL tail with events 61..90 (sequence numbers 61 to 90), written by
 // an earlier build of Store. It guards the on-disk format and the recovery
-// path across refactors of the engine. That build kept fractional bytes: its
-// snapshot carries a base field and fractional rem and plan bytes, which load
-// ignored and rounded. Its digest chain at sequence 60 is the old build's, so
+// path across refactors of the engine. That build kept fractional bytes and
+// float-second instants: its snapshot carries a base field and fractional rem
+// and plan bytes, which load ignored and rounded, and every instant loads
+// through core.Nanos. Its digest chain at sequence 60 is the old build's, so
 // the recovered chain ends at goldenDataDirFinal rather than goldenDigest.
 const (
 	goldenDataDir       = "testdata/golden-v2"
 	goldenDataDirSeq    = 90
-	goldenDataDirDigest = "64cdc00d010bc08c5afff0eeb39a16cb4280a9dec1d3292085ca0f9bbe2317ef"
-	goldenDataDirFinal  = "f77cc15293b9e80c4547be090448d9296b625ca871f861327d7969f7e77c56de"
+	goldenDataDirDigest = "de5cb7d48c5552e367e635ca96ec10e0cfdf674ed2b73699ee05657dca4a2465"
+	goldenDataDirFinal  = "a1182e8cad9b2d72696096f27073539176fa6909356c2659547205e0fc1520e2"
 )
 
 // TestGoldenDataDirRecovers opens a copy of the checked-in data directory and

@@ -110,10 +110,10 @@ func TestQuickEngineIncrementalBitExact(t *testing.T) {
 			t.Logf("seed %d: final plans diverge", seed)
 			return false
 		}
-		if withFault && inc.outages.n != 0 {
+		if withFault && inc.outages.N != 0 {
 			// The transient ended during the stream: the fault view must be
 			// gone, so reuse ran again on the passes after it.
-			t.Logf("seed %d: %d outages retained after the stream", seed, inc.outages.n)
+			t.Logf("seed %d: %d outages retained after the stream", seed, inc.outages.N)
 			return false
 		}
 		return true

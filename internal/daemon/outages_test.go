@@ -43,8 +43,8 @@ func TestExpiredOutagesAreDropped(t *testing.T) {
 	if _, err := e.Apply(Event{Kind: KindAdvance, At: 11}); err != nil {
 		t.Fatal(err)
 	}
-	if e.outages.n != 0 || len(e.State().Outages) != 0 {
-		t.Fatalf("%d outages retained after every transient ended", e.outages.n)
+	if e.outages.N != 0 || len(e.State().Outages) != 0 {
+		t.Fatalf("%d outages retained after every transient ended", e.outages.N)
 	}
 	if late := snapshotSize(t, e); late > early+64 {
 		t.Fatalf("snapshot grew from %d to %d bytes over 10k expired outages", early, late)
@@ -74,8 +74,8 @@ func TestEngineReuseResumesAfterOutage(t *testing.T) {
 			t.Fatalf("digests diverge after registering coflow %d", id)
 		}
 	}
-	if inc.outages.n != 0 {
-		t.Fatalf("%d outages retained after the transient ended", inc.outages.n)
+	if inc.outages.N != 0 {
+		t.Fatalf("%d outages retained after the transient ended", inc.outages.N)
 	}
 	if oi.IntraSkipped.Load() == faulted {
 		t.Fatal("no intra pass was skipped after the outage ended: reuse did not resume")

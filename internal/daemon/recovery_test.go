@@ -12,6 +12,7 @@ import (
 	"reflect"
 	"testing"
 
+	"sunflow/internal/core"
 	"sunflow/internal/trace"
 )
 
@@ -539,19 +540,34 @@ func TestReadWALBoundedStopsAtOversizedRegion(t *testing.T) {
 	check("newline-terminated oversized line")
 }
 
-// TestInfFloatRoundTrip pins the snapshot encoding of the two infinities.
+// TestInfFloatRoundTrip pins the snapshot encoding of the two infinities: a
+// version-2 snapshot spells them "+inf"/"-inf" and they load as
+// core.Forever and math.MinInt64; version 3 writes those ticks as plain
+// integers, which round-trip.
 func TestInfFloatRoundTrip(t *testing.T) {
-	for _, v := range []float64{0, 1.5, -2.25, math.Inf(1), math.Inf(-1), 1e308} {
-		raw, err := infFloat(v).MarshalJSON()
+	for _, tc := range []struct {
+		v2   string
+		want int64
+	}{{`0`, 0}, {`1.5`, 1_500_000_000}, {`-2.25`, -2_250_000_000}, {`"+inf"`, core.Forever}, {`"-inf"`, math.MinInt64}} {
+		var s v2Seconds
+		if err := s.UnmarshalJSON([]byte(tc.v2)); err != nil {
+			t.Fatalf("unmarshal %s: %v", tc.v2, err)
+		}
+		st, err := upgradeV2(stateOf[v2Seconds]{Now: s})
+		if err != nil || st.Now != tc.want {
+			t.Fatalf("version-2 %s loads as %v (%v), want %v", tc.v2, st.Now, err, tc.want)
+		}
+		raw, err := json.Marshal(st)
 		if err != nil {
-			t.Fatalf("marshal %v: %v", v, err)
+			t.Fatal(err)
 		}
-		var back infFloat
-		if err := back.UnmarshalJSON(raw); err != nil {
-			t.Fatalf("unmarshal %s: %v", raw, err)
+		var back engineState
+		if err := json.Unmarshal(raw, &back); err != nil || back.Now != tc.want {
+			t.Fatalf("round trip %v → %s → %v (%v)", tc.want, raw, back.Now, err)
 		}
-		if float64(back) != v {
-			t.Fatalf("round trip %v → %s → %v", v, raw, float64(back))
-		}
+	}
+	// Seconds no tick holds are rejected, not converted.
+	if _, err := upgradeV2(stateOf[v2Seconds]{Now: 1e300}); err == nil {
+		t.Fatal("a version-2 instant of 1e300 s loaded")
 	}
 }

@@ -10,17 +10,16 @@ import (
 	"sunflow/internal/circuit"
 	"sunflow/internal/core"
 	"sunflow/internal/fabric"
-	"sunflow/internal/fault"
 )
 
-// This file encodes and restores Engine state for checkpoints. Two rules make
-// the round trip bit-exact:
+// This file encodes and restores Engine state for checkpoints. Three rules
+// make the round trip exact:
 //
 //   - Every map is serialized as a slice sorted by its key, so the same state
 //     always produces the same bytes (the smoke test diffs snapshots).
-//   - Floats ride through encoding/json untouched — Go emits the shortest
-//     representation that round-trips float64 exactly — except ±Inf, which
-//     JSON cannot carry; infFloat spells those as strings.
+//   - Instants are integer-nanosecond ticks (version 3). Version-2
+//     snapshots wrote float seconds, ±Inf as "+inf"/"-inf"; they still load,
+//     each instant converted once through core.Nanos (upgradeV2).
 //   - Bytes are whole and written as JSON numbers. Snapshots from builds
 //     that kept fractional bytes (a base field, fractional rem and plan
 //     bytes) still load: base is ignored and bytes are rounded (loadBytes,
@@ -28,38 +27,6 @@ import (
 //
 // Notably the PRT itself is never serialized: every replan rebuilds it from
 // the plan's locked reservations, so the plan slice is the whole truth.
-
-// infFloat is a float64 whose JSON form survives ±Inf.
-type infFloat float64
-
-// MarshalJSON encodes ±Inf as the strings "+inf"/"-inf".
-func (f infFloat) MarshalJSON() ([]byte, error) {
-	switch {
-	case math.IsInf(float64(f), 1):
-		return []byte(`"+inf"`), nil
-	case math.IsInf(float64(f), -1):
-		return []byte(`"-inf"`), nil
-	}
-	return json.Marshal(float64(f))
-}
-
-// UnmarshalJSON is the inverse of MarshalJSON.
-func (f *infFloat) UnmarshalJSON(b []byte) error {
-	switch string(b) {
-	case `"+inf"`:
-		*f = infFloat(math.Inf(1))
-		return nil
-	case `"-inf"`:
-		*f = infFloat(math.Inf(-1))
-		return nil
-	}
-	var v float64
-	if err := json.Unmarshal(b, &v); err != nil {
-		return err
-	}
-	*f = infFloat(v)
-	return nil
-}
 
 // flowBytes is one (flow, bytes) pair of a serialized demand map; Bytes is
 // whole when written, float so that older fractional snapshots decode.
@@ -69,25 +36,28 @@ type flowBytes struct {
 	Bytes float64 `json:"bytes"`
 }
 
+// The snapshot types are generic over the instant T: int64 ticks in version
+// 3, v2Seconds when reading version 2.
+
 // flowTime is one (flow, instant) pair of a serialized finish map.
-type flowTime struct {
-	Src int     `json:"src"`
-	Dst int     `json:"dst"`
-	T   float64 `json:"t"`
+type flowTime[T any] struct {
+	Src int `json:"src"`
+	Dst int `json:"dst"`
+	T   T   `json:"t"`
 }
 
 // liveState is one live Coflow in a snapshot.
-type liveState struct {
-	ID            int         `json:"id"`
-	Arrival       float64     `json:"arrival"`
-	Priority      int         `json:"priority,omitempty"`
-	Spec          []FlowSpec  `json:"spec"`
-	Rem           []flowBytes `json:"rem"`
-	FlowFinish    []flowTime  `json:"flow_finish,omitempty"`
-	Finish        infFloat    `json:"finish"`
-	Switches      int         `json:"switches,omitempty"`
-	Stranded      bool        `json:"stranded,omitempty"`
-	StrandedBytes float64     `json:"stranded_bytes,omitempty"`
+type liveState[T any] struct {
+	ID            int           `json:"id"`
+	Arrival       T             `json:"arrival"`
+	Priority      int           `json:"priority,omitempty"`
+	Spec          []FlowSpec    `json:"spec"`
+	Rem           []flowBytes   `json:"rem"`
+	FlowFinish    []flowTime[T] `json:"flow_finish,omitempty"`
+	Finish        T             `json:"finish"`
+	Switches      int           `json:"switches,omitempty"`
+	Stranded      bool          `json:"stranded,omitempty"`
+	StrandedBytes float64       `json:"stranded_bytes,omitempty"`
 }
 
 // doneState is one completed Coflow in a snapshot.
@@ -97,54 +67,109 @@ type doneState struct {
 }
 
 // outageState is one declared outage in a snapshot.
-type outageState struct {
-	Port      int     `json:"port"`
-	Start     float64 `json:"start"`
-	End       float64 `json:"end,omitempty"`
-	Permanent bool    `json:"permanent,omitempty"`
+type outageState[T any] struct {
+	Port      int  `json:"port"`
+	Start     T    `json:"start"`
+	End       T    `json:"end,omitempty"`
+	Permanent bool `json:"permanent,omitempty"`
 }
 
-// planEntry is one plan reservation in a snapshot, encoded as a
-// core.Reservation. Its Bytes shadows the embedded whole-byte field, so that
-// plan bytes written fractional by older builds decode.
-type planEntry struct {
-	core.Reservation
-	Bytes float64
+// planEntry is one plan reservation in a snapshot, in the field names of
+// core.Reservation. Bytes is float so that plan bytes written fractional by
+// older builds decode.
+type planEntry[T any] struct {
+	CoflowID, In, Out int
+	Start, End, Setup T
+	Bytes             float64
 }
 
-// engineState is the serializable whole of an Engine: applying it to a fresh
-// Engine of the same EngineConfig reproduces the source bit-for-bit.
-type engineState struct {
-	Now     float64       `json:"now"`
-	Live    []liveState   `json:"live"`
-	Plan    []planEntry   `json:"plan"`
-	Outages []outageState `json:"outages,omitempty"`
-	Done    []doneState   `json:"done"`
-	Digest  string        `json:"digest"`
-	Replans uint64        `json:"replans"`
+// stateOf is the serializable whole of an Engine: applying it to a fresh
+// Engine of the same EngineConfig reproduces the source exactly.
+type stateOf[T any] struct {
+	Now     T                `json:"now"`
+	Live    []liveState[T]   `json:"live"`
+	Plan    []planEntry[T]   `json:"plan"`
+	Outages []outageState[T] `json:"outages,omitempty"`
+	Done    []doneState      `json:"done"`
+	Digest  string           `json:"digest"`
+	Replans uint64           `json:"replans"`
+}
+
+// engineState is the current (version 3) snapshot state.
+type engineState = stateOf[int64]
+
+// v2Seconds is a version-2 instant: float seconds, ±Inf spelled as a string.
+type v2Seconds float64
+
+// UnmarshalJSON reads a number or "+inf"/"-inf".
+func (f *v2Seconds) UnmarshalJSON(b []byte) error {
+	switch string(b) {
+	case `"+inf"`:
+		*f = v2Seconds(math.Inf(1))
+		return nil
+	case `"-inf"`:
+		*f = v2Seconds(math.Inf(-1))
+		return nil
+	}
+	return json.Unmarshal(b, (*float64)(f))
+}
+
+// upgradeV2 converts a version-2 state to ticks: +Inf becomes core.Forever,
+// -Inf math.MinInt64, any other instant core.Nanos of it.
+func upgradeV2(v2 stateOf[v2Seconds]) (st engineState, err error) {
+	tick := func(s v2Seconds) int64 {
+		switch {
+		case math.IsInf(float64(s), 1):
+			return core.Forever
+		case math.IsInf(float64(s), -1):
+			return math.MinInt64
+		}
+		t, e := core.Nanos(float64(s))
+		if err == nil && e != nil {
+			err = fmt.Errorf("daemon: version-2 snapshot: %w", e)
+		}
+		return t
+	}
+	st = engineState{Now: tick(v2.Now), Done: v2.Done, Digest: v2.Digest, Replans: v2.Replans}
+	for _, ls := range v2.Live {
+		l := liveState[int64]{ID: ls.ID, Arrival: tick(ls.Arrival), Priority: ls.Priority, Spec: ls.Spec, Rem: ls.Rem,
+			Finish: tick(ls.Finish), Switches: ls.Switches, Stranded: ls.Stranded, StrandedBytes: ls.StrandedBytes}
+		for _, ft := range ls.FlowFinish {
+			l.FlowFinish = append(l.FlowFinish, flowTime[int64]{Src: ft.Src, Dst: ft.Dst, T: tick(ft.T)})
+		}
+		st.Live = append(st.Live, l)
+	}
+	for _, pe := range v2.Plan {
+		st.Plan = append(st.Plan, planEntry[int64]{CoflowID: pe.CoflowID, In: pe.In, Out: pe.Out,
+			Start: tick(pe.Start), End: tick(pe.End), Setup: tick(pe.Setup), Bytes: pe.Bytes})
+	}
+	for _, os := range v2.Outages {
+		st.Outages = append(st.Outages, outageState[int64]{Port: os.Port, Start: tick(os.Start), End: tick(os.End), Permanent: os.Permanent})
+	}
+	return st, err
 }
 
 // State exports the Engine for a checkpoint.
 func (e *Engine) State() engineState {
 	plan := canonicalPlan(e.eng.Plan())
 	st := engineState{
-		Now:     e.Now(),
-		Live:    make([]liveState, 0, e.eng.Len()),
-		Plan:    make([]planEntry, len(plan)),
+		Now:     e.eng.Now(),
+		Live:    make([]liveState[int64], 0, e.eng.Len()),
+		Plan:    make([]planEntry[int64], len(plan)),
 		Done:    make([]doneState, 0, len(e.done)),
 		Digest:  hex.EncodeToString(e.digest[:]),
 		Replans: e.eng.Passes(),
 	}
 	for _, id := range e.eng.SortedIDs() {
 		lc := e.eng.Lookup(id)
-		ls := liveState{
+		ls := liveState[int64]{
 			ID:            lc.ID,
 			Arrival:       lc.Arrival,
 			Priority:      lc.Priority,
 			Spec:          append([]FlowSpec(nil), e.specs[id].flows...),
 			Rem:           flowBytesOf(lc.Keys, lc.Rem),
 			FlowFinish:    flowTimesIn(lc.Keys, lc.FlowFinish),
-			Finish:        infFloat(lc.Finish),
+			Finish:        lc.Finish,
 			Switches:      lc.Switches,
 			Stranded:      lc.Stranded,
 			StrandedBytes: float64(lc.StrandedBytes),
@@ -152,7 +177,7 @@ func (e *Engine) State() engineState {
 		st.Live = append(st.Live, ls)
 	}
 	for i, r := range plan {
-		st.Plan[i] = planEntry{Reservation: r, Bytes: float64(r.Bytes)}
+		st.Plan[i] = planEntry[int64]{CoflowID: r.CoflowID, In: r.In, Out: r.Out, Start: r.Start, End: r.End, Setup: r.Setup, Bytes: float64(r.Bytes)}
 	}
 	doneIDs := make([]int, 0, len(e.done))
 	for id := range e.done {
@@ -162,9 +187,9 @@ func (e *Engine) State() engineState {
 	for _, id := range doneIDs {
 		st.Done = append(st.Done, doneState{ID: id, Completion: e.done[id]})
 	}
-	for _, ogs := range e.outages.byPort {
-		for _, og := range ogs {
-			os := outageState{Port: og.Port, Start: og.Start}
+	for port := range e.cfg.Ports {
+		for _, og := range e.outages.Outages(port) {
+			os := outageState[int64]{Port: og.Port, Start: og.Start}
 			if og.Permanent() {
 				os.Permanent = true
 			} else {
@@ -194,8 +219,8 @@ func (e *Engine) restoreState(st engineState) error {
 			ID:            ls.ID,
 			Arrival:       ls.Arrival,
 			Priority:      ls.Priority,
-			FlowFinish:    make(map[fabric.FlowKey]float64, len(ls.FlowFinish)),
-			Finish:        float64(ls.Finish),
+			FlowFinish:    make(map[fabric.FlowKey]int64, len(ls.FlowFinish)),
+			Finish:        ls.Finish,
 			Switches:      ls.Switches,
 			Stranded:      ls.Stranded,
 			StrandedBytes: loadBytes(ls.StrandedBytes),
@@ -218,27 +243,26 @@ func (e *Engine) restoreState(st engineState) error {
 	for _, ds := range st.Done {
 		done[ds.ID] = ds.Completion
 	}
-	outages := newOutageIndex(e.cfg.Ports)
+	outages := circuit.NewFaults(e.cfg.Ports)
 	for _, os := range st.Outages {
 		if os.Port < 0 || os.Port >= e.cfg.Ports {
 			return fmt.Errorf("daemon: snapshot outage names port %d outside [0,%d)", os.Port, e.cfg.Ports)
 		}
 		end := os.End
 		if os.Permanent {
-			end = math.Inf(1)
+			end = core.Forever
 		}
-		outages.add(fault.Outage{Port: os.Port, Start: os.Start, End: end})
+		outages.Add(circuit.Outage{Port: os.Port, Start: os.Start, End: end})
 	}
 	plan := make([]core.Reservation, len(st.Plan))
 	for i, pe := range st.Plan {
-		plan[i] = pe.Reservation
-		plan[i].Bytes = loadBytes(pe.Bytes)
+		plan[i] = core.Reservation{CoflowID: pe.CoflowID, In: pe.In, Out: pe.Out, Start: pe.Start, End: pe.End, Setup: pe.Setup, Bytes: loadBytes(pe.Bytes)}
 	}
 	e.eng.Restore(st.Now, live, plan, st.Replans)
 	e.specs = specs
 	e.outages = outages
-	if outages.n > 0 {
-		e.eng.SetFaults(&e.outages)
+	if outages.N > 0 {
+		e.eng.SetFaults(e.outages)
 	}
 	e.done = done
 	copy(e.digest[:], digest)
@@ -272,11 +296,11 @@ func loadRem(b float64) int64 {
 
 // flowTimesIn serializes the flow finish instants recorded for keys, in keys
 // order.
-func flowTimesIn(keys []fabric.FlowKey, m map[fabric.FlowKey]float64) []flowTime {
-	out := make([]flowTime, 0, len(m))
+func flowTimesIn(keys []fabric.FlowKey, m map[fabric.FlowKey]int64) []flowTime[int64] {
+	out := make([]flowTime[int64], 0, len(m))
 	for _, k := range keys {
 		if t, ok := m[k]; ok {
-			out = append(out, flowTime{Src: k.Src, Dst: k.Dst, T: t})
+			out = append(out, flowTime[int64]{Src: k.Src, Dst: k.Dst, T: t})
 		}
 	}
 	return out

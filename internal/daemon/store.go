@@ -49,17 +49,37 @@ type Store struct {
 	m *obs.DaemonMetrics
 }
 
-// snapshotVersion guards the snapshot schema. Version 2 added the drift-free
-// base remainder to live entries; a version-1 snapshot cannot restore it, so
-// it is rejected rather than silently diverging from the pre-crash engine.
-const snapshotVersion = 2
+// snapshotVersion guards the snapshot schema. Version 3 writes instants as
+// integer-nanosecond ticks; version 2 (float seconds) still loads. A
+// version-1 snapshot lacks state version 2 added, so it is rejected rather
+// than silently diverging from the pre-crash engine.
+const snapshotVersion = 3
 
-// snapshotFile is the on-disk checkpoint.
-type snapshotFile struct {
+// snapshotOf is the on-disk checkpoint with instants of type T;
+// snapshotFile is the one this build writes.
+type snapshotOf[T any] struct {
 	Version int          `json:"version"`
 	Config  EngineConfig `json:"config"`
 	Seq     uint64       `json:"seq"`
-	State   engineState  `json:"state"`
+	State   stateOf[T]   `json:"state"`
+}
+
+type snapshotFile = snapshotOf[int64]
+
+// decodeSnapshot reads a checkpoint; a version-2 one is upgraded to ticks.
+func decodeSnapshot(raw []byte) (snapshotFile, error) {
+	var snap snapshotFile
+	err := json.Unmarshal(raw, &snap) // the version decodes even if v2 instants do not
+	if snap.Version != 2 {
+		return snap, err
+	}
+	var v2 snapshotOf[v2Seconds]
+	if err := json.Unmarshal(raw, &v2); err != nil {
+		return snap, err
+	}
+	snap.Version = snapshotVersion
+	snap.State, err = upgradeV2(v2.State)
+	return snap, err
 }
 
 const (
@@ -97,8 +117,8 @@ func Open(dir string, cfg EngineConfig, o *obs.Observer, m *obs.DaemonMetrics) (
 
 	var snapSeq uint64
 	if raw, err := os.ReadFile(s.snapPath); err == nil {
-		var snap snapshotFile
-		if err := json.Unmarshal(raw, &snap); err != nil {
+		snap, err := decodeSnapshot(raw)
+		if err != nil {
 			return nil, fmt.Errorf("daemon: snapshot %s corrupt: %w", s.snapPath, err)
 		}
 		if snap.Version != snapshotVersion {

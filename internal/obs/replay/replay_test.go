@@ -107,7 +107,7 @@ func TestReplayCircuitExact(t *testing.T) {
 // windowed run: the trickiest trace shape (windows interleave with circuits,
 // flows can drain mid-reservation, circuits outlive the last event).
 func TestReplayCircuitFairScoped(t *testing.T) {
-	fair := &core.FairWindows{N: 12, T: 0.5, Tau: 0.05}
+	fair := &core.FairWindows{N: 12, T: 5e8, Tau: 5e7}
 	o, res, evs := runCircuitTrace(t, "sunflow", fair)
 	a := Analyze(evs)
 	noViolations(t, a)

@@ -30,7 +30,8 @@ type CircuitOptions struct {
 	Order core.Order
 	// Seed drives RandomOrder.
 	Seed int64
-	// Fair optionally enables the starvation-avoidance windows of §4.2.
+	// Fair optionally enables the starvation-avoidance windows of §4.2; its
+	// parameters are ticks (core.Nanos).
 	Fair *core.FairWindows
 	// Obs optionally records metrics and trace events. Nil disables all
 	// instrumentation at the cost of one nil-check per site.
@@ -81,7 +82,7 @@ var ErrReplan = errors.New("sim: replan failed")
 // begun are discarded and replanned against the remaining demand of all
 // live Coflows in priority order.
 func RunCircuit(coflows []*coflow.Coflow, opts CircuitOptions) (Result, error) {
-	if err := checkCircuitOptions(opts); err != nil {
+	if _, err := checkCircuitOptions(opts); err != nil {
 		return newResult(), err
 	}
 	arrivalsOrder, _, err := prepare(coflows, opts.Ports)
@@ -93,15 +94,19 @@ func RunCircuit(coflows []*coflow.Coflow, opts CircuitOptions) (Result, error) {
 
 // checkCircuitOptions rejects unusable options before any simulation state is
 // built, preserving the historical error precedence of RunCircuit (a bad link
-// rate reports before a bad workload).
-func checkCircuitOptions(opts CircuitOptions) error {
+// rate reports before a bad workload). It returns δ in ticks.
+func checkCircuitOptions(opts CircuitOptions) (int64, error) {
 	if opts.LinkBps <= 0 {
-		return fmt.Errorf("sim: link bandwidth must be positive, got %v", opts.LinkBps)
+		return 0, fmt.Errorf("sim: link bandwidth must be positive, got %v", opts.LinkBps)
+	}
+	delta, err := core.Nanos(opts.Delta)
+	if err != nil {
+		return 0, fmt.Errorf("sim: reconfiguration delay: %w", err)
 	}
 	if opts.Fair != nil {
-		return opts.Fair.Validate(opts.Delta)
+		return delta, opts.Fair.Validate(delta)
 	}
-	return nil
+	return delta, nil
 }
 
 func newResult() Result {
@@ -117,14 +122,13 @@ func runCircuit(src Source, opts CircuitOptions, checkDups bool) (Result, error)
 	sp := opts.Prof.Start("sim.run").Attr("sim", "circuit")
 	defer sp.Finish()
 	res := newResult()
-	if err := checkCircuitOptions(opts); err != nil {
+	delta, err := checkCircuitOptions(opts)
+	if err != nil {
 		return res, err
 	}
 	fm := opts.faultModel
 	if fm == nil {
-		var err error
-		fm, err = opts.Faults.Compile(opts.Ports)
-		if err != nil {
+		if fm, err = opts.Faults.Compile(opts.Ports); err != nil {
 			return res, fmt.Errorf("sim: %w", err)
 		}
 	}
@@ -132,7 +136,7 @@ func runCircuit(src Source, opts CircuitOptions, checkDups bool) (Result, error)
 	s.eng = circuit.New(circuit.Config{
 		Ports:     opts.Ports,
 		LinkBps:   opts.LinkBps,
-		Delta:     opts.Delta,
+		Delta:     delta,
 		Policy:    opts.Policy,
 		Order:     opts.Order,
 		Seed:      opts.Seed,
@@ -141,24 +145,28 @@ func runCircuit(src Source, opts CircuitOptions, checkDups bool) (Result, error)
 		Obs:       opts.Obs,
 		Prof:      opts.Prof,
 		Sink:      s,
-	}, math.Inf(-1))
+	}, math.MinInt64)
 	if o := opts.Obs; o != nil {
 		defer func() { o.SimEvents.Add(int64(res.Events)) }()
 	}
 
-	t := 0.0
+	t := int64(0)
 	c0, err := s.peek()
 	if err != nil {
 		return res, err
 	}
 	if c0 != nil {
-		t = c0.Arrival
+		t = s.nextAt
 	}
 	if fm != nil {
-		if o := opts.Obs; o.TraceEnabled() {
-			o.Emit(obs.Event{T: t, Kind: obs.KindFaultInject, Coflow: -1, Src: -1, Dst: -1})
+		faults, err := circuit.ModelFaults(fm)
+		if err != nil {
+			return res, fmt.Errorf("sim: %w", err)
 		}
-		s.eng.SetFaults(fm)
+		if o := opts.Obs; o.TraceEnabled() {
+			o.Emit(obs.Event{T: core.Seconds(t), Kind: obs.KindFaultInject, Coflow: -1, Src: -1, Dst: -1})
+		}
+		s.eng.SetFaults(faults)
 	}
 	if err := s.step(t); err != nil {
 		return res, err
@@ -175,17 +183,17 @@ func runCircuit(src Source, opts CircuitOptions, checkDups bool) (Result, error)
 		if err != nil {
 			return res, err
 		}
-		t = math.Inf(1)
+		t = core.Forever
 		if nxt != nil {
-			t = nxt.Arrival
+			t = s.nextAt
 		}
 		if s.eng.Len() == 0 {
 			if nxt == nil {
 				s.eng.CloseTrace()
 				return res, nil
 			}
-		} else if t = math.Min(t, s.eng.NextEvent()); math.IsInf(t, 1) {
-			return res, fmt.Errorf("%w at t=%.6f (%d live coflows)", ErrStalled, s.eng.Now(), s.eng.Len())
+		} else if t = min(t, s.eng.NextEvent()); t == core.Forever {
+			return res, fmt.Errorf("%w at t=%.6f (%d live coflows)", ErrStalled, core.Seconds(s.eng.Now()), s.eng.Len())
 		}
 		if err := s.step(t); err != nil {
 			return res, err
@@ -195,7 +203,7 @@ func runCircuit(src Source, opts CircuitOptions, checkDups bool) (Result, error)
 
 // step advances the engine to the event instant t, admits the arrivals due
 // there and replans.
-func (s *circuitState) step(t float64) error {
+func (s *circuitState) step(t int64) error {
 	s.eng.Step(t)
 	if err := s.admit(t); err != nil {
 		return err
@@ -213,11 +221,12 @@ type circuitState struct {
 	res  *Result
 	eng  *circuit.Engine
 	// src streams the not-yet-admitted workload in (Arrival, ID) order; next
-	// is the single-Coflow lookahead and srcDone marks exhaustion. Holding
-	// one record instead of the whole pending slice is what bounds resident
-	// memory on streamed runs.
+	// is the single-Coflow lookahead, nextAt its arrival in ticks, and
+	// srcDone marks exhaustion. Holding one record instead of the whole
+	// pending slice is what bounds resident memory on streamed runs.
 	src     Source
 	next    *coflow.Coflow
+	nextAt  int64
 	srcDone bool
 	// checkDups enables admission-time duplicate-id detection on the
 	// streamed path (the slice path already rejected duplicates in prepare).
@@ -225,9 +234,10 @@ type circuitState struct {
 }
 
 // peek returns the next unadmitted Coflow without consuming it, pulling at
-// most one record from the source. Source errors (read failures, invalid or
-// out-of-order Coflows on the streamed path) surface here, at the simulated
-// instant the record is first needed.
+// most one record from the source and converting its arrival to ticks once
+// (nextAt). Source errors (read failures, invalid or out-of-order Coflows on
+// the streamed path, an arrival no tick holds) surface here, at the
+// simulated instant the record is first needed.
 func (s *circuitState) peek() (*coflow.Coflow, error) {
 	if s.next == nil && !s.srcDone {
 		c, err := s.src.Next()
@@ -237,6 +247,9 @@ func (s *circuitState) peek() (*coflow.Coflow, error) {
 		if c == nil {
 			s.srcDone = true
 		} else {
+			if s.nextAt, err = core.Nanos(c.Arrival); err != nil {
+				return nil, fmt.Errorf("sim: coflow %d arrival: %w", c.ID, err)
+			}
 			s.next = c
 		}
 	}
@@ -244,13 +257,13 @@ func (s *circuitState) peek() (*coflow.Coflow, error) {
 }
 
 // admit moves Coflows arriving at or before now into the live set.
-func (s *circuitState) admit(now float64) error {
+func (s *circuitState) admit(now int64) error {
 	for {
 		c, err := s.peek()
 		if err != nil {
 			return err
 		}
-		if c == nil || c.Arrival > now+timeEps {
+		if c == nil || s.nextAt > now {
 			return nil
 		}
 		s.next = nil
@@ -266,52 +279,55 @@ func (s *circuitState) admit(now float64) error {
 				return fmt.Errorf("sim: duplicate coflow id %d", c.ID)
 			}
 		}
-		if !s.eng.Admit(c, 0) {
-			recordInstant(s.res, s.opts.OnArchive, c)
+		if !s.eng.Admit(c, s.nextAt, 0) {
+			recordInstant(s.res, s.opts.OnArchive, c, s.nextAt)
 		}
 	}
 }
 
 // recordInstant records a Coflow without a whole byte of demand, which
-// completes at its arrival: into the archive callback when set, else the
-// Result maps.
-func recordInstant(res *Result, onArchive func(Archived), c *coflow.Coflow) {
+// completes at its arrival tick: into the archive callback when set, else
+// the Result maps.
+func recordInstant(res *Result, onArchive func(Archived), c *coflow.Coflow, arrival int64) {
+	at := core.Seconds(arrival)
 	if onArchive != nil {
-		onArchive(Archived{ID: c.ID, Arrival: c.Arrival, Finish: c.Arrival, Bytes: c.TotalBytes()})
+		onArchive(Archived{ID: c.ID, Arrival: at, Finish: at, Bytes: c.TotalBytes()})
 	} else {
 		res.CCT[c.ID] = 0
-		res.Finish[c.ID] = c.Arrival
+		res.Finish[c.ID] = at
 	}
 }
 
 // Retire records a drained Coflow: into the archive callback or the Result
 // maps, or — when it lost flows to a permanent outage — into the
-// PartialResult without a CCT.
-func (s *circuitState) Retire(lc *circuit.Live, finish float64) {
+// PartialResult without a CCT. The CCT is Seconds(finish − arrival), taken
+// in ticks.
+func (s *circuitState) Retire(lc *circuit.Live, finish int64) {
 	if s.opts.OnArchive == nil && lc.Switches > 0 {
 		s.res.SwitchCount[lc.ID] = lc.Switches
 	}
+	fin, cct := core.Seconds(finish), core.Seconds(finish-lc.Arrival)
 	switch {
 	case lc.Stranded:
-		partialOf(s.res).Finish[lc.ID] = finish
+		partialOf(s.res).Finish[lc.ID] = fin
 	case s.opts.OnArchive != nil:
 		s.opts.OnArchive(Archived{
 			ID:       lc.ID,
-			Arrival:  lc.Arrival,
-			Finish:   finish,
-			CCT:      finish - lc.Arrival,
+			Arrival:  core.Seconds(lc.Arrival),
+			Finish:   fin,
+			CCT:      cct,
 			Bytes:    lc.Bytes,
 			Switches: lc.Switches,
 		})
 	default:
-		s.res.Finish[lc.ID] = finish
-		s.res.CCT[lc.ID] = finish - lc.Arrival
+		s.res.Finish[lc.ID] = fin
+		s.res.CCT[lc.ID] = cct
 	}
 }
 
 // Strand records one quarantined flow in the PartialResult.
-func (s *circuitState) Strand(lc *circuit.Live, k fabric.FlowKey, bytes int64, at float64) {
+func (s *circuitState) Strand(lc *circuit.Live, k fabric.FlowKey, bytes int64, at int64) {
 	p := partialOf(s.res)
-	p.Stranded = append(p.Stranded, StrandedFlow{Coflow: lc.ID, Src: k.Src, Dst: k.Dst, Bytes: float64(bytes), At: at})
+	p.Stranded = append(p.Stranded, StrandedFlow{Coflow: lc.ID, Src: k.Src, Dst: k.Dst, Bytes: float64(bytes), At: core.Seconds(at)})
 	p.Bytes += float64(bytes)
 }

@@ -33,7 +33,7 @@ func TestCircuitMatchesIntraScheduleWhenAlone(t *testing.T) {
 		c := randomCoflow(rng, 6, 12)
 		c.ID = 1
 		prt := core.NewPRT(6)
-		sched, err := core.IntraCoflow(prt, c, core.Options{LinkBps: gbps, Delta: 0.01})
+		sched, err := core.IntraCoflow(prt, c, core.Options{LinkBps: gbps, Delta: ns(0.01)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,7 +41,7 @@ func TestCircuitMatchesIntraScheduleWhenAlone(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(res.CCT[1]-sched.Finish) > 1e-6 {
+		if math.Abs(res.CCT[1]-sched.CCT(0)) > 1e-6 {
 			t.Fatalf("online CCT %v != offline %v", res.CCT[1], sched.Finish)
 		}
 		if res.SwitchCount[1] != sched.SwitchingCount() {
@@ -165,7 +165,7 @@ func TestCircuitSwitchCountAtLeastFlows(t *testing.T) {
 func TestCircuitWithFairWindows(t *testing.T) {
 	// Starvation avoidance: a permanently deprioritized Coflow still makes
 	// progress through the fair windows.
-	fair := &core.FairWindows{N: 3, T: 0.5, Tau: 0.05}
+	fair := &core.FairWindows{N: 3, T: ns(0.5), Tau: ns(0.05)}
 	opts := CircuitOptions{Ports: 3, LinkBps: gbps, Delta: 0.01, Fair: fair,
 		// Keep the big Coflow always first: a policy that starves by id.
 		Policy: core.PriorityClasses{Class: map[int]int{1: 0, 2: 1}},
@@ -201,7 +201,7 @@ func TestCircuitValidates(t *testing.T) {
 	if _, err := RunCircuit(nil, CircuitOptions{Ports: 1, LinkBps: 0}); err == nil {
 		t.Fatal("zero bandwidth accepted")
 	}
-	bad := &core.FairWindows{N: 2, T: 0.001, Tau: 0.1}
+	bad := &core.FairWindows{N: 2, T: ns(0.001), Tau: ns(0.1)}
 	if _, err := RunCircuit(nil, CircuitOptions{Ports: 2, LinkBps: gbps, Delta: 0.01, Fair: bad}); err == nil {
 		t.Fatal("invalid fair windows accepted")
 	}

@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+
+	"sunflow/internal/core"
+)
 
 // withReference returns opts planning with the scan-based reference
 // scheduler loop and the full-rebuild pass — the oracle side of the
@@ -19,4 +23,13 @@ func setFullReplan(t testing.TB, on bool) {
 		v = "1"
 	}
 	t.Setenv("SUNFLOW_FULL_REPLAN", v)
+}
+
+// ns converts a test's seconds to ticks.
+func ns(sec float64) int64 {
+	t, err := core.Nanos(sec)
+	if err != nil {
+		panic(err)
+	}
+	return t
 }

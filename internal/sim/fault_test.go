@@ -247,7 +247,7 @@ func TestQuickReferencePathBitExact(t *testing.T) {
 		if plan != nil && rng.Intn(4) == 0 {
 			plan.PortFailures = []fault.PortFailure{{Port: rng.Intn(5), At: rng.Float64() * 2}}
 		} else if rng.Intn(3) == 0 {
-			opts.Fair = &core.FairWindows{N: 5, T: 1, Tau: 0.05}
+			opts.Fair = &core.FairWindows{N: 5, T: ns(1), Tau: ns(0.05)}
 		}
 		fast, fastEv := tracedCircuit(t, cs, opts)
 		want, wantEv := tracedCircuit(t, cs, withReference(opts))

@@ -16,7 +16,9 @@ import (
 
 // The golden pins below fix the archive digest of three fixed-seed circuit
 // runs. They hold with and without SUNFLOW_FULL_REPLAN=1 (schedule reuse is
-// bit-identical to a full rebuild), so CI runs them both ways.
+// bit-identical to a full rebuild), so CI runs them both ways. They were
+// re-pinned when instants became integer-nanosecond ticks; CHANGES.md
+// carries the ledger of what moved.
 
 // goldenRun streams the workload through the archive path and returns the
 // archive digest plus the run's Result (Partial is populated on fault runs).
@@ -70,7 +72,7 @@ func partialDigest(p *PartialResult) string {
 func TestGoldenFaultFreeFacebook48(t *testing.T) {
 	tr := trace.Generator{Ports: 48, Coflows: 160, HorizonSec: 40, MaxWidth: 8, Seed: 14}.Trace()
 	got, res := goldenRun(t, tr.Coflows, CircuitOptions{Ports: tr.Ports, LinkBps: gbps, Delta: 0.01})
-	const want = "a000000000000000:86080a96da2ba710352a709acf9dc7c831df7dca134cdd8c90ca6b9141734b1f"
+	const want = "a000000000000000:6d2b0f8afac9c0807874c8b1cf154770a6685d5d43b82fd406a96ddf51130cad"
 	if got != want {
 		t.Errorf("archive digest %s, want %s", got, want)
 	}
@@ -85,9 +87,9 @@ func TestGoldenFairWindows(t *testing.T) {
 	tr := trace.Generator{Ports: 12, Coflows: 30, HorizonSec: 20, MaxWidth: 6, Seed: 14}.Trace()
 	got, _ := goldenRun(t, tr.Coflows, CircuitOptions{
 		Ports: tr.Ports, LinkBps: gbps, Delta: 0.01,
-		Fair: &core.FairWindows{N: tr.Ports, T: 2, Tau: 0.05},
+		Fair: &core.FairWindows{N: tr.Ports, T: ns(2), Tau: ns(0.05)},
 	})
-	const want = "1e00000000000000:fe772cff74bc26bce5a06a072d2fc34d93be0be4b72f8f4536f7078abd2f451a"
+	const want = "1e00000000000000:2fd0302bf4e14b430119fe6a1c8f528ddd7065ac83cb7bf199893254fc79f938"
 	if got != want {
 		t.Errorf("archive digest %s, want %s", got, want)
 	}
@@ -107,14 +109,14 @@ func TestGoldenFaultPlan(t *testing.T) {
 		StragglerProb: 0.1, StragglerFactor: 0.6,
 	}
 	got, res := goldenRun(t, tr.Coflows, CircuitOptions{Ports: tr.Ports, LinkBps: gbps, Delta: 0.01, Faults: plan})
-	const want = "2c00000000000000:d51b630022c9317ba3899ac177703f7a7589ec2aed012b8fb32fa8ea2fed72bf"
+	const want = "2c00000000000000:1ae0d3748398241f3cb2b4d439bb0d2e445d676a653dcef6de8b95bc07d47d86"
 	if got != want {
 		t.Errorf("archive digest %s, want %s", got, want)
 	}
 	if !res.Partial.Degraded() {
 		t.Fatal("fault golden strands nothing; the permanent outage is not exercised")
 	}
-	const wantPartial = "15a5fc3c77ecca40b45ef19041b0ae5c412ea9a7a659d934548cb924293b8220"
+	const wantPartial = "37d9bf6b31bfa2ea2eabdefff7530cdd27a5fc7ab0aff2ad18a6fecaecb48ce8"
 	if p := partialDigest(res.Partial); p != wantPartial {
 		t.Errorf("partial digest %s, want %s", p, wantPartial)
 	}
@@ -133,14 +135,14 @@ func TestGoldenFullRateFaultPlan(t *testing.T) {
 		SetupFailProb: 0.2, MaxRetries: 2,
 	}
 	got, res := goldenRun(t, tr.Coflows, CircuitOptions{Ports: tr.Ports, LinkBps: gbps, Delta: 0.01, Faults: plan})
-	const want = "2c00000000000000:d0435af0e941b556f85cf97887e8f5d1d213cf2d33874aba29e95640723ac849"
+	const want = "2c00000000000000:dc05a2941d12093c36866b8832baa6f4c66bd67d5854884d788f123cb54dab2b"
 	if got != want {
 		t.Errorf("archive digest %s, want %s", got, want)
 	}
 	if !res.Partial.Degraded() {
 		t.Fatal("fault golden strands nothing; the permanent outage is not exercised")
 	}
-	const wantPartial = "656bce2670633898cb0e7cd14ef90556f84579270e541ec7a703f9bac786162e"
+	const wantPartial = "6082d0bc350fb6fce2abf5f483c7e472966b8b06c4c05a5b3c1a1defd9a19d56"
 	if p := partialDigest(res.Partial); p != wantPartial {
 		t.Errorf("partial digest %s, want %s", p, wantPartial)
 	}

@@ -41,7 +41,7 @@ func TestQuickIncrementalBitExact(t *testing.T) {
 		opts := CircuitOptions{Ports: 5, LinkBps: gbps, Delta: 0.01}
 		switch rng.Intn(5) {
 		case 0:
-			opts.Fair = &core.FairWindows{N: 5, T: 1, Tau: 0.05}
+			opts.Fair = &core.FairWindows{N: 5, T: ns(1), Tau: ns(0.05)}
 		case 1:
 			// Fault plans force the full rebuild on both sides; the case
 			// guards the gate, not the reuse.
@@ -86,7 +86,7 @@ func TestQuickIntraSkippedReconciles(t *testing.T) {
 		cs := randomWorkload(rng, 16, 5, 6, 1.0)
 		opts := CircuitOptions{Ports: 5, LinkBps: gbps, Delta: 0.01}
 		if rng.Intn(3) == 0 {
-			opts.Fair = &core.FairWindows{N: 5, T: 1, Tau: 0.05}
+			opts.Fair = &core.FairWindows{N: 5, T: ns(1), Tau: ns(0.05)}
 		}
 		setFullReplan(t, false)
 		_, _, oi := observedCircuit(t, cs, opts)

@@ -127,7 +127,7 @@ func TestFairWindowsPermanentFailureLiveness(t *testing.T) {
 		setFullReplan(t, full)
 		res, err := RunCircuit(cs, CircuitOptions{
 			Ports: 7, LinkBps: gbps, Delta: 0.0106,
-			Fair:   &core.FairWindows{N: 7, T: 1.217, Tau: 0.05},
+			Fair:   &core.FairWindows{N: 7, T: ns(1.217), Tau: ns(0.05)},
 			Faults: &fault.Plan{PortFailures: []fault.PortFailure{{Port: 3, At: 0.0627}}},
 		})
 		if err != nil {

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"sunflow/internal/coflow"
+	"sunflow/internal/core"
 	"sunflow/internal/obs"
 )
 
@@ -125,7 +126,7 @@ func componentPorts(comp []*coflow.Coflow, ports int) func(int) bool {
 // fault plans with a FailFirstSetups budget (the budget is a global
 // first-K-attempts counter, inherently order-dependent).
 func RunCircuitSharded(coflows []*coflow.Coflow, opts CircuitOptions, workers int) (Result, error) {
-	if err := checkCircuitOptions(opts); err != nil {
+	if _, err := checkCircuitOptions(opts); err != nil {
 		return newResult(), err
 	}
 	arrivalsOrder, _, err := prepare(coflows, opts.Ports)
@@ -224,7 +225,11 @@ func RunCircuitSharded(coflows []*coflow.Coflow, opts CircuitOptions, workers in
 	// the serial admit would record them; archive them (or record them) first
 	// so their order is fixed before any component merges.
 	for _, c := range trivial {
-		recordInstant(&res, onArchive, c)
+		at, err := core.Nanos(c.Arrival)
+		if err != nil {
+			return res, fmt.Errorf("sim: coflow %d arrival: %w", c.ID, err)
+		}
+		recordInstant(&res, onArchive, c, at)
 	}
 
 	for i := range outs {

@@ -255,7 +255,7 @@ func TestQuickShardedMatchesComponentRuns(t *testing.T) {
 		for _, comp := range Partition(ordered, opts.Ports) {
 			if len(comp) == 1 && comp[0].TotalBytes() <= 0 {
 				want.CCT[comp[0].ID] = 0
-				want.Finish[comp[0].ID] = comp[0].Arrival
+				want.Finish[comp[0].ID] = core.Seconds(ns(comp[0].Arrival))
 				continue
 			}
 			copts := opts
@@ -409,7 +409,7 @@ func TestShardedSerialFallbacks(t *testing.T) {
 
 	cases := map[string]CircuitOptions{
 		"fair_windows": {Ports: 12, LinkBps: gbps, Delta: 0.01,
-			Fair: &core.FairWindows{N: 12, T: 1.0, Tau: 0.1}},
+			Fair: &core.FairWindows{N: 12, T: ns(1.0), Tau: ns(0.1)}},
 		"fail_first_setups": {Ports: 12, LinkBps: gbps, Delta: 0.01,
 			Faults: &fault.Plan{Seed: 1, FailFirstSetups: 2}},
 	}

@@ -37,7 +37,7 @@ func TestQuickCircuitWithinHalfOfSoloSchedule(t *testing.T) {
 			return false
 		}
 		for _, c := range cs {
-			solo, err := core.IntraCoflow(core.NewPRT(5), c, core.Options{LinkBps: gbps, Delta: 0.01})
+			solo, err := core.IntraCoflow(core.NewPRT(5), c, core.Options{LinkBps: gbps, Delta: ns(0.01)})
 			if err != nil {
 				return false
 			}

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"sunflow/internal/coflow"
+	"sunflow/internal/core"
 	"sunflow/internal/fault"
 	"sunflow/internal/obs"
 )
@@ -129,7 +130,7 @@ func TestQuickArchiveMatchesRetained(t *testing.T) {
 				gotSwitch[a.ID] = a.Switches
 			}
 			c := byID[a.ID]
-			if c == nil || a.Arrival != c.Arrival {
+			if c == nil || a.Arrival != core.Seconds(ns(c.Arrival)) {
 				t.Logf("seed %d: record %d carries wrong arrival", seed, a.ID)
 				return false
 			}

@@ -177,6 +177,13 @@ func NewCoflow(id int, arrival float64, flows []Flow) *Coflow {
 	return coflow.New(id, arrival, flows)
 }
 
+// Nanos converts seconds to the integer nanoseconds ("ticks") Options,
+// Schedule, Reservation and FairWindows carry; Seconds converts back.
+func Nanos(sec float64) (int64, error) { return core.Nanos(sec) }
+
+// Seconds converts ticks to seconds.
+func Seconds(ns int64) float64 { return core.Seconds(ns) }
+
 // NewPRT returns an empty Port Reservation Table for an n-port switch.
 func NewPRT(n int) *PRT { return core.NewPRT(n) }
 

@@ -21,7 +21,7 @@ func exampleCoflow() *Coflow {
 
 func TestScheduleOne(t *testing.T) {
 	c := exampleCoflow()
-	sched, err := ScheduleOne(c, 4, Options{LinkBps: gbps, Delta: 0.01})
+	sched, err := ScheduleOne(c, 4, Options{LinkBps: gbps, Delta: 1e7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestScheduleOne(t *testing.T) {
 func TestScheduleAllDefaultPolicy(t *testing.T) {
 	small := NewCoflow(1, 0, []Flow{{Src: 0, Dst: 1, Bytes: 1e6}})
 	big := NewCoflow(2, 0, []Flow{{Src: 0, Dst: 1, Bytes: 100e6}})
-	scheds, ordered, err := ScheduleAll([]*Coflow{big, small}, 2, Options{LinkBps: gbps, Delta: 0.01}, nil)
+	scheds, ordered, err := ScheduleAll([]*Coflow{big, small}, 2, Options{LinkBps: gbps, Delta: 1e7}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,8 +103,8 @@ func TestParseTraceAndPerturb(t *testing.T) {
 }
 
 func TestFairWindowsAlias(t *testing.T) {
-	fw := FairWindows{N: 4, T: 1, Tau: 0.1}
-	if err := fw.Validate(0.01); err != nil {
+	fw := FairWindows{N: 4, T: 1e9, Tau: 1e8}
+	if err := fw.Validate(1e7); err != nil {
 		t.Fatal(err)
 	}
 }
