@@ -321,6 +321,177 @@ func runBookkeepingScenario(t *testing.T, seed int64) map[string]int {
 	return shapes
 }
 
+// TestQuickPlanCacheMatchesFullReplan holds the plan cache to the full
+// rebuild it stands in for: two engines — one replaying certified cache
+// entries, one re-running IntraCoflow for every live Coflow — take the same
+// random admits (priorities in {−1, 0, 1, 2}), event and non-event steps,
+// removes and restores, under all three intra orders and sometimes fair
+// windows, and after every Replan their plans and planned finishes must be
+// bit-identical. The test fails unless both kinds of hit the containment
+// certificate adds were drawn: a suffix hit (a schedule under way continued
+// from its unstarted rest) and a hit with nothing started whose table showed
+// occupancy the snapshot lacked — one the exact context match used to
+// reject. The suffix hits it finds must also equal sched.intra_continued.
+func TestQuickPlanCacheMatchesFullReplan(t *testing.T) {
+	var suffix, contained int64
+	for seed := int64(0); seed < 120; seed++ {
+		s, c := runPlanCacheLockstep(t, seed)
+		suffix += s
+		contained += c
+	}
+	t.Logf("%d suffix hits, %d containment-only hits", suffix, contained)
+	if suffix == 0 || contained == 0 {
+		t.Fatalf("drew %d suffix hits and %d containment-only hits; want both", suffix, contained)
+	}
+}
+
+func runPlanCacheLockstep(t *testing.T, seed int64) (suffix, contained int64) {
+	rng := rand.New(rand.NewSource(seed))
+	ports := 3 + rng.Intn(6)
+	cfg := Config{Ports: ports, LinkBps: 1e9, Delta: ns(0.001 + 0.01*rng.Float64()), Order: core.Order(seed % 3), Seed: seed}
+	switch rng.Intn(3) {
+	case 0:
+		cfg.Policy = core.ShortestFirst{LinkBps: cfg.LinkBps}
+	case 1:
+		cfg.Policy = core.FIFO{}
+	default:
+		class := map[int]int{}
+		for id := 1; id <= 200; id++ {
+			class[id] = rng.Intn(3)
+		}
+		cfg.Policy = core.PriorityClasses{Class: class, Within: core.ShortestFirst{LinkBps: cfg.LinkBps}}
+	}
+	if rng.Intn(4) == 0 {
+		cfg.Fair = &core.FairWindows{N: ports, T: ns(0.3 + rng.Float64()), Tau: ns(0.05)}
+	}
+	o := obs.New()
+	ic, fc := cfg, cfg
+	ic.Obs, ic.Sink, fc.Sink = o, &testSink{t: t}, &testSink{t: t}
+	inc, full := New(ic, 0), New(fc, 0)
+	inc.incremental, full.incremental = true, false
+
+	replan := func() {
+		// Entries are recognised across the pass by their flows buffer, which
+		// a replay keeps and a recomputation replaces.
+		before := map[*coflow.Flow]int{}
+		for i := range inc.cache {
+			if ce := &inc.cache[i]; cap(ce.flows) > 0 {
+				before[&ce.flows[:1][0]] = len(ce.res)
+			}
+		}
+		continued := o.IntraContinued.Load()
+		if err := inc.Replan(); err != nil {
+			t.Fatalf("seed %d: incremental replan at %d: %v", seed, inc.Now(), err)
+		}
+		if err := full.Replan(); err != nil {
+			t.Fatalf("seed %d: full replan at %d: %v", seed, full.Now(), err)
+		}
+		if !slices.Equal(inc.Plan(), full.Plan()) {
+			t.Fatalf("seed %d t=%d: plans differ\nincremental: %+v\nfull:        %+v", seed, inc.Now(), inc.Plan(), full.Plan())
+		}
+		for id, lc := range full.live {
+			if got := inc.Lookup(id); got == nil || got.Finish != lc.Finish {
+				t.Fatalf("seed %d: coflow %d planned finish differs from the full rebuild's %d", seed, id, lc.Finish)
+			}
+		}
+		var found int64
+		for i := range inc.cache {
+			ce := &inc.cache[i]
+			if cap(ce.flows) == 0 {
+				continue
+			}
+			n, hit := before[&ce.flows[:1][0]]
+			switch {
+			case !hit:
+			case len(ce.res) < n:
+				found++
+			case !contextUnchanged(inc, ce):
+				contained++
+			}
+		}
+		if d := o.IntraContinued.Load() - continued; d != found {
+			t.Fatalf("seed %d: sched.intra_continued rose by %d, %d entries were continued", seed, d, found)
+		}
+		suffix += found
+	}
+	step := func(to int64) {
+		inc.Step(to)
+		full.Step(to)
+	}
+
+	ids := rng.Perm(200)
+	for action := 0; action < 80; action++ {
+		switch r := rng.Intn(20); {
+		case r < 8:
+			for n := 1 + rng.Intn(2); n > 0; n-- {
+				id := 1 + ids[0]
+				ids = ids[1:]
+				var flows []coflow.Flow
+				for n := 1 + rng.Intn(5); n > 0; n-- {
+					flows = append(flows, coflow.Flow{Src: rng.Intn(ports), Dst: rng.Intn(ports), Bytes: 1e5 + 2e7*rng.Float64()})
+				}
+				prio := rng.Intn(4) - 1
+				inc.Admit(coflow.New(id, core.Seconds(inc.now), flows), inc.now, prio)
+				full.Admit(coflow.New(id, core.Seconds(full.now), flows), full.now, prio)
+			}
+			replan()
+		case r < 13:
+			if te := inc.NextEvent(); te != core.Forever {
+				step(te)
+				replan()
+			}
+		case r < 17: // an arrival-like instant between events
+			te := min(inc.NextEvent(), inc.now+ns(1))
+			step(inc.now + int64(rng.Float64()*float64(te-inc.now)))
+			replan()
+		case r < 19:
+			if live := inc.SortedIDs(); len(live) > 0 {
+				id := live[rng.Intn(len(live))]
+				inc.Remove(id)
+				full.Remove(id)
+				replan()
+			}
+		default:
+			i, f := restored(inc, inc.cfg), restored(full, full.cfg)
+			i.incremental, f.incremental = true, false
+			inc, full = i, f
+			replan()
+		}
+		if inc.NextEvent() != full.NextEvent() {
+			t.Fatalf("seed %d: next events %d and %d", seed, inc.NextEvent(), full.NextEvent())
+		}
+	}
+	return suffix, contained
+}
+
+// contextUnchanged reports whether, when the pass certified the entry, the
+// table's visible occupancy on the entry's ports below its horizon was
+// exactly its snapshot. That table is rebuilt from the finished pass: the
+// locked circuits, then the plans of the Coflows ordered ahead of the
+// entry's.
+func contextUnchanged(e *Engine, ce *planCacheEntry) bool {
+	prt := core.NewPRT(e.cfg.Ports)
+	for _, r := range e.plan {
+		if r.Start < e.now {
+			prt.Reserve(r)
+		}
+	}
+	for _, it := range e.scratch.ranked {
+		if it.lc.ID == ce.id {
+			break
+		}
+		for _, r := range e.plan {
+			if r.CoflowID == it.lc.ID && r.Start >= e.now {
+				prt.Reserve(r)
+			}
+		}
+	}
+	start := max(e.now, e.live[ce.id].Arrival)
+	ins, outs := flowPorts(ce.flows, nil, nil)
+	visible := slices.DeleteFunc(slices.Clone(ce.ctx), func(sp core.PortSpan) bool { return sp.End <= start })
+	return slices.Equal(prt.SpansOn(start, ce.horizon, ins, outs, nil), visible)
+}
+
 // checkOrder is oracle (a): the last pass's order against the policy's own
 // Sort plus a stable descending-Priority sort, on headers built fresh from
 // Rem, and every cached key against a fresh one.
@@ -467,13 +638,16 @@ func refCredit(e *Engine, from, to int64) {
 // TestEngineContinuationIsByteExact: when a shortened circuit locks, the next
 // pass's IntraCoflow input for its flow is the whole-byte remainder the
 // circuit leaves, and the search places exactly the continuation the pass
-// that shortened it chained — so the Coflow planned around that
-// continuation replays from the plan cache. Coflow 2's flow 3→2 is cut short
-// by coflow 1's later circuit on output 2; coflow 3 is planned around 2's
-// continuation on input 3. A fourth arrival on idle ports replans while the
-// shortened circuit holds. The arrival at 2.107 s is one where float-second
-// arithmetic truncates the shortened circuit's bytes by one, and so chains a
-// continuation 8 ns shorter than the one replanned from the remainder.
+// that shortened it chained — so the Coflow continues from the plan cache,
+// and the Coflow planned around that continuation replays from it. Coflow
+// 2's flow 3→2 is cut short by coflow 1's later circuit on output 2; coflow 3
+// is planned around 2's continuation on input 3. A fourth arrival on idle
+// ports replans while the shortened circuit and coflow 1's first circuit
+// hold: coflows 1 and 2 continue from their unstarted reservations, coflow 3
+// replays whole, and only coflow 4 runs IntraCoflow. The arrival at 2.107 s
+// is one where float-second arithmetic truncates the shortened circuit's
+// bytes by one, and so chains a continuation 8 ns shorter than the one
+// replanned from the remainder.
 func TestEngineContinuationIsByteExact(t *testing.T) {
 	o := obs.New()
 	e := New(Config{Ports: 6, LinkBps: 1e9, Delta: ns(0.01), Policy: core.FIFO{}, Obs: o, Sink: &testSink{t: t}}, 0)
@@ -507,7 +681,17 @@ func TestEngineContinuationIsByteExact(t *testing.T) {
 		t.Fatalf("coflow 2's first circuit %+v is not shortened ahead of a continuation %+v", cut, chained)
 	}
 
-	skipped := o.IntraSkipped.Load()
+	skipped, continued := o.IntraSkipped.Load(), o.IntraContinued.Load()
+	// A replay keeps the entry's flows buffer; a recomputation replaces it.
+	// (Live.cacheAt is only refreshed at the start of the next pass.)
+	buffer := func(id int) *coflow.Flow {
+		i := slices.IndexFunc(e.cache, func(ce planCacheEntry) bool { return ce.id == id })
+		return &e.cache[i].flows[:1][0]
+	}
+	buffers := map[int]*coflow.Flow{}
+	for _, id := range []int{1, 2, 3} {
+		buffers[id] = buffer(id)
+	}
 	admit(4, t0+ns(0.05), coflow.Flow{Src: 5, Dst: 5, Bytes: 1e6})
 	if err := e.Replan(); err != nil {
 		t.Fatal(err)
@@ -526,7 +710,15 @@ func TestEngineContinuationIsByteExact(t *testing.T) {
 	if !slices.Contains(c3.ctx, core.PortSpan{Start: chained[0].Start, End: chained[0].End, Port: 3}) {
 		t.Fatalf("coflow 3's certificate %+v does not cover coflow 2's continuation", c3.ctx)
 	}
-	if hits := o.IntraSkipped.Load() - skipped; hits != 1 {
-		t.Fatalf("%d plan-cache hits, want 1 (coflow 3, planned around the continuation)", hits)
+	for id, buf := range buffers {
+		if buffer(id) != buf {
+			t.Errorf("coflow %d was rescheduled, want a plan-cache hit", id)
+		}
+	}
+	if hits := o.IntraSkipped.Load() - skipped; hits != 3 {
+		t.Fatalf("%d plan-cache hits, want 3 (coflows 1 and 2 continued, coflow 3 planned around the continuation)", hits)
+	}
+	if n := o.IntraContinued.Load() - continued; n != 2 {
+		t.Fatalf("%d continued hits, want 2 (coflows 1 and 2)", n)
 	}
 }

@@ -2,9 +2,9 @@ package circuit
 
 import (
 	"cmp"
-	"errors"
 	"math"
 	"slices"
+	"sort"
 	"time"
 
 	"sunflow/internal/coflow"
@@ -12,29 +12,29 @@ import (
 	"sunflow/internal/fabric"
 )
 
-// planCacheEntry records one Coflow's outcome in the previous scheduling
-// pass at its priority-order position. The entry is clean at the same
-// position of the next pass — its reservations replayed instead of re-running
-// IntraCoflow — when the Coflow id and its exclusion-adjusted remainder (the
-// exact IntraCoflow input) are identical and no cached reservation starts
-// before the new pass instant.
+// planCacheEntry records one Coflow's IntraCoflow outcome and the context it
+// was computed in. A later pass replays the part of the schedule that has not
+// started yet instead of re-running IntraCoflow, when the certificate in
+// reusable holds (DESIGN.md §7). A replay carries the entry forward: its flows
+// become the pass's input and its reservations the replayed suffix, while the
+// context, horizon and maxEnd stay those of the original search.
 type planCacheEntry struct {
 	id int
-	// flows is the IntraCoflow input the schedule was computed from, in
-	// (Src, Dst) order. Compared exactly — any changed byte re-runs the
-	// scheduler, keeping reuse bit-identical by construction.
+	// flows is the IntraCoflow input the reservations continue, in (Src, Dst)
+	// order: the original input minus the bytes of the reservations that
+	// started before the last replay. Compared exactly — any changed byte
+	// re-runs the scheduler, keeping reuse bit-identical by construction.
 	flows []coflow.Flow
-	// res is the cached IntraCoflow output; owned by the entry (the plan
-	// holds copies).
+	// res is the cached IntraCoflow output not yet started at the last
+	// replay, in emission (non-decreasing Start) order; owned by the entry
+	// (the plan holds copies).
 	res []core.Reservation
-	// minStart and maxEnd are res's extremes (core.Forever/math.MinInt64
-	// when empty).
-	minStart, maxEnd int64
+	// maxEnd is the latest End of the original output (math.MinInt64 when
+	// empty).
+	maxEnd int64
 	// ctx is the port context the schedule was computed against: the busy
 	// intervals visible on the input flows' ports when IntraCoflow ran,
-	// snapshotted just before the run and trimmed to horizon. The intra
-	// search is a pure function of its input flows, its start instant and
-	// this context, so a bit-exact match certifies the cached output.
+	// snapshotted just before the run and trimmed to horizon.
 	ctx []core.PortSpan
 	// horizon bounds the table range the cached search could have consulted:
 	// maxEnd + δ. Every round of the search runs at an instant t < maxEnd,
@@ -53,6 +53,9 @@ type replanScratch struct {
 	ranked []ranked
 	// sched is the remainder-with-exclusions scratch Coflow.
 	sched *coflow.Coflow
+	// started sums, per cached flow, the bytes of the reservations a
+	// continuation skips (see continues).
+	started []int64
 	// nextCache accumulates this pass's cache entries.
 	nextCache []planCacheEntry
 	// spans is the pre-run port-context snapshot buffer; ins and outs hold
@@ -138,18 +141,6 @@ func (e *Engine) replanOnce(now int64) (id int, err error) {
 		sc.nextCache = sc.nextCache[:0]
 	}
 	id, err = e.schedulePass(now, ordered, locked, reuse)
-	if err == errBulkFallback {
-		// The replayed reservations did not fit the table: the reuse checks
-		// missed an invalidation. Rebuild the pass from scratch and drop the
-		// cache — defense in depth, the differential suites never reach here.
-		prt.Reset()
-		if e.cfg.Fair != nil {
-			prt.SetBlackout(*e.cfg.Fair)
-		}
-		sc.nextCache = sc.nextCache[:0]
-		e.dropCache()
-		return e.schedulePass(now, ordered, locked, false)
-	}
 	if err == nil && reuse {
 		// Swap the rebuilt cache in; stale entries are zeroed so the old
 		// backing array does not pin retired schedules for the GC.
@@ -218,34 +209,23 @@ func (e *Engine) order() []ranked {
 	return rs
 }
 
-// errBulkFallback signals that replayed cached reservations conflicted with
-// the table and the pass must be redone as a full rebuild.
-var errBulkFallback = errors.New("circuit: cached schedule replay conflicted")
-
 // schedulePass rebuilds the plan for one scheduling pass: every live Coflow,
-// in priority order, either replays its cached schedule (reuse mode, when
-// provably bit-identical to what IntraCoflow would produce — DESIGN.md §7)
-// or runs IntraCoflow against the table built so far. The caller has Reset
-// the table (with blackout and fault blocks applied); locked circuits are
-// seeded here — bulk-loaded in reuse mode, Preloaded otherwise (the fault
-// repair seeded them already).
-//
-// Reuse certification rests on the intra search being a pure function of
-// its input flows, its start instant, and the busy intervals visible on the
-// flows' ports below the search horizon. The input flows are compared
-// bit-exactly; the start instant only matters through the table because the
-// cached search placed nothing before max(now, arrival) — the minStart guard
-// pins that; and the port context is compared bit-exactly against the
-// snapshot taken when the cached schedule was computed, trimmed on both sides
-// to intervals still visible from the pass start.
+// in priority order, either replays the unstarted part of its cached schedule
+// (reuse mode, when reusable certifies it bit-identical to what IntraCoflow
+// would produce — DESIGN.md §7) or runs IntraCoflow against the table built
+// so far. The caller has Reset the table (with blackout and fault blocks
+// applied); locked circuits are seeded here — bulk-loaded in reuse mode,
+// Preloaded otherwise (the fault repair seeded them already).
 func (e *Engine) schedulePass(now int64, ordered []ranked, locked []core.Reservation, reuse bool) (int, error) {
 	prt := e.prt
 	sc := &e.scratch
-	skips := int64(0)
+	skips, continued := int64(0), int64(0)
 	if reuse {
+		// Locked circuits held their ports in the last plan, so they cannot
+		// conflict: a failure here is a bug, as a panicking Preload is.
 		prt.BulkAdd(locked)
 		if err := prt.FinishBulk(); err != nil {
-			return 0, errBulkFallback
+			panic(err)
 		}
 	} else if e.faults == nil {
 		prt.Preload(locked)
@@ -253,30 +233,35 @@ func (e *Engine) schedulePass(now int64, ordered []ranked, locked []core.Reserva
 	e.plan = locked
 	for _, it := range ordered {
 		tmp, lc := it.tmp, it.lc
+		toSchedule := e.schedInput(tmp, lc)
+		start := max(now, lc.Arrival)
 		var ce *planCacheEntry
 		if k := lc.cacheAt; reuse && k < len(e.cache) && e.cache[k].id == tmp.ID {
 			ce = &e.cache[k]
 		}
 		var res []core.Reservation
 		var finish int64
-		if ce != nil && e.reusable(ce, tmp, lc, now) {
-			for i := range ce.res {
-				if err := prt.TryReserve(ce.res[i]); err != nil {
-					return 0, errBulkFallback
-				}
+		if k, ok := e.reusable(ce, toSchedule.Flows, start); ok {
+			if k > 0 {
+				// Carry the entry forward in place: the input it now
+				// continues, and the reservations not yet started.
+				ce.flows = append(ce.flows[:0], toSchedule.Flows...)
+				ce.res = ce.res[k:]
+				continued++
 			}
-			// The cached schedule is bit-identical to what IntraCoflow would
-			// recompute; only the planned finish needs refreshing — its base
-			// is the pass start, which moved since the cached pass.
-			res, finish = ce.res, max(now, lc.Arrival, ce.maxEnd)
+			for i := range ce.res {
+				prt.Reserve(ce.res[i]) // reusable checked that each fits
+			}
+			// Only the planned finish needs refreshing — its base is the pass
+			// start, which moved since the cached pass. A started reservation
+			// ending after the pass start is locked, so lockedEnd covers it.
+			res, finish = ce.res, max(start, ce.maxEnd)
 			sc.nextCache = append(sc.nextCache, *ce)
 			skips++
 		} else {
 			// Dirty: snapshot the port context the search is about to see,
 			// then run the scheduler. The snapshot must precede the run —
 			// IntraCoflow's own placements are its output, not its input.
-			toSchedule := e.schedInput(tmp, lc)
-			start := max(now, lc.Arrival)
 			if reuse {
 				sc.ins, sc.outs = flowPorts(toSchedule.Flows, sc.ins, sc.outs)
 				sc.spans = prt.SpansOn(start, core.Forever, sc.ins, sc.outs, sc.spans[:0])
@@ -310,6 +295,7 @@ func (e *Engine) schedulePass(now int64, ordered []ranked, locked []core.Reserva
 	}
 	if o := e.cfg.Obs; o != nil {
 		o.IntraSkipped.Add(skips)
+		o.IntraContinued.Add(continued)
 	}
 	return 0, nil
 }
@@ -317,7 +303,7 @@ func (e *Engine) schedulePass(now int64, ordered []ranked, locked []core.Reserva
 // compactCache drops cache entries for Coflows that have left the fabric and
 // points each live Coflow with an entry at it.
 // A retired Coflow's still-future occupancy vanishing from the table is
-// caught by the snapshot comparison of any entry placed around it.
+// caught by the context containment check of any entry placed around it.
 func (e *Engine) compactCache() {
 	out := e.cache[:0]
 	for i := range e.cache {
@@ -341,20 +327,75 @@ func (e *Engine) dropCache() {
 	e.cache = e.cache[:0]
 }
 
-// reusable reports whether the cached entry can be replayed for the Coflow
-// this pass: its input flows are identical; none of its placements has
-// started; and the busy intervals currently visible on its ports below its
-// horizon match the cached snapshot exactly.
-func (e *Engine) reusable(ce *planCacheEntry, tmp *coflow.Coflow, lc *Live, now int64) bool {
-	if ce.minStart < now {
-		return false
+// reusable decides whether the cached entry (nil for none) can stand in for
+// an IntraCoflow run on input from start this pass. The reservations starting
+// before start form a prefix P of the entry's; the rest, Q, is replayed, and
+// k = |P| is returned. The certificate:
+//
+//  1. the input is exactly the entry's flows minus P's bytes (continues);
+//  2. every context span still visible at start is on the table
+//     (containment: added occupancy is allowed, vanished or moved is not);
+//  3. every reservation of Q fits the table as it stands;
+//  4. P is empty, or the demand order is OrderedPort — SortedDemand re-sorts
+//     by the remaining demand and RandomOrder reshuffles the remaining
+//     subset, so either can reorder the demands P leaves.
+//
+// A search from start over this table then places exactly Q: it sees the
+// demand state and visible table the cached search saw at its rounds from
+// start on, nothing can be placed between the last round before start and
+// start itself, and an added interval that overlaps none of the cached
+// reservations changes no round's decision. DESIGN.md §7 has the argument.
+func (e *Engine) reusable(ce *planCacheEntry, input []coflow.Flow, start int64) (k int, ok bool) {
+	if ce == nil {
+		return 0, false
 	}
-	if !slices.Equal(ce.flows, e.schedInput(tmp, lc).Flows) { // Flow is comparable: bit-exact
-		return false
+	k = sort.Search(len(ce.res), func(i int) bool { return ce.res[i].Start >= start })
+	if k > 0 && e.cfg.Order != core.OrderedPort {
+		return 0, false
 	}
-	sc := &e.scratch
-	sc.ins, sc.outs = flowPorts(ce.flows, sc.ins, sc.outs)
-	return e.prt.SpansMatch(ce.ctx, max(now, lc.Arrival), ce.horizon, sc.ins, sc.outs)
+	if !e.continues(ce.flows, ce.res[:k], input) || !e.prt.ContainsSpans(ce.ctx, start) {
+		return 0, false
+	}
+	for i := k; i < len(ce.res); i++ {
+		if !e.prt.Fits(ce.res[i]) {
+			return 0, false
+		}
+	}
+	return k, true
+}
+
+// continues reports whether input is exactly flows minus the bytes the
+// started reservations carry, flow by flow, with drained flows dropped. Both
+// flow lists are in (Src, Dst) order and hold whole bytes.
+func (e *Engine) continues(flows []coflow.Flow, started []core.Reservation, input []coflow.Flow) bool {
+	if len(started) == 0 {
+		return slices.Equal(flows, input) // Flow is comparable: bit-exact
+	}
+	sum := slices.Grow(e.scratch.started[:0], len(flows))[:len(flows)]
+	clear(sum)
+	e.scratch.started = sum
+	for i := range started {
+		r := &started[i]
+		fi, ok := slices.BinarySearchFunc(flows, fabric.FlowKey{Src: r.In, Dst: r.Out}, func(f coflow.Flow, k fabric.FlowKey) int {
+			return compareKeys(fabric.FlowKey{Src: f.Src, Dst: f.Dst}, k)
+		})
+		if !ok {
+			return false
+		}
+		sum[fi] += r.Bytes
+	}
+	j := 0
+	for i, f := range flows {
+		b := int64(f.Bytes) - sum[i]
+		if b == 0 {
+			continue
+		}
+		if b < 0 || j == len(input) || input[j] != (coflow.Flow{Src: f.Src, Dst: f.Dst, Bytes: float64(b)}) {
+			return false
+		}
+		j++
+	}
+	return j == len(input)
 }
 
 // flowPorts fills ins and outs with the sorted unique source and destination
@@ -384,14 +425,12 @@ func flowPorts(flows []coflow.Flow, ins, outs []int) ([]int, []int) {
 // the reservations slice is owned by the schedule just computed.
 func newCacheEntry(id int, flows []coflow.Flow, res []core.Reservation) planCacheEntry {
 	ce := planCacheEntry{
-		id:       id,
-		flows:    append([]coflow.Flow(nil), flows...),
-		res:      res,
-		minStart: core.Forever,
-		maxEnd:   math.MinInt64,
+		id:     id,
+		flows:  append([]coflow.Flow(nil), flows...),
+		res:    res,
+		maxEnd: math.MinInt64,
 	}
 	for i := range res {
-		ce.minStart = min(ce.minStart, res[i].Start)
 		ce.maxEnd = max(ce.maxEnd, res[i].End)
 	}
 	return ce

@@ -297,14 +297,34 @@ func (c *Coflow) PortSums() (in, out map[int]float64) {
 
 // PacketLowerBound returns TpL, the CCT lower bound in a packet-switched
 // network (Equation 2): the maximum over all ports of the total processing
-// time the port must serve.
+// time the port must serve. Each port's total is summed in flow order, as
+// PortSums does, over a dense per-port buffer instead of maps: it is the
+// shortest-first policy key, recomputed whenever a live Coflow's remaining
+// demand changes.
 func (c *Coflow) PacketLowerBound(linkBps float64) float64 {
-	in, out := c.PortSums()
-	var maxBytes float64
-	for _, b := range in {
-		maxBytes = math.Max(maxBytes, b)
+	lo, hi := 0, -1 // the port range; empty for a Coflow without flows
+	if len(c.Flows) > 0 {
+		lo, hi = c.Flows[0].Src, c.Flows[0].Src
 	}
-	for _, b := range out {
+	for _, f := range c.Flows {
+		lo, hi = min(lo, f.Src, f.Dst), max(hi, f.Src, f.Dst)
+	}
+	n := hi - lo + 1
+	var buf [512]float64
+	sums := buf[:]
+	if 2*n > len(buf) {
+		sums = make([]float64, 2*n)
+	}
+	sums = sums[:2*n]
+	in, out := sums[:n], sums[n:]
+	for _, f := range c.Flows {
+		if f.Bytes > 0 {
+			in[f.Src-lo] += f.Bytes
+			out[f.Dst-lo] += f.Bytes
+		}
+	}
+	var maxBytes float64
+	for _, b := range sums {
 		maxBytes = math.Max(maxBytes, b)
 	}
 	return maxBytes * 8 / linkBps

@@ -189,6 +189,55 @@ func TestPacketLowerBound(t *testing.T) {
 	}
 }
 
+// packetLowerBoundMaps is TpL computed over PortSums' per-port maps, the
+// reference the map-free PacketLowerBound must match bit for bit.
+func packetLowerBoundMaps(c *Coflow, linkBps float64) float64 {
+	in, out := c.PortSums()
+	var maxBytes float64
+	for _, b := range in {
+		maxBytes = math.Max(maxBytes, b)
+	}
+	for _, b := range out {
+		maxBytes = math.Max(maxBytes, b)
+	}
+	return maxBytes * 8 / linkBps
+}
+
+// TestQuickPacketLowerBoundMatchesMaps: over Coflows with repeated port
+// pairs, fractional, zero and negative bytes, ports on both sides of the
+// 256-port stack buffer and the empty Coflow, PacketLowerBound equals the
+// map-based reference exactly — each port's float sum is taken in flow order
+// either way.
+func TestQuickPacketLowerBoundMatchesMaps(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		ports := []int{1, 4, 150, 256, 257, 600}[rng.Intn(6)]
+		flows := make([]Flow, rng.Intn(40))
+		for i := range flows {
+			b := rng.Float64() * 1e8
+			switch rng.Intn(6) {
+			case 0:
+				b = 0
+			case 1:
+				b = -b
+			case 2:
+				b = math.Round(b)
+			}
+			flows[i] = Flow{Src: rng.Intn(ports), Dst: rng.Intn(ports), Bytes: b}
+		}
+		c := &Coflow{ID: 1, Flows: flows}
+		got, want := c.PacketLowerBound(gbps), packetLowerBoundMaps(c, gbps)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Logf("seed %d: TpL %v, map reference %v", seed, got, want)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestCircuitLowerBound(t *testing.T) {
 	// Equation 4: each flow adds δ to both its ports. in.0 has two flows:
 	// t = (16ms + δ) + (8ms + δ).

@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -210,6 +212,151 @@ func TestQuickFastMatchesReferenceIntra(t *testing.T) {
 			t.Errorf("no trial drew %s", shape.name)
 		}
 	}
+}
+
+// TestQuickIntraSuffixInvariance is the plan cache's continuation
+// certificate (DESIGN.md §7) on one search. R = IntraCoflow(T0, F0, s0) runs
+// on a prtScenario table (blackouts, outage blocks, compaction, quantum). At
+// an instant now — a reservation's Start, a reservation's End, or a random
+// instant — the reservations starting before now form the prefix P = R[:k].
+// A fresh search over T0 ∪ P ∪ X on F0 − P from max(s0, now), where X are
+// random intervals that fit T0 ∪ R and may straddle now, must place exactly
+// R[k:] under OrderedPort, and under every order when k = 0. With k > 0,
+// SortedDemand re-sorts by the remaining demand and RandomOrder reshuffles
+// the remaining subset, so either can reorder the demands left; those
+// mismatches are logged as counts, not asserted.
+func TestQuickIntraSuffixInvariance(t *testing.T) {
+	var prefix, noPrefix, extras, blackout int
+	var broken, draws [3]int // k > 0 trials per order, and their mismatches
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		ports := 3 + rng.Intn(8)
+		c := randomCoflow(rng, ports, 2*ports)
+		opts := randomOptions(rng)
+		tableSeed := rng.Int63()
+		for _, order := range []Order{OrderedPort, RandomOrder, SortedDemand} {
+			opts.Order = order
+			tr, ok := suffixTrial(rng, c, opts, tableSeed, ports)
+			if !ok {
+				return true // a pair blocked for good: no schedule to continue
+			}
+			if tr.k > 0 && order != OrderedPort {
+				draws[order]++
+				if !tr.match {
+					broken[order]++
+				}
+				continue
+			}
+			if !tr.match {
+				t.Logf("seed %d, %v: continuation from k=%d of %d diverges\n got:  %+v\n want: %+v",
+					seed, order, tr.k, len(tr.want)+tr.k, tr.got, tr.want)
+				return false
+			}
+			if order != OrderedPort {
+				continue
+			}
+			if tr.k > 0 {
+				prefix++
+			} else {
+				noPrefix++
+			}
+			if tr.extras > 0 {
+				extras++
+			}
+			if tr.blackout {
+				blackout++
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: quickCount}); err != nil {
+		t.Fatal(err)
+	}
+	for _, shape := range []struct {
+		name string
+		n    int
+	}{
+		{"a non-empty started prefix", prefix},
+		{"an empty started prefix", noPrefix},
+		{"an added interval", extras},
+		{"a blackout", blackout},
+	} {
+		if shape.n == 0 {
+			t.Errorf("no OrderedPort trial drew %s", shape.name)
+		}
+	}
+	for _, order := range []Order{RandomOrder, SortedDemand} {
+		t.Logf("%v: %d of %d continuations with a started prefix differ from the suffix", order, broken[order], draws[order])
+	}
+}
+
+// suffixResult is one continuation trial: the reservations the fresh search
+// placed and the suffix R[k:] it had to reproduce.
+type suffixResult struct {
+	got, want []Reservation
+	k, extras int
+	blackout  bool
+	match     bool
+}
+
+// suffixTrial runs one TestQuickIntraSuffixInvariance trial for c under
+// opts on the table tableSeed builds. ok is false when the first search
+// stalls.
+func suffixTrial(rng *rand.Rand, c *coflow.Coflow, opts Options, tableSeed int64, ports int) (tr suffixResult, ok bool) {
+	t0 := prtScenario(rand.New(rand.NewSource(tableSeed)), ports)
+	r, err := IntraCoflow(t0, c, opts)
+	if err != nil {
+		return tr, false
+	}
+	res := r.Reservations
+	now := opts.Start + int64(rng.Float64()*float64(r.Finish-opts.Start+1))
+	switch rng.Intn(3) {
+	case 0:
+		now = res[rng.Intn(len(res))].Start
+	case 1:
+		now = res[rng.Intn(len(res))].End
+	}
+	for tr.k < len(res) && res[tr.k].Start < now {
+		tr.k++
+	}
+
+	t1 := prtScenario(rand.New(rand.NewSource(tableSeed)), ports)
+	tr.blackout = t1.blackout != nil
+	started := map[[2]int]int64{}
+	for _, p := range res[:tr.k] {
+		t1.Reserve(p)
+		started[[2]int{p.In, p.Out}] += p.Bytes
+	}
+	// X: t0 holds T0 ∪ R and the intervals added so far, so whatever it
+	// accepts overlaps none of them.
+	for n := rng.Intn(5); n > 0; n-- {
+		start := now + ns(2*rng.Float64()-0.5)
+		x := Reservation{CoflowID: -300, In: rng.Intn(ports), Out: rng.Intn(ports), Start: start, End: start + ns(0.01+0.5*rng.Float64()), Setup: opts.Delta}
+		if t0.TryReserve(x) == nil {
+			t1.Reserve(x)
+			tr.extras++
+		}
+	}
+	var rest []coflow.Flow
+	for _, fl := range c.Flows {
+		if b := int64(math.Round(fl.Bytes)) - started[[2]int{fl.Src, fl.Dst}]; b > 0 {
+			rest = append(rest, coflow.Flow{Src: fl.Src, Dst: fl.Dst, Bytes: float64(b)})
+		}
+	}
+	o := opts
+	o.Start = max(opts.Start, now)
+	got, err := IntraCoflow(t1, &coflow.Coflow{ID: c.ID, Flows: rest}, o)
+	tr.want = res[tr.k:]
+	if err != nil {
+		return tr, true
+	}
+	tr.got = got.Reservations
+	finish := o.Start
+	for _, q := range tr.want {
+		finish = max(finish, q.End)
+	}
+	tr.match = slices.Equal(tr.got, tr.want) && got.Finish == finish
+	return tr, true
 }
 
 // primeTables schedules 1–2 random Coflows on both tables before the Coflow

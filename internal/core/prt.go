@@ -149,40 +149,43 @@ func (tl *timeline) seek(i int, t int64) int {
 	return i
 }
 
-// insert adds the interval [start, end) and reports whether it was free of
-// overlap. Insertion keeps both halves sorted: an interval sorting before an
-// archived one is spliced into the archive so the old-before-live start order
-// is preserved.
-func (tl *timeline) insert(start, end int64, peer int) bool {
+// gap locates the interval [start, end) on the timeline: ok reports that it
+// overlaps no existing interval, and then it belongs at index k of the
+// archive (archived) or of the live window. An interval sorting before an
+// archived one goes into the archive, so the old-before-live start order is
+// preserved.
+func (tl *timeline) gap(start, end int64) (archived bool, k int, ok bool) {
 	if no := len(tl.old); no > 0 && tl.old[no-1].start > start {
 		k := tl.searchOldAfter(start)
-		if k > 0 && tl.old[k-1].end > start {
-			return false
-		}
 		// The successor old[k] exists (old[no-1].start > start) and already
 		// precedes every live interval, so clearing it clears the window too.
-		if tl.old[k].start < end {
-			return false
-		}
-		tl.old = append(tl.old, interval{})
-		copy(tl.old[k+1:], tl.old[k:])
-		tl.old[k] = interval{start: start, end: end, peer: peer}
-		return true
+		return true, k, (k == 0 || tl.old[k-1].end <= start) && tl.old[k].start >= end
 	}
 	i := tl.searchAfter(start)
 	if i > 0 {
 		if tl.iv[i-1].end > start {
-			return false
+			return false, i, false
 		}
 	} else if no := len(tl.old); no > 0 && tl.old[no-1].end > start {
+		return false, i, false
+	}
+	return false, i, i == len(tl.iv) || tl.iv[i].start >= end
+}
+
+// insert adds the interval [start, end) and reports whether it was free of
+// overlap, keeping both halves sorted.
+func (tl *timeline) insert(start, end int64, peer int) bool {
+	archived, k, ok := tl.gap(start, end)
+	if !ok {
 		return false
 	}
-	if i < len(tl.iv) && tl.iv[i].start < end {
-		return false
+	ivs := &tl.iv
+	if archived {
+		ivs = &tl.old
 	}
-	tl.iv = append(tl.iv, interval{})
-	copy(tl.iv[i+1:], tl.iv[i:])
-	tl.iv[i] = interval{start: start, end: end, peer: peer}
+	*ivs = append(*ivs, interval{})
+	copy((*ivs)[k+1:], (*ivs)[k:])
+	(*ivs)[k] = interval{start: start, end: end, peer: peer}
 	return true
 }
 
@@ -190,13 +193,15 @@ func (tl *timeline) insert(start, end int64, peer int) bool {
 // The live window is tried first — rollback of a just-inserted reservation is
 // the hot case — then the archive.
 func (tl *timeline) remove(start int64) {
-	byStart := func(v interval, t int64) int { return cmp.Compare(v.start, t) }
 	if i, ok := slices.BinarySearchFunc(tl.iv, start, byStart); ok {
 		tl.iv = slices.Delete(tl.iv, i, i+1)
 	} else if i, ok := slices.BinarySearchFunc(tl.old, start, byStart); ok {
 		tl.old = slices.Delete(tl.old, i, i+1)
 	}
 }
+
+// byStart compares an interval's start with t, for binary searches by start.
+func byStart(v interval, t int64) int { return cmp.Compare(v.start, t) }
 
 // block fills the free gaps of [start, end) with busy intervals (peer -1),
 // leaving existing intervals untouched. The walk runs over the archive then
@@ -436,11 +441,10 @@ func (p *PRT) Preload(rs []Reservation) {
 
 // BulkAdd appends reservations to the port timelines without searching for
 // their sorted position — the fast path an incremental replan uses to re-seed
-// a freshly Reset table with the locked set plus a clean prefix of cached
-// schedules, known conflict-free from the previous pass. Between BulkAdd and
-// FinishBulk the timeline invariants are suspended and every query is
-// undefined; FinishBulk restores them. Only valid on a table with no archived
-// intervals (any fresh Reset qualifies).
+// a freshly Reset table with the locked set, known conflict-free from the
+// previous pass. Between BulkAdd and FinishBulk the timeline invariants are
+// suspended and every query is undefined; FinishBulk restores them. Only
+// valid on a table with no archived intervals (any fresh Reset qualifies).
 func (p *PRT) BulkAdd(rs []Reservation) {
 	for i := range rs {
 		r := &rs[i]
@@ -452,10 +456,9 @@ func (p *PRT) BulkAdd(rs []Reservation) {
 
 // FinishBulk restores the timeline invariants after one or more BulkAdd
 // calls: each touched timeline is re-sorted (skipped when the appends arrived
-// already ordered) and verified non-overlapping, as insert checks. On error (ErrEmptyReservation, ErrDoubleBooked,
-// or a compacted timeline) the table state is unspecified and the caller must
-// Reset before reusing it — the incremental replanner falls back to a full
-// rebuild there.
+// already ordered) and verified non-overlapping, as insert checks. On error
+// (ErrEmptyReservation, ErrDoubleBooked, or a compacted timeline) the table
+// state is unspecified and the caller must Reset before reusing it.
 func (p *PRT) FinishBulk() error {
 	added := p.bulk
 	p.bulk = 0
@@ -492,9 +495,8 @@ func (tl *timeline) finishBulk(side string, port int) error {
 }
 
 // PortSpan is one busy interval on a port timeline as reported by SpansOn —
-// the unit of the incremental replanner's context snapshots. Spans compare
-// exactly: two snapshots are interchangeable only when every instant
-// matches.
+// the unit of the incremental replanner's context snapshots, which
+// ContainsSpans checks against a later table instant for instant.
 type PortSpan struct {
 	Start, End int64
 	Port       int32
@@ -532,67 +534,48 @@ func (tl *timeline) spansOn(t, horizon int64, port int32, out bool, dst []PortSp
 	return dst
 }
 
-// SpansMatch reports whether the table's visible context — what SpansOn(t,
-// horizon, ins, outs) would return — is identical to the cached snapshot
-// trimmed to the same visibility threshold (spans whose end is at or before
-// t expired out of both views symmetrically). It streams the comparison
-// without materializing the current snapshot.
-func (p *PRT) SpansMatch(spans []PortSpan, t, horizon int64, ins, outs []int) bool {
-	for _, i := range ins {
-		var ok bool
-		if spans, ok = p.in[i].matchSpans(spans, t, horizon, int32(i), false); !ok {
-			return false
-		}
-	}
-	for _, j := range outs {
-		var ok bool
-		if spans, ok = p.out[j].matchSpans(spans, t, horizon, int32(j), true); !ok {
-			return false
-		}
-	}
-	// Any trailing unmatched cached spans mean occupancy vanished.
+// ContainsSpans reports whether every span of a snapshot still visible at t
+// (End > t) is on the table: its port's timeline holds an interval with the
+// same Start and End. Intervals the snapshot does not name are ignored, so
+// this is containment, not equality: the plan cache's context certificate
+// (DESIGN.md §7) tolerates occupancy added since the snapshot and catches
+// occupancy that vanished or moved.
+func (p *PRT) ContainsSpans(spans []PortSpan, t int64) bool {
 	for _, sp := range spans {
-		if sp.End > t {
+		if sp.End <= t {
+			continue
+		}
+		tl := &p.in[sp.Port]
+		if sp.Out {
+			tl = &p.out[sp.Port]
+		}
+		if !tl.has(sp.Start, sp.End) {
 			return false
 		}
 	}
 	return true
 }
 
-// matchSpans consumes the cached snapshot's prefix belonging to this
-// timeline, comparing it against the current intervals. It returns the
-// remaining snapshot and whether the prefix matched.
-func (tl *timeline) matchSpans(spans []PortSpan, t, horizon int64, port int32, out bool) ([]PortSpan, bool) {
-	next := func() (PortSpan, bool) {
-		for len(spans) > 0 {
-			sp := spans[0]
-			if sp.Port != port || sp.Out != out {
-				return PortSpan{}, false
-			}
-			spans = spans[1:]
-			if sp.End > t {
-				return sp, true
-			}
-		}
-		return PortSpan{}, false
-	}
-	match := func(v interval) bool {
-		sp, ok := next()
-		return ok && sp.Start == v.start && sp.End == v.end
-	}
+// has reports whether the timeline holds exactly the interval [start, end).
+// Starts are unique across both halves, so one hit decides.
+func (tl *timeline) has(start, end int64) bool {
 	for _, ivs := range tl.halves() {
-		for _, v := range ivs[endsAfter(ivs, t):] {
-			if v.start >= horizon {
-				break
-			}
-			if !match(v) {
-				return spans, false
-			}
+		if i, ok := slices.BinarySearchFunc(ivs, start, byStart); ok {
+			return ivs[i].end == end
 		}
 	}
-	// The snapshot must hold nothing more for this timeline.
-	_, more := next()
-	return spans, !more
+	return false
+}
+
+// Fits reports whether TryReserve(r) would succeed, without changing the
+// table: r is non-empty and overlaps no interval on either of its ports.
+func (p *PRT) Fits(r Reservation) bool {
+	if r.End <= r.Start {
+		return false
+	}
+	_, _, okIn := p.in[r.In].gap(r.Start, r.End)
+	_, _, okOut := p.out[r.Out].gap(r.Start, r.End)
+	return okIn && okOut
 }
 
 // ReleasesAfter appends to dst the end times, strictly after t, of existing

@@ -112,6 +112,90 @@ func TestPRTReleasesAfter(t *testing.T) {
 	}
 }
 
+// TestPRTContainsSpans pins the plan cache's context containment check: a
+// snapshot is contained while every span still visible at t is on the table
+// with the same Start and End, whatever else the table gained, and spans that
+// ended by t no longer count. Spans on an archived (compacted) interval are
+// found as well.
+func TestPRTContainsSpans(t *testing.T) {
+	p := NewPRT(3)
+	p.Reserve(Reservation{In: 0, Out: 1, Start: 10, End: 20})
+	p.Reserve(Reservation{In: 0, Out: 2, Start: 30, End: 40})
+	p.Reserve(Reservation{In: 2, Out: 1, Start: 50, End: 60})
+	snap := p.SpansOn(0, Forever, []int{0, 2}, []int{1, 2}, nil)
+	if len(snap) != 6 || !p.ContainsSpans(snap, 0) {
+		t.Fatalf("a table must contain its own snapshot %v", snap)
+	}
+	for _, c := range []struct {
+		name  string
+		spans []PortSpan
+		t     int64
+		want  bool
+	}{
+		{"missing span", []PortSpan{{Start: 10, End: 20, Port: 0}, {Start: 70, End: 80, Port: 0}}, 0, false},
+		{"span on the other side", []PortSpan{{Start: 10, End: 20, Port: 0, Out: true}}, 0, false},
+		{"changed End", []PortSpan{{Start: 30, End: 41, Port: 0}}, 0, false},
+		{"changed Start", []PortSpan{{Start: 29, End: 40, Port: 0}}, 0, false},
+		{"ended at t", []PortSpan{{Start: 5, End: 10, Port: 0}}, 10, true},
+		{"ended before t", []PortSpan{{Start: 1, End: 5, Port: 2, Out: true}, {Start: 30, End: 40, Port: 2, Out: true}}, 12, true},
+		{"still visible at t", []PortSpan{{Start: 5, End: 11, Port: 0}}, 10, false},
+		{"empty snapshot", nil, 0, true},
+	} {
+		if got := p.ContainsSpans(c.spans, c.t); got != c.want {
+			t.Errorf("%s: ContainsSpans(%v, %d) = %v, want %v", c.name, c.spans, c.t, got, c.want)
+		}
+	}
+	// An extra interval that overlaps nothing leaves the snapshot contained.
+	p.Reserve(Reservation{In: 0, Out: 0, Start: 20, End: 30})
+	if !p.ContainsSpans(snap, 0) {
+		t.Fatal("an added interval broke containment")
+	}
+	p.CompactBefore(35)
+	if !p.ContainsSpans(snap, 0) || p.ContainsSpans([]PortSpan{{Start: 10, End: 19, Port: 0}}, 0) {
+		t.Fatal("containment must read archived intervals exactly")
+	}
+}
+
+// TestPRTFits: Fits answers what TryReserve would, without changing the
+// table — a suffix reservation overlapping an extra interval does not fit,
+// one touching its end does, on live and archived intervals alike.
+func TestPRTFits(t *testing.T) {
+	extra := Reservation{In: 2, Out: 2, Start: 30, End: 40}
+	for _, c := range []struct {
+		name string
+		r    Reservation
+		want bool
+	}{
+		{"overlaps the extra interval's input", Reservation{In: 2, Out: 0, Start: 35, End: 45}, false},
+		{"overlaps the extra interval's output", Reservation{In: 1, Out: 2, Start: 25, End: 31}, false},
+		{"inside the extra interval", Reservation{In: 1, Out: 2, Start: 32, End: 33}, false},
+		{"touches its end", Reservation{In: 2, Out: 0, Start: 40, End: 45}, true},
+		{"ends at its start", Reservation{In: 1, Out: 2, Start: 20, End: 30}, true},
+		{"free ports", Reservation{In: 1, Out: 0, Start: 0, End: 100}, true},
+		{"empty", Reservation{In: 1, Out: 0, Start: 5, End: 5}, false},
+		{"before an archived interval", Reservation{In: 0, Out: 0, Start: 0, End: 10}, true},
+		{"over an archived interval", Reservation{In: 0, Out: 0, Start: 5, End: 11}, false},
+	} {
+		for _, compacted := range []bool{false, true} {
+			q := NewPRT(3)
+			q.Reserve(Reservation{In: 0, Out: 1, Start: 10, End: 20})
+			q.Reserve(extra)
+			if compacted {
+				q.CompactBefore(25)
+			}
+			if got := q.Fits(c.r); got != c.want {
+				t.Errorf("%s (compacted %v): Fits = %v, want %v", c.name, compacted, got, c.want)
+			}
+			if q.Len() != 2 {
+				t.Fatalf("%s: Fits changed the table", c.name)
+			}
+			if got := q.TryReserve(c.r) == nil; got != c.want {
+				t.Errorf("%s (compacted %v): TryReserve succeeded = %v, Fits said %v", c.name, compacted, got, c.want)
+			}
+		}
+	}
+}
+
 // TestPRTBlockStraddlesHorizon: a fault outage window that straddles the
 // compaction horizon must compose with archived reservations exactly as it
 // would on an uncompacted table — same gap fills, same truncation against

@@ -23,6 +23,7 @@ const (
 	NameSchedPassTime    = "sched.pass_seconds"
 	NameIntraPasses      = "sched.intra_passes"
 	NameIntraSkipped     = "sched.intra_skipped"
+	NameIntraContinued   = "sched.intra_continued"
 	NameCreditVisits     = "sched.credit_visits"
 	NameOrderKeys        = "sched.order_keys"
 	NameIntraExamined    = "sched.intra_examined"
@@ -73,6 +74,10 @@ type Observer struct {
 	// full-rebuild run would record (the reconciliation property tests pin
 	// this).
 	IntraSkipped *Counter
+	// IntraContinued counts the IntraSkipped replays that continued a
+	// schedule already under way: the reservations that had started were
+	// dropped and only the unstarted rest was replayed.
+	IntraContinued *Counter
 	// CreditVisits counts the reservations crediting walked: the due set of
 	// each credit interval, not the whole plan (compare QueueDepth).
 	CreditVisits *Counter
@@ -145,6 +150,7 @@ func newScoped(reg *Registry, sink Sink, prefix string) *Observer {
 		SchedPassTime:    reg.Histogram(prefix + NameSchedPassTime),
 		IntraPasses:      reg.Counter(prefix + NameIntraPasses),
 		IntraSkipped:     reg.Counter(prefix + NameIntraSkipped),
+		IntraContinued:   reg.Counter(prefix + NameIntraContinued),
 		CreditVisits:     reg.Counter(prefix + NameCreditVisits),
 		OrderKeys:        reg.Counter(prefix + NameOrderKeys),
 		IntraExamined:    reg.Counter(prefix + NameIntraExamined),

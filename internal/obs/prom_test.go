@@ -87,6 +87,8 @@ func TestWritePrometheus(t *testing.T) {
 	o.InBusySeconds.Add(0, 1.5)
 	o.InBusySeconds.Add(3, 2.5)
 	o.Scoped("sunflow").CircuitSetups.Inc()
+	o.IntraSkipped.Add(5)
+	o.IntraContinued.Add(2)
 
 	var sb strings.Builder
 	if err := WritePrometheus(&sb, reg); err != nil {
@@ -105,6 +107,8 @@ func TestWritePrometheus(t *testing.T) {
 		"port_in_busy_seconds{port=\"0\"} 1.5\n",
 		"port_in_busy_seconds{port=\"3\"} 2.5\n",
 		"sunflow_circuit_setups 1\n",
+		"# TYPE sched_intra_skipped counter\nsched_intra_skipped 5\n",
+		"# TYPE sched_intra_continued counter\nsched_intra_continued 2\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
