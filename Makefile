@@ -128,12 +128,14 @@ profile-smoke:
 	$(GO) run ./cmd/sunflow-analyze lint profile-events.jsonl
 	$(GO) run ./cmd/sunflow-analyze profile -o profile.svg profile-events.jsonl
 
-# Short fuzz smoke over the two untrusted-input decoders: the benchmark
-# trace parser and the JSON fault-plan decoder. Same as the CI fuzz job.
+# Short fuzz smoke over the three untrusted-input decoders: the whole-file
+# benchmark trace parser, the streaming trace Scanner (held to the parser's
+# verdicts and jobs) and the JSON fault-plan decoder. Same as the CI fuzz job.
 FUZZTIME ?= 20s
 fuzz:
-	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzParseJobs -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/fault -run '^$$' -fuzz FuzzDecodePlan -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzParseJobs$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzScannerMatchesParseJobs$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/fault -run '^$$' -fuzz '^FuzzDecodePlan$$' -fuzztime $(FUZZTIME)
 
 # Nightly-scale scenario matrix (docs/MATRIX.md): all five schedulers across
 # fabric sizes, delta regimes and workload shapes, five replications per

@@ -80,8 +80,10 @@ type Live struct {
 	Bytes float64
 	// Keys holds the Coflow's flows in (Src, Dst) order, fixed at admission;
 	// Rem is a dense slice aligned with it, and Index finds a flow's
-	// position. Stranding splices the flow out of both, so a later debit for
-	// one of its circuits finds no entry to touch.
+	// position. Every planned reservation carries its flow's position
+	// (Engine.flowAt). Stranding splices the flow out of both and marks its
+	// circuits' positions −1, so a later debit for one of them finds no entry
+	// to touch.
 	Keys []fabric.FlowKey
 	// Rem is the unserved whole-byte demand per flow, including demand
 	// in-flight circuits will deliver. Debited by exactly what circuits carry
@@ -118,8 +120,9 @@ type Live struct {
 	// hold. lockedEnd is their latest End (math.MinInt64 if none).
 	excl      []int64
 	lockedEnd int64
-	// cacheAt is the index of the Coflow's plan-cache entry, valid while
-	// Engine.cache[cacheAt] carries its id.
+	// cacheAt is the index of the Coflow's plan-cache entry, set when the
+	// pass that built the cache appended it, and valid while
+	// Engine.cache[cacheAt] names this Live.
 	cacheAt int
 }
 
@@ -142,8 +145,13 @@ type Engine struct {
 	now    int64
 	live   map[int]*Live
 	// plan holds all reservations not yet fully credited: circuits in flight
-	// plus the planned future.
-	plan []core.Reservation
+	// plus the planned future. flowAt is aligned with it: the position of each
+	// reservation's flow in its Coflow's Keys, found once when the
+	// reservation is placed (or restored) and carried through replays and
+	// locks, so crediting and replanning index Rem without a search; −1 once
+	// the flow is stranded.
+	plan   []core.Reservation
+	flowAt []int32
 	// faults is the fault view; nil on a fault-free fabric, keeping every
 	// fault branch behind one nil check.
 	faults *Faults
@@ -208,7 +216,8 @@ func (e *Engine) SortedIDs() []int {
 }
 
 // Restore overwrites the engine with checkpointed state: the clock, the live
-// set, the plan and the pass count. The plan cache starts empty, which reuse
+// set, the plan and the pass count. Each planned reservation's flow position
+// is looked up once, here. The plan cache starts empty, which reuse
 // certification makes invisible in every schedule.
 func (e *Engine) Restore(now int64, live []*Live, plan []core.Reservation, passes uint64) {
 	e.now = now
@@ -219,6 +228,15 @@ func (e *Engine) Restore(now int64, live []*Live, plan []core.Reservation, passe
 		e.mayRetire(lc)
 	}
 	e.plan = append([]core.Reservation(nil), plan...)
+	e.flowAt = make([]int32, len(plan))
+	for i, r := range e.plan {
+		e.flowAt[i] = -1
+		if lc := e.live[r.CoflowID]; lc != nil {
+			if ki, ok := lc.Index(fabric.FlowKey{Src: r.In, Dst: r.Out}); ok {
+				e.flowAt[i] = int32(ki)
+			}
+		}
+	}
 	e.passes = passes
 	e.dropCache()
 }
@@ -226,7 +244,9 @@ func (e *Engine) Restore(now int64, live []*Live, plan []core.Reservation, passe
 // Admit adds c, arriving at tick arrival, to the live set at the engine
 // clock. Each input flow is rounded once to whole bytes. It reports false,
 // leaving the engine untouched, when no flow carries a whole byte: such a
-// Coflow completes at its arrival and the caller records it.
+// Coflow completes at its arrival and the caller records it. The engine keys
+// circuits by Coflow id, so an id must not be re-admitted while circuits of
+// its previous holder are planned.
 func (e *Engine) Admit(c *coflow.Coflow, arrival int64, priority int) bool {
 	// The flows with whole-byte demand in (Src, Dst) order; a repeated pair's
 	// bytes are summed.
@@ -452,11 +472,11 @@ func (e *Engine) credit(from, to int64) {
 		if d <= 0 {
 			continue
 		}
-		key := fabric.FlowKey{Src: r.In, Dst: r.Out}
-		ki, ok := lc.Index(key)
-		if !ok || lc.Rem[ki] == 0 {
+		ki := e.flowAt[idx]
+		if ki < 0 || lc.Rem[ki] == 0 {
 			continue
 		}
+		key := fabric.FlowKey{Src: r.In, Dst: r.Out}
 		rem := lc.Rem[ki]
 		lc.keyOK = false
 		if o != nil {

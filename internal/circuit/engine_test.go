@@ -394,6 +394,27 @@ func runPlanCacheLockstep(t *testing.T, seed int64) (suffix, contained int64) {
 				t.Fatalf("seed %d: coflow %d planned finish differs from the full rebuild's %d", seed, id, lc.Finish)
 			}
 		}
+		// Every live Coflow's cacheAt names its own entry between passes, and
+		// each entry belongs to exactly one live Coflow. The entry's flows and
+		// reservations name their flows' Keys positions.
+		for i := range inc.cache {
+			ce := &inc.cache[i]
+			lc := ce.lc
+			if inc.Lookup(lc.ID) != lc || lc.cacheAt != i {
+				t.Fatalf("seed %d: cache entry %d belongs to coflow %d, whose cacheAt is %d", seed, i, lc.ID, lc.cacheAt)
+			}
+			if want := keyPositions(lc, ce.flows, nil); !slices.Equal(ce.keys, want) {
+				t.Fatalf("seed %d: coflow %d entry flow positions %v, want %v", seed, lc.ID, ce.keys, want)
+			}
+			for j, r := range ce.res {
+				if lc.Keys[ce.flowAt[j]] != (fabric.FlowKey{Src: r.In, Dst: r.Out}) {
+					t.Fatalf("seed %d: coflow %d entry reservation %d on %d→%d names flow %v", seed, lc.ID, j, r.In, r.Out, lc.Keys[ce.flowAt[j]])
+				}
+			}
+		}
+		if len(inc.cache) != inc.Len() {
+			t.Fatalf("seed %d: %d cache entries for %d live coflows", seed, len(inc.cache), inc.Len())
+		}
 		var found int64
 		for i := range inc.cache {
 			ce := &inc.cache[i]
@@ -477,7 +498,7 @@ func contextUnchanged(e *Engine, ce *planCacheEntry) bool {
 		}
 	}
 	for _, it := range e.scratch.ranked {
-		if it.lc.ID == ce.id {
+		if it.lc == ce.lc {
 			break
 		}
 		for _, r := range e.plan {
@@ -486,7 +507,7 @@ func contextUnchanged(e *Engine, ce *planCacheEntry) bool {
 			}
 		}
 	}
-	start := max(e.now, e.live[ce.id].Arrival)
+	start := max(e.now, ce.lc.Arrival)
 	ins, outs := flowPorts(ce.flows, nil, nil)
 	visible := slices.DeleteFunc(slices.Clone(ce.ctx), func(sp core.PortSpan) bool { return sp.End <= start })
 	return slices.Equal(prt.SpansOn(start, ce.horizon, ins, outs, nil), visible)
@@ -568,7 +589,7 @@ func cloneLive(lc *Live) *Live {
 // refClone returns a detached copy of the engine's crediting state — clock,
 // live set and plan — with no observer or sink, crediting against faults.
 func refClone(e *Engine, faults *Faults) *Engine {
-	ref := &Engine{cfg: e.cfg, now: e.now, live: map[int]*Live{}, plan: slices.Clone(e.plan), faults: faults}
+	ref := &Engine{cfg: e.cfg, now: e.now, live: map[int]*Live{}, plan: slices.Clone(e.plan), flowAt: slices.Clone(e.flowAt), faults: faults}
 	ref.cfg.Obs, ref.cfg.Prof, ref.cfg.Sink = nil, nil, nil
 	for id, lc := range e.live {
 		ref.live[id] = cloneLive(lc)
@@ -683,11 +704,7 @@ func TestEngineContinuationIsByteExact(t *testing.T) {
 
 	skipped, continued := o.IntraSkipped.Load(), o.IntraContinued.Load()
 	// A replay keeps the entry's flows buffer; a recomputation replaces it.
-	// (Live.cacheAt is only refreshed at the start of the next pass.)
-	buffer := func(id int) *coflow.Flow {
-		i := slices.IndexFunc(e.cache, func(ce planCacheEntry) bool { return ce.id == id })
-		return &e.cache[i].flows[:1][0]
-	}
+	buffer := func(id int) *coflow.Flow { return &e.cache[e.Lookup(id).cacheAt].flows[:1][0] }
 	buffers := map[int]*coflow.Flow{}
 	for _, id := range []int{1, 2, 3} {
 		buffers[id] = buffer(id)
@@ -720,5 +737,121 @@ func TestEngineContinuationIsByteExact(t *testing.T) {
 	}
 	if n := o.IntraContinued.Load() - continued; n != 2 {
 		t.Fatalf("%d continued hits, want 2 (coflows 1 and 2)", n)
+	}
+}
+
+// TestEngineStrandRebasesFlowPositions: stranding splices a flow out of Keys
+// while circuits of the same Coflow are in flight, and the plan's flow
+// positions must follow. Coflow 1's flow 0→1 holds a circuit shortened at
+// 41 ms by the higher-priority Coflow 2; its flow 2→3 holds one to 241 ms.
+// At 10 ms a permanent failure of port 1 from 100 ms is declared: the pass
+// stalls on 0→1's remainder and strands it, so the flow at position 1 moves
+// to 0 while both circuits still deliver. The stranded flow's circuit must
+// debit nothing, and 2→3's must debit 2→3 and finish it at its end.
+func TestEngineStrandRebasesFlowPositions(t *testing.T) {
+	o := obs.New()
+	sink := &testSink{t: t}
+	e := New(Config{Ports: 4, LinkBps: 1e9, Delta: ns(0.001), Policy: core.FIFO{}, Obs: o, Sink: sink}, 0)
+	admit := func(id, prio int, flows ...coflow.Flow) {
+		t.Helper()
+		if !e.Admit(coflow.New(id, 0, flows), 0, prio) {
+			t.Fatalf("coflow %d refused", id)
+		}
+	}
+	admit(3, 2, coflow.Flow{Src: 3, Dst: 2, Bytes: 5e6})
+	admit(2, 1, coflow.Flow{Src: 3, Dst: 1, Bytes: 5e6})
+	admit(1, 0, coflow.Flow{Src: 0, Dst: 1, Bytes: 20e6}, coflow.Flow{Src: 2, Dst: 3, Bytes: 30e6})
+	if err := e.Replan(); err != nil {
+		t.Fatal(err)
+	}
+	var long core.Reservation
+	for _, r := range e.Plan() {
+		if r.CoflowID == 1 && r.In == 0 && r.Start == 0 && r.End != ns(0.041) {
+			t.Fatalf("coflow 1's first 0→1 circuit %+v is not shortened at 41 ms", r)
+		}
+		if r.CoflowID == 1 && r.In == 2 {
+			long = r
+		}
+	}
+	e.Step(ns(0.010))
+	f := NewFaults(4)
+	f.Add(Outage{Port: 1, Start: ns(0.1), End: core.Forever})
+	e.SetFaults(f)
+	if err := e.Replan(); err != nil {
+		t.Fatal(err)
+	}
+	lc := e.Lookup(1)
+	if lc == nil || !lc.Stranded || !slices.Equal(lc.Keys, []fabric.FlowKey{{Src: 2, Dst: 3}}) {
+		t.Fatalf("coflow 1 after the stall: %+v, want flow 0→1 stranded and 2→3 kept", lc)
+	}
+	for n := 0; e.Len() > 0; n++ {
+		te := e.NextEvent()
+		if te == core.Forever || n > 100 {
+			t.Fatalf("%d coflows never finish", e.Len())
+		}
+		e.Step(te)
+		if err := e.Replan(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := lc.FlowFinish[fabric.FlowKey{Src: 2, Dst: 3}]; got != long.End {
+		t.Fatalf("flow 2→3 finished at %d, want its circuit's end %d", got, long.End)
+	}
+	if delivered := int64(o.BytesDelivered.Load()); delivered+sink.stranded != 60e6 {
+		t.Fatalf("delivered %d + stranded %d bytes, admitted 60e6", delivered, sink.stranded)
+	}
+}
+
+// TestEngineReadmittedIDMissesOldEntry: a Coflow removed and re-admitted
+// under the same id before the next pass finds its predecessor's cache entry
+// at its cacheAt, with the same input and context. The entry's flow positions
+// index the predecessor's Keys, which still held a drained flow, so the new
+// Coflow must not replay it: the lookup matches the Live, not the id. A
+// full-rebuild engine takes the same steps, and the plans must agree to the
+// end.
+func TestEngineReadmittedIDMissesOldEntry(t *testing.T) {
+	cfg := Config{Ports: 4, LinkBps: 1e9, Delta: ns(0.001), Policy: core.FIFO{}}
+	ic, fc := cfg, cfg
+	ic.Sink, fc.Sink = &testSink{t: t}, &testSink{t: t}
+	inc, full := New(ic, 0), New(fc, 0)
+	inc.incremental, full.incremental = true, false
+	both := func(f func(e *Engine)) {
+		t.Helper()
+		for _, e := range []*Engine{inc, full} {
+			f(e)
+			if err := e.Replan(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !slices.Equal(inc.Plan(), full.Plan()) {
+			t.Fatalf("t=%d: plans differ\nincremental: %+v\nfull:        %+v", inc.Now(), inc.Plan(), full.Plan())
+		}
+	}
+	admit := func(e *Engine, id, prio int, flows ...coflow.Flow) {
+		if !e.Admit(coflow.New(id, core.Seconds(e.Now()), flows), e.Now(), prio) {
+			t.Fatalf("coflow %d refused", id)
+		}
+	}
+	// Coflow 9's circuit holds output 3 until 401 ms, so coflow 5's flow 2→3
+	// waits for it while 0→1 drains by 10 ms.
+	both(func(e *Engine) { admit(e, 9, 0, coflow.Flow{Src: 1, Dst: 3, Bytes: 50e6}) })
+	both(func(e *Engine) {
+		e.Step(ns(0.001))
+		admit(e, 5, 1, coflow.Flow{Src: 0, Dst: 1, Bytes: 1e6}, coflow.Flow{Src: 2, Dst: 3, Bytes: 10e6})
+	})
+	both(func(e *Engine) { e.Step(ns(0.010)) })
+	if lc := inc.Lookup(5); lc.cacheAt != 0 || len(lc.Keys) != 2 || lc.Rem[0] != 0 {
+		t.Fatalf("coflow 5 at 10 ms: cacheAt %d, Keys %v, Rem %v; want entry 0 and 0→1 drained", lc.cacheAt, lc.Keys, lc.Rem)
+	}
+	both(func(e *Engine) {
+		e.Remove(5)
+		admit(e, 5, 1, coflow.Flow{Src: 2, Dst: 3, Bytes: 10e6})
+	})
+	for n := 0; inc.Len() > 0; n++ {
+		te := inc.NextEvent()
+		if te == core.Forever || n > 100 {
+			t.Fatalf("%d coflows never finish", inc.Len())
+		}
+		both(func(e *Engine) { e.Step(te) })
 	}
 }

@@ -273,14 +273,16 @@ func (e *Engine) truncatePort(port int, bt int64) {
 // repairTable seeds the freshly reset table with the locked circuits
 // defensively — a circuit that no longer fits is invalidated rather than
 // crashing the run, its undelivered bytes still in Rem — then blocks every
-// port interval a fault keeps down. It returns the circuits kept.
-func (e *Engine) repairTable(locked []core.Reservation, now int64) []core.Reservation {
+// port interval a fault keeps down. It returns the circuits kept and their
+// flow positions (lockedAt is aligned with locked).
+func (e *Engine) repairTable(locked []core.Reservation, lockedAt []int32, now int64) ([]core.Reservation, []int32) {
 	fsp := e.cfg.Prof.Start("fault.repair")
 	defer fsp.Finish()
-	kept := locked[:0]
-	for _, r := range locked {
+	kept, keptAt := locked[:0], lockedAt[:0]
+	for i, r := range locked {
 		if e.prt.TryReserve(r) == nil {
 			kept = append(kept, r)
+			keptAt = append(keptAt, lockedAt[i])
 		}
 	}
 	for port := 0; port < e.cfg.Ports; port++ {
@@ -290,7 +292,23 @@ func (e *Engine) repairTable(locked []core.Reservation, now int64) []core.Reserv
 			}
 		}
 	}
-	return kept
+	return kept, keptAt
+}
+
+// spliceFlow re-bases the plan's flow positions after flow ki of Coflow id
+// left its Keys: the flow's own circuits get −1, later flows move down one.
+func (e *Engine) spliceFlow(id int, ki int32) {
+	for i := range e.plan {
+		if e.plan[i].CoflowID != id {
+			continue
+		}
+		switch at := e.flowAt[i]; {
+		case at == ki:
+			e.flowAt[i] = -1
+		case at > ki:
+			e.flowAt[i] = at - 1
+		}
+	}
 }
 
 // quarantine strands every live flow whose source or destination port is
@@ -306,8 +324,9 @@ func (e *Engine) quarantine(now int64) {
 
 // strandFlows removes from the live Coflow, in (Src, Dst) order, every
 // unfinished flow touching a port that fails permanently by dead, reporting
-// each to the sink. The flow is spliced out of Keys and Rem together, so a
-// later debit of one of its circuits finds no entry to touch.
+// each to the sink. The flow is spliced out of Keys and Rem together and the
+// plan's flow positions are re-based, so a later debit of one of its circuits
+// finds no entry to touch.
 // Quarantine passes dead = now; the repair of last resort when a pass stalls
 // against the degraded table passes core.Forever−1, stranding flows on any
 // port with a permanent failure anywhere on the horizon. It reports whether
@@ -326,6 +345,7 @@ func (e *Engine) strandFlows(lc *Live, now, dead int64) bool {
 		lc.StrandedBytes += b
 		lc.Keys = slices.Delete(lc.Keys, i, i+1)
 		lc.Rem = slices.Delete(lc.Rem, i, i+1)
+		e.spliceFlow(lc.ID, int32(i))
 		e.cfg.Sink.Strand(lc, k, b, now)
 		if o := e.cfg.Obs; o != nil {
 			o.FlowsStranded.Inc()

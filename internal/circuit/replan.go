@@ -17,24 +17,37 @@ import (
 // started yet instead of re-running IntraCoflow, when the certificate in
 // reusable holds (DESIGN.md §7). A replay carries the entry forward: its flows
 // become the pass's input and its reservations the replayed suffix, while the
-// context, horizon and maxEnd stay those of the original search.
+// horizon and maxEnd stay those of the original search, and its context
+// drops the spans that ended by the pass start.
 type planCacheEntry struct {
-	id int
+	// lc is the Coflow the entry belongs to. The entry is looked up through
+	// lc.cacheAt and recognised by this pointer, so a Coflow re-admitted under
+	// a removed one's id never reads the removed one's schedule.
+	lc *Live
 	// flows is the IntraCoflow input the reservations continue, in (Src, Dst)
 	// order: the original input minus the bytes of the reservations that
 	// started before the last replay. Compared exactly — any changed byte
 	// re-runs the scheduler, keeping reuse bit-identical by construction.
 	flows []coflow.Flow
+	// keys is aligned with flows: the position of each flow in lc.Keys.
+	keys []int32
 	// res is the cached IntraCoflow output not yet started at the last
 	// replay, in emission (non-decreasing Start) order; owned by the entry
 	// (the plan holds copies).
 	res []core.Reservation
+	// flowAt is aligned with res: the position of each reservation's flow in
+	// lc.Keys, carried into Engine.flowAt on replay. Keys does not change
+	// while the cache is in use (only a fault strands flows, and a fault view
+	// drops the cache).
+	flowAt []int32
 	// maxEnd is the latest End of the original output (math.MinInt64 when
 	// empty).
 	maxEnd int64
 	// ctx is the port context the schedule was computed against: the busy
 	// intervals visible on the input flows' ports when IntraCoflow ran,
-	// snapshotted just before the run and trimmed to horizon.
+	// snapshotted just before the run and trimmed to horizon. A replay drops
+	// the spans that ended by its pass start: pass starts never decrease, so
+	// no later certificate can see them.
 	ctx []core.PortSpan
 	// horizon bounds the table range the cached search could have consulted:
 	// maxEnd + δ. Every round of the search runs at an instant t < maxEnd,
@@ -53,8 +66,9 @@ type replanScratch struct {
 	ranked []ranked
 	// sched is the remainder-with-exclusions scratch Coflow.
 	sched *coflow.Coflow
-	// started sums, per cached flow, the bytes of the reservations a
-	// continuation skips (see continues).
+	// started sums, per position in the Coflow's Keys, the bytes of the
+	// reservations a continuation skips (see continues). It is all zero
+	// between checks, and at least as long as any Keys checked so far.
 	started []int64
 	// nextCache accumulates this pass's cache entries.
 	nextCache []planCacheEntry
@@ -62,6 +76,9 @@ type replanScratch struct {
 	// the sorted unique ports of the flows being certified or snapshotted.
 	spans     []core.PortSpan
 	ins, outs []int
+	// keyAt holds the positions in the Coflow's Keys of a fresh schedule's
+	// input flows, or of the input a continuation check just matched.
+	keyAt []int32
 }
 
 // replanOnce is one scheduling pass: in-flight reservations are kept
@@ -95,14 +112,15 @@ func (e *Engine) replanOnce(now int64) (id int, err error) {
 		}()
 	}
 	// Keep only circuits already established and still holding their ports.
-	// The filter runs in place: locked is a subsequence of plan and the pass
-	// rebuilds plan from it. A circuit that ended since the last pass has
-	// been debited in full and leaves the plan here; one never established
-	// has its demand replanned.
-	locked := e.plan[:0]
-	for _, r := range e.plan {
+	// The filter runs in place, on the plan and its flow positions together:
+	// locked is a subsequence of plan and the pass rebuilds plan from it. A
+	// circuit that ended since the last pass has been debited in full and
+	// leaves the plan here; one never established has its demand replanned.
+	locked, lockedAt := e.plan[:0], e.flowAt[:0]
+	for i, r := range e.plan {
 		if r.Start < now && r.End > now {
 			locked = append(locked, r)
+			lockedAt = append(lockedAt, e.flowAt[i])
 		}
 	}
 
@@ -112,8 +130,9 @@ func (e *Engine) replanOnce(now int64) (id int, err error) {
 		prt.SetBlackout(*e.cfg.Fair)
 	}
 	if e.faults != nil {
-		locked = e.repairTable(locked, now)
+		locked, lockedAt = e.repairTable(locked, lockedAt, now)
 	}
+	e.plan, e.flowAt = locked, lockedAt
 
 	sc := &e.scratch
 	ordered := e.order()
@@ -124,8 +143,8 @@ func (e *Engine) replanOnce(now int64) (id int, err error) {
 			continue
 		}
 		lc.lockedEnd = max(lc.lockedEnd, r.End)
-		ki, ok := lc.Index(fabric.FlowKey{Src: r.In, Dst: r.Out})
-		if !ok {
+		ki := lockedAt[i]
+		if ki < 0 {
 			continue // the flow was stranded; nothing schedules it
 		}
 		if len(lc.excl) == 0 {
@@ -137,13 +156,16 @@ func (e *Engine) replanOnce(now int64) (id int, err error) {
 
 	reuse := e.incremental && e.faults == nil
 	if reuse {
-		e.compactCache()
 		sc.nextCache = sc.nextCache[:0]
 	}
-	id, err = e.schedulePass(now, ordered, locked, reuse)
+	id, err = e.schedulePass(now, ordered, reuse)
 	if err == nil && reuse {
-		// Swap the rebuilt cache in; stale entries are zeroed so the old
-		// backing array does not pin retired schedules for the GC.
+		// Swap the rebuilt cache in: it holds an entry for each live Coflow, at
+		// the Coflow's cacheAt, and none for the Coflows that left the fabric.
+		// (A retired Coflow's still-future occupancy vanishing from the table
+		// is caught by the context containment of any entry placed around
+		// it.) Stale entries are zeroed so the old backing array does not pin
+		// retired schedules for the GC.
 		old := e.cache
 		e.cache = sc.nextCache
 		for i := range old {
@@ -214,48 +236,52 @@ func (e *Engine) order() []ranked {
 // (reuse mode, when reusable certifies it bit-identical to what IntraCoflow
 // would produce — DESIGN.md §7) or runs IntraCoflow against the table built
 // so far. The caller has Reset the table (with blackout and fault blocks
-// applied); locked circuits are seeded here — bulk-loaded in reuse mode,
-// Preloaded otherwise (the fault repair seeded them already).
-func (e *Engine) schedulePass(now int64, ordered []ranked, locked []core.Reservation, reuse bool) (int, error) {
+// applied) and cut the plan down to the locked circuits, which are seeded
+// here — bulk-loaded in reuse mode, Preloaded otherwise (the fault repair
+// seeded them already).
+func (e *Engine) schedulePass(now int64, ordered []ranked, reuse bool) (int, error) {
 	prt := e.prt
 	sc := &e.scratch
 	skips, continued := int64(0), int64(0)
 	if reuse {
 		// Locked circuits held their ports in the last plan, so they cannot
 		// conflict: a failure here is a bug, as a panicking Preload is.
-		prt.BulkAdd(locked)
+		prt.BulkAdd(e.plan)
 		if err := prt.FinishBulk(); err != nil {
 			panic(err)
 		}
 	} else if e.faults == nil {
-		prt.Preload(locked)
+		prt.Preload(e.plan)
 	}
-	e.plan = locked
 	for _, it := range ordered {
 		tmp, lc := it.tmp, it.lc
 		toSchedule := e.schedInput(tmp, lc)
 		start := max(now, lc.Arrival)
 		var ce *planCacheEntry
-		if k := lc.cacheAt; reuse && k < len(e.cache) && e.cache[k].id == tmp.ID {
+		if k := lc.cacheAt; reuse && k < len(e.cache) && e.cache[k].lc == lc {
 			ce = &e.cache[k]
 		}
-		var res []core.Reservation
 		var finish int64
 		if k, ok := e.reusable(ce, toSchedule.Flows, start); ok {
 			if k > 0 {
 				// Carry the entry forward in place: the input it now
 				// continues, and the reservations not yet started.
 				ce.flows = append(ce.flows[:0], toSchedule.Flows...)
-				ce.res = ce.res[k:]
+				ce.keys = append(ce.keys[:0], sc.keyAt...) // left by continues
+				ce.res, ce.flowAt = ce.res[k:], ce.flowAt[k:]
 				continued++
 			}
+			ce.ctx = slices.DeleteFunc(ce.ctx, func(sp core.PortSpan) bool { return sp.End <= start })
 			for i := range ce.res {
 				prt.Reserve(ce.res[i]) // reusable checked that each fits
 			}
 			// Only the planned finish needs refreshing — its base is the pass
 			// start, which moved since the cached pass. A started reservation
 			// ending after the pass start is locked, so lockedEnd covers it.
-			res, finish = ce.res, max(start, ce.maxEnd)
+			finish = max(start, ce.maxEnd)
+			e.plan = append(e.plan, ce.res...)
+			e.flowAt = append(e.flowAt, ce.flowAt...)
+			lc.cacheAt = len(sc.nextCache)
 			sc.nextCache = append(sc.nextCache, *ce)
 			skips++
 		} else {
@@ -279,43 +305,37 @@ func (e *Engine) schedulePass(now int64, ordered []ranked, locked []core.Reserva
 			if err != nil {
 				return tmp.ID, err
 			}
-			res, finish = sched.Reservations, sched.Finish
+			res, at := sched.Reservations, sched.FlowAt
+			finish = sched.Finish
+			// The schedule names each reservation's input flow; the input is
+			// Keys in order less the flows with nothing left to plan, so one
+			// walk turns those into Keys positions, which replays and locks
+			// carry from here on.
+			sc.keyAt = keyPositions(lc, toSchedule.Flows, sc.keyAt[:0])
+			for i, k := range at {
+				at[i] = sc.keyAt[k]
+			}
+			e.plan = append(e.plan, res...)
+			e.flowAt = append(e.flowAt, at...)
 			if reuse {
-				ne := newCacheEntry(tmp.ID, toSchedule.Flows, res)
+				ne := newCacheEntry(lc, toSchedule.Flows, res)
+				ne.keys, ne.flowAt = slices.Clone(sc.keyAt), at
 				ne.horizon = ne.maxEnd + e.cfg.Delta
 				// The snapshot below the horizon, in a slice of its own size: the
 				// entry keeps it for the Coflow's lifetime.
 				visible := slices.DeleteFunc(sc.spans, func(sp core.PortSpan) bool { return sp.Start >= ne.horizon })
 				ne.ctx = slices.Clone(visible)
+				lc.cacheAt = len(sc.nextCache)
 				sc.nextCache = append(sc.nextCache, ne)
 			}
 		}
 		lc.Finish = max(finish, lc.lockedEnd)
-		e.plan = append(e.plan, res...)
 	}
 	if o := e.cfg.Obs; o != nil {
 		o.IntraSkipped.Add(skips)
 		o.IntraContinued.Add(continued)
 	}
 	return 0, nil
-}
-
-// compactCache drops cache entries for Coflows that have left the fabric and
-// points each live Coflow with an entry at it.
-// A retired Coflow's still-future occupancy vanishing from the table is
-// caught by the context containment check of any entry placed around it.
-func (e *Engine) compactCache() {
-	out := e.cache[:0]
-	for i := range e.cache {
-		if lc := e.live[e.cache[i].id]; lc != nil {
-			lc.cacheAt = len(out)
-			out = append(out, e.cache[i])
-		}
-	}
-	for i := len(out); i < len(e.cache); i++ {
-		e.cache[i] = planCacheEntry{}
-	}
-	e.cache = out
 }
 
 // dropCache empties the plan cache, zeroing the entries so the backing array
@@ -353,7 +373,7 @@ func (e *Engine) reusable(ce *planCacheEntry, input []coflow.Flow, start int64) 
 	if k > 0 && e.cfg.Order != core.OrderedPort {
 		return 0, false
 	}
-	if !e.continues(ce.flows, ce.res[:k], input) || !e.prt.ContainsSpans(ce.ctx, start) {
+	if !e.continues(ce, k, input) || !e.prt.ContainsSpans(ce.ctx, start) {
 		return 0, false
 	}
 	for i := k; i < len(ce.res); i++ {
@@ -364,38 +384,45 @@ func (e *Engine) reusable(ce *planCacheEntry, input []coflow.Flow, start int64) 
 	return k, true
 }
 
-// continues reports whether input is exactly flows minus the bytes the
-// started reservations carry, flow by flow, with drained flows dropped. Both
-// flow lists are in (Src, Dst) order and hold whole bytes.
-func (e *Engine) continues(flows []coflow.Flow, started []core.Reservation, input []coflow.Flow) bool {
-	if len(started) == 0 {
-		return slices.Equal(flows, input) // Flow is comparable: bit-exact
+// continues reports whether input is exactly the entry's flows minus the
+// bytes its first k reservations (the started ones) carry, flow by flow, with
+// drained flows dropped. Both flow lists are in (Src, Dst) order and hold
+// whole bytes. The started bytes are summed by Keys position, which the
+// reservations and the entry's flows both carry, so a check costs the
+// entry's flows plus k, whatever the length of Keys. When k > 0 it leaves
+// the Keys positions of the input's flows in e.scratch.keyAt, for the carry.
+func (e *Engine) continues(ce *planCacheEntry, k int, input []coflow.Flow) bool {
+	if k == 0 {
+		return slices.Equal(ce.flows, input) // Flow is comparable: bit-exact
 	}
-	sum := slices.Grow(e.scratch.started[:0], len(flows))[:len(flows)]
-	clear(sum)
-	e.scratch.started = sum
-	for i := range started {
-		r := &started[i]
-		fi, ok := slices.BinarySearchFunc(flows, fabric.FlowKey{Src: r.In, Dst: r.Out}, func(f coflow.Flow, k fabric.FlowKey) int {
-			return compareKeys(fabric.FlowKey{Src: f.Src, Dst: f.Dst}, k)
-		})
-		if !ok {
-			return false
-		}
-		sum[fi] += r.Bytes
+	sum := e.scratch.started
+	if n := len(ce.lc.Keys); len(sum) < n {
+		sum = make([]int64, n)
+		e.scratch.started = sum
 	}
-	j := 0
-	for i, f := range flows {
-		b := int64(f.Bytes) - sum[i]
+	started := ce.flowAt[:k]
+	for i, ki := range started {
+		sum[ki] += ce.res[i].Bytes
+	}
+	keys := e.scratch.keyAt[:0]
+	ok := true
+	for fi, f := range ce.flows {
+		b := int64(f.Bytes) - sum[ce.keys[fi]]
 		if b == 0 {
 			continue
 		}
+		j := len(keys)
 		if b < 0 || j == len(input) || input[j] != (coflow.Flow{Src: f.Src, Dst: f.Dst, Bytes: float64(b)}) {
-			return false
+			ok = false
+			break
 		}
-		j++
+		keys = append(keys, ce.keys[fi])
 	}
-	return j == len(input)
+	for _, ki := range started {
+		sum[ki] = 0
+	}
+	e.scratch.keyAt = keys
+	return ok && len(keys) == len(input)
 }
 
 // flowPorts fills ins and outs with the sorted unique source and destination
@@ -423,9 +450,9 @@ func flowPorts(flows []coflow.Flow, ins, outs []int) ([]int, []int) {
 // newCacheEntry snapshots one freshly computed schedule. The input flows are
 // copied because the pooled remainder buffer they sit in recycles next pass;
 // the reservations slice is owned by the schedule just computed.
-func newCacheEntry(id int, flows []coflow.Flow, res []core.Reservation) planCacheEntry {
+func newCacheEntry(lc *Live, flows []coflow.Flow, res []core.Reservation) planCacheEntry {
 	ce := planCacheEntry{
-		id:     id,
+		lc:     lc,
 		flows:  append([]coflow.Flow(nil), flows...),
 		res:    res,
 		maxEnd: math.MinInt64,
@@ -434,6 +461,19 @@ func newCacheEntry(id int, flows []coflow.Flow, res []core.Reservation) planCach
 		ce.maxEnd = max(ce.maxEnd, res[i].End)
 	}
 	return ce
+}
+
+// keyPositions appends to dst the position in lc.Keys of each of the flows,
+// which are a subsequence of Keys in its (Src, Dst) order.
+func keyPositions(lc *Live, flows []coflow.Flow, dst []int32) []int32 {
+	ki := 0
+	for _, f := range flows {
+		for lc.Keys[ki] != (fabric.FlowKey{Src: f.Src, Dst: f.Dst}) {
+			ki++
+		}
+		dst = append(dst, int32(ki))
+	}
+	return dst
 }
 
 // remainderFrom rebuilds tmp as the Coflow's remaining demand, optionally

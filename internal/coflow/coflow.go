@@ -12,10 +12,13 @@
 package coflow
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 )
 
 // Flow is a single point-to-point transfer inside a Coflow: Bytes bytes from
@@ -135,25 +138,28 @@ func pairLess(a, b Flow) bool {
 
 // Normalize returns a copy of the Coflow with zero-byte flows dropped and
 // flows on the same (Src, Dst) pair merged by summing their sizes. Flows are
-// sorted by (Src, Dst) so the result is canonical.
+// sorted by (Src, Dst) so the result is canonical. The sort is stable, so a
+// repeated pair's sizes are summed in input order.
 func (c *Coflow) Normalize() *Coflow {
-	merged := make(map[[2]int]float64)
+	flows := make([]Flow, 0, len(c.Flows))
 	for _, f := range c.Flows {
 		if f.Bytes > 0 {
-			merged[[2]int{f.Src, f.Dst}] += f.Bytes
+			flows = append(flows, f)
 		}
 	}
-	flows := make([]Flow, 0, len(merged))
-	for k, b := range merged {
-		flows = append(flows, Flow{Src: k[0], Dst: k[1], Bytes: b})
-	}
-	sort.Slice(flows, func(i, j int) bool {
-		if flows[i].Src != flows[j].Src {
-			return flows[i].Src < flows[j].Src
-		}
-		return flows[i].Dst < flows[j].Dst
+	slices.SortStableFunc(flows, func(a, b Flow) int {
+		return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
 	})
-	return &Coflow{ID: c.ID, Arrival: c.Arrival, Flows: flows}
+	w := 0
+	for _, f := range flows {
+		if w > 0 && flows[w-1].Src == f.Src && flows[w-1].Dst == f.Dst {
+			flows[w-1].Bytes += f.Bytes
+			continue
+		}
+		flows[w] = f
+		w++
+	}
+	return &Coflow{ID: c.ID, Arrival: c.Arrival, Flows: flows[:w]}
 }
 
 // Clone returns a deep copy of the Coflow.
@@ -295,37 +301,49 @@ func (c *Coflow) PortSums() (in, out map[int]float64) {
 	return in, out
 }
 
+// portSums pools PacketLowerBound's per-port byte sums. A pooled buffer is
+// all zero between uses: each call clears exactly the entries it added to.
+var portSums = sync.Pool{New: func() any { return new([]float64) }}
+
 // PacketLowerBound returns TpL, the CCT lower bound in a packet-switched
 // network (Equation 2): the maximum over all ports of the total processing
-// time the port must serve. Each port's total is summed in flow order, as
-// PortSums does, over a dense per-port buffer instead of maps: it is the
-// shortest-first policy key, recomputed whenever a live Coflow's remaining
-// demand changes.
+// time the port must serve. It is the shortest-first policy key, recomputed
+// whenever a live Coflow's remaining demand changes, so it avoids maps and
+// costs time linear in the number of flows: each port's total is summed in
+// flow order, as PortSums does, into a pooled buffer over the Coflow's port
+// range, then read and cleared through the flows again. The first read of a
+// port sees its whole total and later ones see zero, which cannot raise the
+// maximum; every sum is positive or zero, never NaN or −0, so the maximum is
+// bit-identical to the map version's.
 func (c *Coflow) PacketLowerBound(linkBps float64) float64 {
-	lo, hi := 0, -1 // the port range; empty for a Coflow without flows
-	if len(c.Flows) > 0 {
-		lo, hi = c.Flows[0].Src, c.Flows[0].Src
-	}
-	for _, f := range c.Flows {
-		lo, hi = min(lo, f.Src, f.Dst), max(hi, f.Src, f.Dst)
-	}
-	n := hi - lo + 1
-	var buf [512]float64
-	sums := buf[:]
-	if 2*n > len(buf) {
-		sums = make([]float64, 2*n)
-	}
-	sums = sums[:2*n]
-	in, out := sums[:n], sums[n:]
-	for _, f := range c.Flows {
-		if f.Bytes > 0 {
-			in[f.Src-lo] += f.Bytes
-			out[f.Dst-lo] += f.Bytes
-		}
-	}
 	var maxBytes float64
-	for _, b := range sums {
-		maxBytes = math.Max(maxBytes, b)
+	if fs := c.Flows; len(fs) > 0 {
+		lo, hi := fs[0].Src, fs[0].Src
+		for _, f := range fs {
+			lo, hi = min(lo, f.Src, f.Dst), max(hi, f.Src, f.Dst)
+		}
+		n := hi - lo + 1
+		buf := portSums.Get().(*[]float64)
+		if len(*buf) < 2*n {
+			*buf = make([]float64, 2*n)
+		}
+		in, out := (*buf)[:n], (*buf)[n:2*n]
+		for _, f := range fs {
+			if f.Bytes > 0 {
+				in[f.Src-lo] += f.Bytes
+				out[f.Dst-lo] += f.Bytes
+			}
+		}
+		for _, f := range fs {
+			if b := in[f.Src-lo]; b > maxBytes {
+				maxBytes = b
+			}
+			if b := out[f.Dst-lo]; b > maxBytes {
+				maxBytes = b
+			}
+			in[f.Src-lo], out[f.Dst-lo] = 0, 0
+		}
+		portSums.Put(buf)
 	}
 	return maxBytes * 8 / linkBps
 }

@@ -394,3 +394,75 @@ func TestQuickBoundsScaleWithBandwidth(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// normalizeMap is Normalize as a map of per-pair sums followed by a sort, the
+// reference the sort-and-merge Normalize must match bit for bit.
+func normalizeMap(c *Coflow) *Coflow {
+	merged := make(map[[2]int]float64)
+	for _, f := range c.Flows {
+		if f.Bytes > 0 {
+			merged[[2]int{f.Src, f.Dst}] += f.Bytes
+		}
+	}
+	flows := make([]Flow, 0, len(merged))
+	for k, b := range merged {
+		flows = append(flows, Flow{Src: k[0], Dst: k[1], Bytes: b})
+	}
+	sort.Slice(flows, func(i, j int) bool {
+		if flows[i].Src != flows[j].Src {
+			return flows[i].Src < flows[j].Src
+		}
+		return flows[i].Dst < flows[j].Dst
+	})
+	return &Coflow{ID: c.ID, Arrival: c.Arrival, Flows: flows}
+}
+
+// TestQuickNormalizeMatchesMap: over Coflows with repeated port pairs (many
+// of them, on few ports), zero, negative and fractional bytes, Normalize
+// equals the map reference exactly, compared with math.Float64bits — a
+// repeated pair's sizes are summed in input order either way.
+func TestQuickNormalizeMatchesMap(t *testing.T) {
+	repeats := 0
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		ports := 1 + rng.Intn(6)
+		flows := make([]Flow, rng.Intn(60))
+		for i := range flows {
+			b := rng.Float64() * 1e8
+			switch rng.Intn(6) {
+			case 0:
+				b = 0
+			case 1:
+				b = -b
+			case 2:
+				b = math.Round(b)
+			case 3:
+				b = rng.Float64() * 1e-3
+			}
+			flows[i] = Flow{Src: rng.Intn(ports), Dst: rng.Intn(ports), Bytes: b}
+		}
+		c := &Coflow{ID: int(seed), Arrival: rng.Float64(), Flows: flows}
+		got, want := c.Normalize(), normalizeMap(c)
+		if got.ID != want.ID || got.Arrival != want.Arrival || len(got.Flows) != len(want.Flows) {
+			t.Logf("seed %d: %+v, map reference %+v", seed, got, want)
+			return false
+		}
+		for i, g := range got.Flows {
+			w := want.Flows[i]
+			if g.Src != w.Src || g.Dst != w.Dst || math.Float64bits(g.Bytes) != math.Float64bits(w.Bytes) {
+				t.Logf("seed %d: flow %d is %+v, map reference %+v", seed, i, g, w)
+				return false
+			}
+		}
+		if len(got.Flows) < c.NumFlows() {
+			repeats++
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+	if repeats == 0 {
+		t.Fatal("no draw repeated a port pair")
+	}
+}

@@ -193,6 +193,12 @@ func TestQuickFastMatchesReferenceIntra(t *testing.T) {
 			t.Logf("seed %d: PRTs diverge", seed)
 			return false
 		}
+		for i, r := range fast.Reservations {
+			if f := c.Flows[fast.FlowAt[i]]; f.Src != r.In || f.Dst != r.Out {
+				t.Logf("seed %d: reservation %+v names flow %+v", seed, r, f)
+				return false
+			}
+		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: quickCount}); err != nil {

@@ -102,6 +102,10 @@ type Schedule struct {
 	CoflowID int
 	// Reservations lists the circuits reserved, in creation order.
 	Reservations []Reservation
+	// FlowAt is aligned with Reservations: the index in the scheduled
+	// Coflow's Flows of the flow each reservation serves, so a caller that
+	// keeps per-flow state finds it without a search.
+	FlowAt []int32
 	// Start is the tick scheduling began at for this Coflow.
 	Start int64
 	// Finish is the tick the last reservation releases its ports; the CCT
@@ -134,11 +138,13 @@ func (s *Schedule) SwitchingCount() int { return len(s.Reservations) }
 var ErrStalled = errors.New("core: scheduler stalled with unfinished demand")
 
 // demand is one pending flow with its remaining whole bytes b and their
-// processing time p = p(b) in ticks (see procTime).
+// processing time p = p(b) in ticks (see procTime); k is the flow's index in
+// the Coflow's Flows.
 type demand struct {
 	i, j int
 	p    int64
 	b    int64
+	k    int32
 }
 
 // procTime returns p(b) (ProcTicks), rounded up to a multiple of
@@ -253,9 +259,9 @@ func IntraCoflow(prt *PRT, c *coflow.Coflow, opts Options) (*Schedule, error) {
 // scheduler demands, appending to dst, and orders them per opts. A flow
 // under half a byte has nothing to carry; any other has p ≥ 1 tick.
 func buildPending(dst []demand, c *coflow.Coflow, opts Options) []demand {
-	for _, f := range c.Flows {
+	for k, f := range c.Flows {
 		if b := int64(math.Round(f.Bytes)); b > 0 {
-			dst = append(dst, demand{i: f.Src, j: f.Dst, p: procTime(b, &opts), b: b})
+			dst = append(dst, demand{i: f.Src, j: f.Dst, p: procTime(b, &opts), b: b, k: int32(k)})
 		}
 	}
 	orderDemands(dst, opts)
@@ -404,7 +410,6 @@ type intraScratch struct {
 	// words set this round (lo > hi when none is).
 	wake   []uint64
 	lo, hi int
-	ends   []int64
 	// examined counts demand visits this pass (sched.intra_examined).
 	examined int
 }
@@ -532,6 +537,7 @@ func intraFast(prt *PRT, c *coflow.Coflow, opts Options) (*Schedule, int, error)
 		return sched, 0, nil
 	}
 	sched.Reservations = make([]Reservation, 0, len(pending))
+	sched.FlowAt = make([]int32, 0, len(pending))
 
 	// Index live demands by port: count them per port, then carve each
 	// port's list out of one flat buffer, so indexing allocates nothing once
@@ -639,6 +645,12 @@ func intraFast(prt *PRT, c *coflow.Coflow, opts Options) (*Schedule, int, error)
 			if e.out >= 0 && s.out.refresh(int(e.out), t) && !wakeAll {
 				s.wakeFrom(&s.out, &s.in, int(e.out))
 			}
+			// A seeded release names one port: queue that port's next one.
+			if e.out < 0 {
+				s.pushNextEnd(&s.in, int(e.in), t, e)
+			} else if e.in < 0 {
+				s.pushNextEnd(&s.out, int(e.out), t, e)
+			}
 		}
 	}
 	s.events = s.events[:0]
@@ -646,8 +658,18 @@ func intraFast(prt *PRT, c *coflow.Coflow, opts Options) (*Schedule, int, error)
 }
 
 // seedPort prepares touched port p of side ps for a pass starting at start:
-// snapshots its peer mask into all, pushes its commitments' ends as release
-// events shaped like ev, and places its cursor and state at start.
+// snapshots its peer mask into all, places its cursor and state at start, and
+// queues the first end after start of its commitments as a release event
+// shaped like ev.
+//
+// Seeding is lazy: a port has at most one seeded release queued, and popping
+// it queues the next (pushNextEnd). The round instants are those of seeding
+// every end at once. When the seeded end e of [a, e) pops, no reservation of
+// the pass on that port ends after e — the pass placed each at a round
+// before e, and one still held after e would overlap [a, e) — so the port's
+// next interval end after e is the next commitment end, and it is queued
+// before the cursor can pass it. So the heap's minimum, the next round
+// instant, is the same, and a port's ends pop at the same rounds.
 func (s *intraScratch) seedPort(ps *portSide, p int, start int64, ev portEvent) {
 	if len(ps.list[p]) == 0 {
 		return
@@ -655,13 +677,18 @@ func (s *intraScratch) seedPort(ps *portSide, p int, start int64, ev portEvent) 
 	copy(ps.row(p, ps.all), ps.row(p, ps.mask))
 	tl := &ps.tls[p]
 	tl.grow(2*len(ps.list[p]) + 2)
-	s.ends = tl.endsAfter(start, s.ends[:0])
-	for _, e := range s.ends {
-		ev.t = e
-		evPush(&s.events, ev)
-	}
 	ps.cur[p] = tl.searchAfter(start)
 	ps.refresh(p, start)
+	s.pushNextEnd(ps, p, start, ev)
+}
+
+// pushNextEnd queues, as a release event shaped like ev, the first interval
+// end after t on port p of ps, whose cursor a refresh at t has placed.
+func (s *intraScratch) pushNextEnd(ps *portSide, p int, t int64, ev portEvent) {
+	if end, ok := ps.tls[p].nextEndFrom(ps.cur[p], t); ok {
+		ev.t = end
+		evPush(&s.events, ev)
+	}
 }
 
 // examine is one demand visit of the Algorithm 1 loop at round instant t:
@@ -718,6 +745,7 @@ func place(prt *PRT, sched *Schedule, d *demand, t, l int64, opts *Options) int6
 	r := Reservation{CoflowID: sched.CoflowID, In: d.i, Out: d.j, Start: t, End: t + l, Setup: opts.Delta, Bytes: d.serve(l, opts)}
 	prt.Reserve(r)
 	sched.Reservations = append(sched.Reservations, r)
+	sched.FlowAt = append(sched.FlowAt, d.k)
 	sched.Finish = max(sched.Finish, r.End)
 	if o := opts.Obs; o != nil {
 		o.Reservations.Inc()

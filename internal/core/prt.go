@@ -140,6 +140,25 @@ func (tl *timeline) nextStartFrom(i int, t int64) int64 {
 	return tl.iv[i].start
 }
 
+// nextEndFrom returns the earliest end after t of an interval on the
+// timeline, given i, the index of the first live interval with start > t; ok
+// is false when every interval ends by t. The interval before i is the only
+// live one that can hold t; when i is 0, t precedes the live window and the
+// answer may lie in the archive.
+func (tl *timeline) nextEndFrom(i int, t int64) (end int64, ok bool) {
+	if i > 0 {
+		if e := tl.iv[i-1].end; e > t {
+			return e, true
+		}
+	} else if n := len(tl.old); n > 0 && tl.old[n-1].end > t {
+		return tl.old[endsAfter(tl.old, t)].end, true
+	}
+	if i < len(tl.iv) {
+		return tl.iv[i].end, true
+	}
+	return 0, false
+}
+
 // seek advances i, an index into the live window at or before the first
 // interval with start > t, to exactly that interval.
 func (tl *timeline) seek(i int, t int64) int {
@@ -539,32 +558,58 @@ func (tl *timeline) spansOn(t, horizon int64, port int32, out bool, dst []PortSp
 // same Start and End. Intervals the snapshot does not name are ignored, so
 // this is containment, not equality: the plan cache's context certificate
 // (DESIGN.md §7) tolerates occupancy added since the snapshot and catches
-// occupancy that vanished or moved.
+// occupancy that vanished or moved. The snapshot must be in SpansOn's (side,
+// port, start) order: each port's spans are checked in one merge walk.
 func (p *PRT) ContainsSpans(spans []PortSpan, t int64) bool {
-	for _, sp := range spans {
-		if sp.End <= t {
-			continue
+	for len(spans) > 0 {
+		port, out := spans[0].Port, spans[0].Out
+		n := 1
+		for n < len(spans) && spans[n].Port == port && spans[n].Out == out {
+			n++
 		}
-		tl := &p.in[sp.Port]
-		if sp.Out {
-			tl = &p.out[sp.Port]
+		tl := &p.in[port]
+		if out {
+			tl = &p.out[port]
 		}
-		if !tl.has(sp.Start, sp.End) {
+		if !tl.holds(spans[:n], t) {
 			return false
 		}
+		spans = spans[n:]
 	}
 	return true
 }
 
-// has reports whether the timeline holds exactly the interval [start, end).
-// Starts are unique across both halves, so one hit decides.
-func (tl *timeline) has(start, end int64) bool {
+// holds reports whether the timeline holds every span of group, one port's
+// spans in start order, that ends after t. Spans and intervals are sorted by
+// start and so by end: the expired spans are a prefix, and the visible ones
+// are matched in one walk over the merged archive and live window from the
+// first interval at or after the first visible span's start. Starts are
+// unique, so passing a span's start without meeting it means it is missing.
+func (tl *timeline) holds(group []PortSpan, t int64) bool {
+	k := 0
+	for k < len(group) && group[k].End <= t {
+		k++
+	}
+	group = group[k:]
 	for _, ivs := range tl.halves() {
-		if i, ok := slices.BinarySearchFunc(ivs, start, byStart); ok {
-			return ivs[i].end == end
+		if len(group) == 0 {
+			return true
+		}
+		i, _ := slices.BinarySearchFunc(ivs, group[0].Start, byStart)
+		for ; i < len(ivs); i++ {
+			v, sp := ivs[i], group[0]
+			if v.start < sp.Start {
+				continue // occupancy the snapshot lacks
+			}
+			if v.start != sp.Start || v.end != sp.End {
+				return false
+			}
+			if group = group[1:]; len(group) == 0 {
+				return true
+			}
 		}
 	}
-	return false
+	return len(group) == 0
 }
 
 // Fits reports whether TryReserve(r) would succeed, without changing the

@@ -2,8 +2,10 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
+	"testing/quick"
 )
 
 func TestTimelineInsertAndQueries(t *testing.T) {
@@ -342,4 +344,130 @@ func (p *PRT) Compacted() (intervals int, busy int64) {
 		}
 	}
 	return intervals, busy
+}
+
+// containsSpansSearch is ContainsSpans as one binary search per visible
+// span, the oracle the per-port merge walk must agree with.
+func containsSpansSearch(p *PRT, spans []PortSpan, t int64) bool {
+	for _, sp := range spans {
+		if sp.End <= t {
+			continue
+		}
+		tl := &p.in[sp.Port]
+		if sp.Out {
+			tl = &p.out[sp.Port]
+		}
+		if !tl.has(sp.Start, sp.End) {
+			return false
+		}
+	}
+	return true
+}
+
+// has reports whether the timeline holds exactly the interval [start, end).
+// Starts are unique across both halves, so one hit decides.
+func (tl *timeline) has(start, end int64) bool {
+	for _, ivs := range tl.halves() {
+		if i, ok := slices.BinarySearchFunc(ivs, start, byStart); ok {
+			return ivs[i].end == end
+		}
+	}
+	return false
+}
+
+// TestQuickContainsSpansMatchesSearch holds the merge walk to the per-span
+// search on random tables: a snapshot is taken (SpansOn, with a random
+// horizon) from a table that may already be compacted, then the table loses
+// intervals, has others moved by a few ticks, gains extra ones and may be
+// compacted again, at a horizon on either side of the snapshot's spans; the
+// check instant lies at or after the snapshot's, so spans expire, some at
+// exactly the check instant. The test
+// fails unless both verdicts, and the archive on both sides of a check, were
+// drawn.
+func TestQuickContainsSpansMatchesSearch(t *testing.T) {
+	var held, broken, archived int
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		ports := 1 + rng.Intn(4)
+		p := NewPRT(ports)
+		fill := func(n int) {
+			for ; n > 0; n-- {
+				start := int64(rng.Intn(1000))
+				_ = p.TryReserve(Reservation{In: rng.Intn(ports), Out: rng.Intn(ports), Start: start, End: start + 1 + int64(rng.Intn(60))})
+			}
+		}
+		compact := func() {
+			if rng.Intn(2) == 0 {
+				p.CompactBefore(int64(rng.Intn(1100)))
+			}
+		}
+		fill(rng.Intn(50))
+		compact()
+		var ins, outs []int
+		for q := 0; q < ports; q++ {
+			if rng.Intn(3) > 0 {
+				ins = append(ins, q)
+			}
+			if rng.Intn(3) > 0 {
+				outs = append(outs, q)
+			}
+		}
+		t0 := int64(rng.Intn(1100)) - 50
+		horizon := int64(Forever)
+		if rng.Intn(2) == 0 {
+			horizon = t0 + int64(rng.Intn(600))
+		}
+		snap := p.SpansOn(t0, horizon, ins, outs, nil)
+		// Change the table under the snapshot: drop intervals, move others
+		// by a few ticks where that still fits, add extra ones.
+		for q := 0; q < 2*ports; q++ {
+			tl := &p.in[q%ports]
+			if q >= ports {
+				tl = &p.out[q%ports]
+			}
+			var all []interval
+			for _, ivs := range tl.halves() {
+				all = append(all, ivs...)
+			}
+			for _, v := range all {
+				switch rng.Intn(12) {
+				case 0:
+					tl.remove(v.start)
+				case 1:
+					tl.remove(v.start)
+					d := int64(rng.Intn(7) - 3)
+					if !tl.insert(v.start+d, v.end+d, v.peer) {
+						tl.insert(v.start, v.end, v.peer)
+					}
+				}
+			}
+		}
+		fill(rng.Intn(10))
+		compact()
+		at := t0 + int64(rng.Intn(400))
+		if len(snap) > 0 && rng.Intn(4) == 0 {
+			at = max(t0, snap[rng.Intn(len(snap))].End) // a span ends exactly at the check
+		}
+		got, want := p.ContainsSpans(snap, at), containsSpansSearch(p, snap, at)
+		if got != want {
+			t.Logf("seed %d: ContainsSpans(%v, %d) = %v, per-span search %v", seed, snap, at, got, want)
+			return false
+		}
+		if want {
+			held++
+		} else {
+			broken++
+		}
+		if h := p.Horizon(); h > at && slices.ContainsFunc(snap, func(sp PortSpan) bool { return sp.End > at }) {
+			archived++
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d contained, %d broken, %d checked with visible spans below the horizon", held, broken, archived)
+	if held == 0 || broken == 0 || archived == 0 {
+		t.Fatalf("drew %d contained and %d broken snapshots, %d checks straddling the horizon; want all", held, broken, archived)
+	}
 }
