@@ -30,10 +30,16 @@ race:
 # daemon or the simulator's circuit driver.
 EPS_FREE := $$(ls internal/core/*.go internal/circuit/*.go internal/daemon/*.go | grep -v '_test\.go$$') internal/sim/circuit.go
 
+# Test oracles (the scan-based intra planner, the dense Solstice, max-min,
+# BvN and matching kernels) live in _test.go files: no production Go file may
+# declare a *Reference function or a Reference option that selects one.
+ORACLE_RE := func (\([^)]*\) )?[A-Za-z]*Reference\(|Reference +bool
+
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "files need gofmt:" >&2; echo "$$out" >&2; exit 1; fi
 	$(GO) vet ./...
 	@if grep -n -E 'timeEps|TimeEps' $(EPS_FREE); then echo "epsilon time comparisons are not allowed in tick-based code" >&2; exit 1; fi
+	@if grep -rn -E --include='*.go' --exclude='*_test.go' --exclude-dir=perfbench --exclude-dir=.git --exclude-dir=.bench_build '$(ORACLE_RE)' .; then echo "test oracles belong in _test.go files" >&2; exit 1; fi
 
 # Deeper static analysis, same pinned tool versions as the CI static job.
 # Both tools download on first use (go run caches the builds).

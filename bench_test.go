@@ -180,17 +180,6 @@ func BenchmarkSunflowIntra_Shuffle40(b *testing.B) {
 	}
 }
 
-func BenchmarkSunflowIntra_Shuffle40_Reference(b *testing.B) {
-	c := benchShuffle(40, 7)
-	opts := Options{LinkBps: 1e9, Delta: 1e7, Reference: true}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.IntraCoflow(core.NewPRT(80), c, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // benchFacebook150 is the full-scale inter-Coflow pass: the 526-Coflow
 // Facebook-derived trace on a 150-port fabric, priority-ordered shortest
 // first — the workload whose planning cost the indexed PRT and horizon
@@ -203,18 +192,6 @@ func benchFacebook150() []*Coflow {
 func BenchmarkSunflowInter_Facebook150(b *testing.B) {
 	ordered := benchFacebook150()
 	opts := Options{LinkBps: 1e9, Delta: 1e7}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.InterCoflow(core.NewPRT(150), ordered, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSunflowInter_Facebook150_Reference(b *testing.B) {
-	ordered := benchFacebook150()
-	opts := Options{LinkBps: 1e9, Delta: 1e7, Reference: true}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

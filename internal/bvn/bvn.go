@@ -9,19 +9,17 @@
 // threshold-halving variant of the same idea. Both are built from this
 // package plus package matching.
 //
-// The package-level functions in this file are the dense reference kernels:
-// they clone their inputs and sweep full matrices. The schedulers run on
-// Decomposer (decomposer.go), which reuses arena matrices, nonzero index
-// lists and a matching scratch across calls; the differential suite proves
-// the two bit-identical (DESIGN.md §8).
+// The package-level functions in this file are dense helpers that clone
+// their inputs and sweep full matrices. The schedulers run on Decomposer
+// (decomposer.go), which reuses arena matrices, nonzero index lists and a
+// matching scratch across calls; the differential suite proves it
+// bit-identical to the dense Sinkhorn and Decompose kept in the package
+// tests (DESIGN.md §8).
 package bvn
 
 import (
 	"errors"
-	"fmt"
 	"math"
-
-	"sunflow/internal/matching"
 )
 
 // Eps is the absolute tolerance below which matrix entries are treated as
@@ -123,141 +121,12 @@ func Stuff(m [][]float64) ([][]float64, float64) {
 	return s, added
 }
 
-// ErrNoConverge is returned by Sinkhorn when the iteration fails to reach the
-// requested tolerance (for example because the matrix's zero pattern admits
-// no doubly stochastic scaling).
+// ErrNoConverge is returned by Decomposer.Sinkhorn when the iteration fails
+// to reach the requested tolerance (for example because the matrix's zero
+// pattern admits no doubly stochastic scaling).
 var ErrNoConverge = errors.New("bvn: sinkhorn iteration did not converge")
 
-// Sinkhorn scales the non-negative matrix m by alternately normalizing rows
-// and columns until every line sum is within tol of 1, returning the scaled
-// matrix. The zero pattern of m is preserved. It fails with ErrNoConverge
-// after maxIter sweeps. This is the TMS pre-processing step; note that unlike
-// Stuff it multiplies entries, which is why TMS "may heavily modify the
-// original demand matrix" (§3.1.1).
-func Sinkhorn(m [][]float64, tol float64, maxIter int) ([][]float64, error) {
-	n := len(m)
-	s := Clone(m)
-	// Rows or columns with no demand at all can never reach sum 1; give them
-	// a uniform virtual entry so the scaling is defined, mirroring TMS's
-	// handling of empty lines.
-	for i := 0; i < n; i++ {
-		empty := true
-		for j := 0; j < n; j++ {
-			if s[i][j] > 0 {
-				empty = false
-				break
-			}
-		}
-		if empty {
-			for j := 0; j < n; j++ {
-				s[i][j] = 1.0 / float64(n)
-			}
-		}
-	}
-	for j := 0; j < n; j++ {
-		empty := true
-		for i := 0; i < n; i++ {
-			if s[i][j] > 0 {
-				empty = false
-				break
-			}
-		}
-		if empty {
-			for i := 0; i < n; i++ {
-				s[i][j] += 1.0 / float64(n)
-			}
-		}
-	}
-	for iter := 0; iter < maxIter; iter++ {
-		for i, sum := range RowSums(s) {
-			if sum <= 0 {
-				continue
-			}
-			for j := range s[i] {
-				s[i][j] /= sum
-			}
-		}
-		for j, sum := range ColSums(s) {
-			if sum <= 0 {
-				continue
-			}
-			for i := range s {
-				s[i][j] /= sum
-			}
-		}
-		if maxDeviation(s) <= tol {
-			return s, nil
-		}
-	}
-	return nil, fmt.Errorf("%w after %d iterations (deviation %.3g)", ErrNoConverge, maxIter, maxDeviation(s))
-}
-
-func maxDeviation(m [][]float64) float64 {
-	var dev float64
-	for _, s := range RowSums(m) {
-		dev = math.Max(dev, math.Abs(s-1))
-	}
-	for _, s := range ColSums(m) {
-		dev = math.Max(dev, math.Abs(s-1))
-	}
-	return dev
-}
-
-// ErrNotDecomposable is returned by Decompose when no perfect matching
-// exists on the positive entries of a non-empty matrix, meaning the input
-// was not stuffed to equal line sums.
+// ErrNotDecomposable is returned by Decomposer.Decompose when no perfect
+// matching exists on the positive entries of a non-empty matrix, meaning the
+// input was not stuffed to equal line sums.
 var ErrNotDecomposable = errors.New("bvn: matrix is not decomposable (unequal line sums?)")
-
-// Decompose performs the Birkhoff–von Neumann decomposition of the stuffed
-// matrix m: it repeatedly extracts a perfect matching over the positive
-// entries, weighted by the minimum matched entry, until the matrix is empty.
-// The weights sum to MaxLineSum(m). m is not modified.
-//
-// Inputs whose line sums are only approximately equal (e.g. a Sinkhorn
-// result at finite tolerance) decompose up to a residue of one part in 10⁵
-// of the line sum; larger imbalance returns ErrNotDecomposable.
-func Decompose(m [][]float64) ([]Permutation, error) {
-	n := len(m)
-	w := Clone(m)
-	residueTol := 1e-5 * (1 + MaxLineSum(m))
-	var perms []Permutation
-	// Each extraction zeroes at least one entry, so at most n² iterations.
-	for iter := 0; iter <= n*n+1; iter++ {
-		if maxEntry(w) <= Eps {
-			return perms, nil
-		}
-		match := matching.PerfectMatchingAbove(w, Eps)
-		if match == nil {
-			if maxEntry(w) <= residueTol {
-				return perms, nil
-			}
-			return nil, ErrNotDecomposable
-		}
-		weight := math.Inf(1)
-		for i, j := range match {
-			if w[i][j] < weight {
-				weight = w[i][j]
-			}
-		}
-		for i, j := range match {
-			w[i][j] -= weight
-			if w[i][j] < Eps {
-				w[i][j] = 0
-			}
-		}
-		perms = append(perms, Permutation{Match: append([]int(nil), match...), Weight: weight})
-	}
-	return nil, fmt.Errorf("bvn: decomposition exceeded %d iterations", n*n+1)
-}
-
-func maxEntry(m [][]float64) float64 {
-	var max float64
-	for _, row := range m {
-		for _, v := range row {
-			if v > max {
-				max = v
-			}
-		}
-	}
-	return max
-}

@@ -49,9 +49,6 @@ type Config struct {
 	Seed  int64
 	// Fair optionally enables the starvation-avoidance windows of §4.2.
 	Fair *core.FairWindows
-	// Reference plans with the scan-based reference scheduler loop and the
-	// full-rebuild pass; a test oracle, bit-identical to the default path.
-	Reference bool
 	// Obs and Prof optionally record metrics, trace events and profiling
 	// spans; neither ever influences state.
 	Obs  *obs.Observer
@@ -159,8 +156,8 @@ type Engine struct {
 	// is allocation-free on the timelines.
 	prt *core.PRT
 	// incremental enables plan-cache reuse on fault-free passes. It is off
-	// under Reference or SUNFLOW_FULL_REPLAN, which force the retained
-	// full-rebuild pass (DESIGN.md §7).
+	// under SUNFLOW_FULL_REPLAN, which forces the retained full-rebuild
+	// pass (DESIGN.md §7).
 	incremental bool
 	// passes counts successful scheduling passes.
 	passes uint64
@@ -185,7 +182,7 @@ func New(cfg Config, start int64) *Engine {
 		now:         start,
 		live:        map[int]*Live{},
 		prt:         core.NewPRT(cfg.Ports),
-		incremental: !cfg.Reference && os.Getenv("SUNFLOW_FULL_REPLAN") == "",
+		incremental: os.Getenv("SUNFLOW_FULL_REPLAN") == "",
 	}
 }
 

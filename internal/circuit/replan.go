@@ -293,14 +293,13 @@ func (e *Engine) schedulePass(now int64, ordered []ranked, reuse bool) (int, err
 				sc.spans = prt.SpansOn(start, core.Forever, sc.ins, sc.outs, sc.spans[:0])
 			}
 			sched, err := core.IntraCoflow(prt, toSchedule, core.Options{
-				LinkBps:   e.cfg.LinkBps,
-				Delta:     e.cfg.Delta,
-				Start:     start,
-				Order:     e.cfg.Order,
-				Seed:      e.cfg.Seed,
-				Reference: e.cfg.Reference,
-				Obs:       e.cfg.Obs,
-				Prof:      e.cfg.Prof,
+				LinkBps: e.cfg.LinkBps,
+				Delta:   e.cfg.Delta,
+				Start:   start,
+				Order:   e.cfg.Order,
+				Seed:    e.cfg.Seed,
+				Obs:     e.cfg.Obs,
+				Prof:    e.cfg.Prof,
 			})
 			if err != nil {
 				return tmp.ID, err

@@ -36,12 +36,29 @@ func randomDisjointPlan(t *testing.T, rng *rand.Rand, ports int) []Reservation {
 // TestQuickBulkLoadEquivalentToPreload: a table seeded through
 // BulkAdd/FinishBulk must answer every query exactly like one seeded through
 // Preload — same FreeAt, NextCommitment and Len — whether the input arrives
-// sorted or shuffled.
+// sorted or shuffled. The trials draw, and the test fails if any goes
+// undrawn:
+//   - a sparse load on 64–127 ports, which leaves most timelines untouched
+//     and spans several words of the touched-timeline bitset;
+//   - a double-booking: one extra reservation overlapping a planned one on
+//     its input port, which FinishBulk must reject with ErrDoubleBooked
+//     before a Reset and a clean reload.
 func TestQuickBulkLoadEquivalentToPreload(t *testing.T) {
+	var sparse, doubleBooked int
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		ports := 3 + rng.Intn(4)
+		if rng.Intn(3) == 0 {
+			ports = 64 + rng.Intn(64)
+		}
 		rs := randomDisjointPlan(t, rng, ports)
+		touched := map[[2]int]bool{}
+		for _, r := range rs {
+			touched[[2]int{0, r.In}], touched[[2]int{1, r.Out}] = true, true
+		}
+		if len(touched) < ports {
+			sparse++
+		}
 
 		ref := NewPRT(ports)
 		ref.Preload(rs)
@@ -49,6 +66,17 @@ func TestQuickBulkLoadEquivalentToPreload(t *testing.T) {
 		shuffled := append([]Reservation(nil), rs...)
 		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 		bulk := NewPRT(ports)
+		if rng.Intn(4) == 0 {
+			r := rs[rng.Intn(len(rs))]
+			mid := r.Start + (r.End-r.Start)/2
+			clash := Reservation{CoflowID: -1, In: r.In, Out: rng.Intn(ports), Start: mid, End: mid + ns(0.5)}
+			if err := bulkLoad(bulk, append(shuffled[:len(shuffled):len(shuffled)], clash)); !errors.Is(err, ErrDoubleBooked) {
+				t.Logf("seed %d: double-booked bulk load returned %v, want ErrDoubleBooked", seed, err)
+				return false
+			}
+			doubleBooked++
+			bulk.Reset()
+		}
 		if err := bulkLoad(bulk, shuffled); err != nil {
 			t.Logf("seed %d: bulk load of a conflict-free plan failed: %v", seed, err)
 			return false
@@ -92,6 +120,12 @@ func TestQuickBulkLoadEquivalentToPreload(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+	if sparse == 0 {
+		t.Error("no trial drew a load leaving most timelines untouched")
+	}
+	if doubleBooked == 0 {
+		t.Error("no trial drew a double-booked load")
 	}
 }
 

@@ -51,15 +51,15 @@ func prtScenario(rng *rand.Rand, ports int) *PRT {
 			Setup:    ns(0.01),
 		})
 	}
-	// Fault-style outage blocks, occasionally permanent. A permanent block
-	// under a recurring blackout would make the scheduler loop forever on a
-	// doomed demand (each window end is a finite "next event", so the stall
-	// check never fires — in both implementations), so +Inf outages are only
-	// drawn on blackout-free tables, where they surface as ErrStalled.
+	// Fault-style outage blocks, occasionally permanent. A demand on a port
+	// down for good surfaces as ErrStalled in both implementations: with no
+	// blackout the next event is Forever, and under a blackout stuck()
+	// detects a blackout-end round that places nothing with no release
+	// pending.
 	for k, n := 0, rng.Intn(3); k < n; k++ {
 		start := ns(rng.Float64() * 2)
 		end := start + ns(0.1+rng.Float64())
-		if !blackout && rng.Intn(8) == 0 {
+		if rng.Intn(8) == 0 {
 			end = Forever
 		}
 		prt.Block(rng.Intn(ports), start, end)
@@ -82,6 +82,17 @@ func randomOptions(rng *rand.Rand) Options {
 		opts.Quantum = ns(0.001 + 0.01*rng.Float64())
 	}
 	return opts
+}
+
+// permanentOutage reports whether some port of p is blocked for good: a
+// timeline's last live interval ends at Forever.
+func permanentOutage(p *PRT) bool {
+	for i := range p.in {
+		if iv := p.in[i].iv; len(iv) > 0 && iv[len(iv)-1].end == Forever {
+			return true
+		}
+	}
+	return false
 }
 
 // mergedIntervals flattens a timeline's archive and live window into one
@@ -132,9 +143,11 @@ func sameSchedule(a, b *Schedule) bool { return reflect.DeepEqual(a, b) }
 //     one before it on a touched port;
 //   - a release at a blackout end: a commitment on a touched port ending
 //     exactly where a blackout window does, so a round that examines every
-//     demand also refreshes a released port.
+//     demand also refreshes a released port;
+//   - a permanent outage under a blackout: a +Inf Block on a table with
+//     blackout windows, the shape only stuck() ends.
 func TestQuickFastMatchesReferenceIntra(t *testing.T) {
-	var wide, manyPorts, primed, adjacent, blackoutRelease int
+	var wide, manyPorts, primed, adjacent, blackoutRelease, permanentBlackout int
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		ports := 3 + rng.Intn(8)
@@ -158,6 +171,9 @@ func TestQuickFastMatchesReferenceIntra(t *testing.T) {
 		fastPRT := prtScenario(rand.New(rand.NewSource(build.Int63())), ports)
 		build = rand.New(rand.NewSource(seed + 1))
 		refPRT := prtScenario(rand.New(rand.NewSource(build.Int63())), ports)
+		if fastPRT.blackout != nil && permanentOutage(fastPRT) {
+			permanentBlackout++
+		}
 
 		if rng.Intn(2) == 0 {
 			primed++
@@ -174,9 +190,7 @@ func TestQuickFastMatchesReferenceIntra(t *testing.T) {
 		}
 
 		fast, fastErr := IntraCoflow(fastPRT, c, opts)
-		refOpts := opts
-		refOpts.Reference = true
-		ref, refErr := IntraCoflow(refPRT, c, refOpts)
+		ref, _, refErr := intraReference(refPRT, c, opts)
 
 		if (fastErr == nil) != (refErr == nil) {
 			t.Logf("seed %d: error divergence fast=%v ref=%v", seed, fastErr, refErr)
@@ -213,6 +227,7 @@ func TestQuickFastMatchesReferenceIntra(t *testing.T) {
 		{"a primed table", primed},
 		{"an adjacent commitment", adjacent},
 		{"a release at a blackout end", blackoutRelease},
+		{"a permanent outage under a blackout", permanentBlackout},
 	} {
 		if shape.n == 0 {
 			t.Errorf("no trial drew %s", shape.name)
@@ -375,8 +390,7 @@ func primeTables(t *testing.T, seed int64, rng *rand.Rand, fast, ref *PRT, c *co
 		popts := opts
 		popts.Start = ns(Seconds(opts.Start) * rng.Float64())
 		fs, fErr := IntraCoflow(fast, prior, popts)
-		popts.Reference = true
-		rs, rErr := IntraCoflow(ref, prior, popts)
+		rs, _, rErr := intraReference(ref, prior, popts)
 		if fErr != nil || rErr != nil {
 			if fmt.Sprint(fErr) != fmt.Sprint(rErr) {
 				t.Logf("seed %d: priming error divergence fast=%v ref=%v", seed, fErr, rErr)
@@ -449,9 +463,7 @@ func TestQuickFastMatchesReferenceInter(t *testing.T) {
 
 		fastPRT, refPRT := NewPRT(ports), NewPRT(ports)
 		fast, fastErr := InterCoflow(fastPRT, ordered, opts)
-		refOpts := opts
-		refOpts.Reference = true
-		ref, refErr := InterCoflow(refPRT, ordered, refOpts)
+		ref, refErr := interReference(refPRT, ordered, opts)
 
 		if (fastErr == nil) != (refErr == nil) || len(fast) != len(ref) {
 			return false

@@ -2,7 +2,6 @@ package core
 
 import (
 	"cmp"
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
@@ -63,13 +62,6 @@ type Options struct {
 	// latency. Circuits are held for the rounded time, so CCT can only
 	// grow; the ablation benchmarks quantify the trade.
 	Quantum int64
-	// Reference selects the straightforward scan-based scheduler loop over
-	// the event-driven fast path. Both produce bit-identical schedules —
-	// the differential property tests enforce it — so Reference exists as
-	// the oracle for those tests and as a debugging aid, not as a
-	// semantically different mode. See DESIGN.md, "Scheduler complexity &
-	// performance".
-	Reference bool
 	// Obs optionally records planning metrics (intra passes, reservations
 	// made, reservations shortened by later commitments). Nil disables
 	// instrumentation.
@@ -172,21 +164,6 @@ func (d *demand) serve(l int64, opts *Options) int64 {
 	return b
 }
 
-// releaseHeap is a min-heap of circuit release ticks (reference path).
-type releaseHeap []int64
-
-func (h releaseHeap) Len() int            { return len(h) }
-func (h releaseHeap) Less(a, b int) bool  { return h[a] < h[b] }
-func (h releaseHeap) Swap(a, b int)       { h[a], h[b] = h[b], h[a] }
-func (h *releaseHeap) Push(x interface{}) { *h = append(*h, x.(int64)) }
-func (h *releaseHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
 // IntraCoflow runs the non-preemptive intra-Coflow scheduler of Algorithm 1
 // for Coflow c over the shared Port Reservation Table prt, starting at
 // opts.Start. Reservations already in the PRT are never preempted; the
@@ -200,11 +177,10 @@ func (h *releaseHeap) Pop() interface{} {
 // remainder of the flow is reserved again later — paying another δ, exactly
 // as MakeReservation prescribes.
 //
-// Two interchangeable loop implementations exist: the event-driven fast path
-// (default) re-examines only the demands touching a freed port at each
-// release, and the scan-based reference path (Options.Reference) re-examines
-// every pending demand. They produce bit-identical schedules; the property
-// tests in differential_test.go hold them to that.
+// The loop is event-driven: at each release it re-examines only the demands
+// touching a freed port (intraFast). The scan-based oracle that re-examines
+// every pending demand lives in the package tests; the property tests in
+// differential_test.go hold the two to bit-identical schedules.
 func IntraCoflow(prt *PRT, c *coflow.Coflow, opts Options) (*Schedule, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -212,45 +188,25 @@ func IntraCoflow(prt *PRT, c *coflow.Coflow, opts Options) (*Schedule, error) {
 	if err := c.Validate(prt.Ports()); err != nil {
 		return nil, err
 	}
-	var (
-		sched    *Schedule
-		examined int
-		err      error
-	)
-	if o := opts.Obs; o != nil || opts.Prof != nil {
-		// One measurement feeds both the counters and the span, so the
-		// span tree's intra totals reconcile with sched.intra_seconds
-		// exactly rather than within clock jitter.
-		// Clock before span: the span's start stamp then lands no earlier
-		// than passStart, so the recorded interval covers its children even
-		// when the goroutine is preempted between the two calls.
-		passStart := time.Now()
-		sp := opts.Prof.Start("intra")
-		if opts.Reference {
-			sp.Attr("planner", "ref")
-		} else {
-			sp.Attr("planner", "fast")
-		}
-		defer func() {
-			sec := time.Since(passStart).Seconds()
-			sp.FinishWith(sec)
-			if o == nil {
-				return
-			}
-			o.IntraPasses.Inc()
-			o.IntraExamined.Add(int64(examined))
-			o.IntraSeconds.Add(sec)
-			if opts.Reference {
-				o.IntraRefSeconds.Add(sec)
-			} else {
-				o.IntraFastSeconds.Add(sec)
-			}
-		}()
+	if opts.Obs == nil && opts.Prof == nil {
+		sched, _, err := intraFast(prt, c, opts)
+		return sched, err
 	}
-	if opts.Reference {
-		sched, examined, err = intraScan(prt, c, opts)
-	} else {
-		sched, examined, err = intraFast(prt, c, opts)
+	// One measurement feeds both the counters and the span, so the span
+	// tree's intra totals reconcile with sched.intra_seconds exactly rather
+	// than within clock jitter. Clock before span: the span's start stamp
+	// then lands no earlier than passStart, so the recorded interval covers
+	// its children even when the goroutine is preempted between the two
+	// calls.
+	passStart := time.Now()
+	sp := opts.Prof.Start("intra")
+	sched, examined, err := intraFast(prt, c, opts)
+	sec := time.Since(passStart).Seconds()
+	sp.FinishWith(sec)
+	if o := opts.Obs; o != nil {
+		o.IntraPasses.Inc()
+		o.IntraExamined.Add(int64(examined))
+		o.IntraSeconds.Add(sec)
 	}
 	return sched, err
 }
@@ -268,76 +224,9 @@ func buildPending(dst []demand, c *coflow.Coflow, opts Options) []demand {
 	return dst
 }
 
-// newSchedule allocates the Schedule shell both paths fill in.
+// newSchedule allocates the Schedule shell a pass fills in.
 func newSchedule(c *coflow.Coflow, opts Options) *Schedule {
 	return &Schedule{CoflowID: c.ID, Start: opts.Start, Finish: opts.Start}
-}
-
-// intraScan is the reference implementation of the Algorithm 1 loop: every
-// round re-examines all pending demands in order. O(F) per round, kept as
-// the differential-testing oracle for the event-driven path.
-func intraScan(prt *PRT, c *coflow.Coflow, opts Options) (*Schedule, int, error) {
-	pending := buildPending(make([]demand, 0, len(c.Flows)), c, opts)
-	sched := newSchedule(c, opts)
-	if len(pending) == 0 {
-		return sched, 0, nil
-	}
-
-	// Seed the release-time heap with existing commitments on the ports this
-	// Coflow touches, so the time cursor can advance past them.
-	ins, outs := portSets(pending)
-	releases := releaseHeap(prt.ReleasesAfter(opts.Start, ins, outs, nil))
-	heap.Init(&releases)
-
-	t := opts.Start
-	examined := 0
-	atBlackoutEnd := false
-	for len(pending) > 0 {
-		examined += len(pending)
-		placed := len(sched.Reservations)
-		for idx := range pending {
-			d := &pending[idx]
-			if d.p == 0 || !prt.FreeAt(d.i, d.j, t) {
-				continue
-			}
-			l, ok := slot(prt.NextCommitment(d.i, d.j, t), t, d, &opts)
-			if !ok {
-				continue
-			}
-			heap.Push(&releases, place(prt, sched, d, t, l, &opts))
-		}
-
-		// Drop satisfied demands.
-		live := pending[:0]
-		for _, d := range pending {
-			if d.p > 0 {
-				live = append(live, d)
-			}
-		}
-		pending = live
-		if len(pending) == 0 {
-			break
-		}
-
-		// Advance to the next circuit release time (Algorithm 1, line 10);
-		// the end of a blackout window also frees ports. Entries at or
-		// before the cursor belong to rounds already run: drain them all in
-		// one pass, then peek the first live one.
-		for releases.Len() > 0 && releases[0] <= t {
-			heap.Pop(&releases)
-		}
-		blk := prt.nextBlackoutEnd(t)
-		next := blk
-		if releases.Len() > 0 && releases[0] < next {
-			next = releases[0]
-		}
-		if next == Forever || stuck(atBlackoutEnd, len(sched.Reservations) > placed, releases.Len() > 0 && releases[0] != Forever) {
-			return nil, examined, fmt.Errorf("%w: %d flows blocked at t=%.6f for %v", ErrStalled, len(pending), Seconds(t), c)
-		}
-		t = next
-		atBlackoutEnd = blk == t
-	}
-	return sched, examined, nil
 }
 
 // portEvent is a circuit release instant on the fast path's event heap: at
@@ -808,15 +697,4 @@ func byPorts(a, b demand) int {
 		return cmp.Compare(a.i, b.i)
 	}
 	return cmp.Compare(a.j, b.j)
-}
-
-// portSets returns the distinct input and output ports of the demands, each
-// sorted.
-func portSets(pending []demand) (ins, outs []int) {
-	for _, d := range pending {
-		ins, outs = append(ins, d.i), append(outs, d.j)
-	}
-	slices.Sort(ins)
-	slices.Sort(outs)
-	return slices.Compact(ins), slices.Compact(outs)
 }

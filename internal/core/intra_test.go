@@ -154,11 +154,16 @@ func TestIntraServesAllDemand(t *testing.T) {
 	// Flows of a few bytes transmit within the time noise floor at 100 Gb/s;
 	// both planners must still serve their whole bytes.
 	tiny := coflow.New(1, 0, []coflow.Flow{{Src: 0, Dst: 1, Bytes: 1}, {Src: 1, Dst: 2, Bytes: 12}, {Src: 2, Dst: 0, Bytes: 0.6}})
-	for _, ref := range []bool{false, true} {
-		served := servedBytes(mustIntra(t, tiny, 3, Options{LinkBps: 100e9, Delta: ns(0.01), Reference: ref}))
+	tinyOpts := Options{LinkBps: 100e9, Delta: ns(0.01)}
+	ref, _, err := intraReference(NewPRT(3), tiny, tinyOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range map[string]*Schedule{"fast": mustIntra(t, tiny, 3, tinyOpts), "reference": ref} {
+		served := servedBytes(s)
 		for _, f := range tiny.Flows {
 			if got, want := served[[2]int{f.Src, f.Dst}], math.Round(f.Bytes); got != want {
-				t.Fatalf("reference=%v: flow %d->%d served %v of %v", ref, f.Src, f.Dst, got, want)
+				t.Fatalf("%s: flow %d->%d served %v of %v", name, f.Src, f.Dst, got, want)
 			}
 		}
 	}

@@ -49,21 +49,27 @@ func TestIntraObsReservationsMatchPRT(t *testing.T) {
 // exposition.
 func TestIntraObsExamined(t *testing.T) {
 	tr := trace.Generator{Ports: 10, Coflows: 8, MaxWidth: 4, Seed: 11}.Trace()
-	run := func(reference bool) *obs.Observer {
-		prt, o := NewPRT(tr.Ports), obs.New()
-		opts := Options{LinkBps: gbps, Delta: ns(0.01), Obs: o, Reference: reference}
-		for _, c := range tr.Coflows {
-			if _, err := IntraCoflow(prt, c, opts); err != nil {
-				t.Fatal(err)
-			}
+	prt, fast := NewPRT(tr.Ports), obs.New()
+	opts := Options{LinkBps: gbps, Delta: ns(0.01), Obs: fast}
+	for _, c := range tr.Coflows {
+		if _, err := IntraCoflow(prt, c, opts); err != nil {
+			t.Fatal(err)
 		}
-		return o
 	}
-	fast, ref := run(false), run(true)
+	refPRT, ref := NewPRT(tr.Ports), obs.New()
+	refOpts := Options{LinkBps: gbps, Delta: ns(0.01), Obs: ref}
+	var re int64
+	for _, c := range tr.Coflows {
+		_, examined, err := intraReference(refPRT, c, refOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		re += int64(examined)
+	}
 	if fast.Reservations.Load() != ref.Reservations.Load() {
 		t.Fatalf("reservations differ: fast %d, reference %d", fast.Reservations.Load(), ref.Reservations.Load())
 	}
-	fe, re := fast.IntraExamined.Load(), ref.IntraExamined.Load()
+	fe := fast.IntraExamined.Load()
 	if fe < fast.Reservations.Load() || fe > re {
 		t.Errorf("examined: fast %d, reference %d, reservations %d; want reservations <= fast <= reference",
 			fe, re, fast.Reservations.Load())

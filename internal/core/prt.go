@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 )
@@ -314,8 +315,10 @@ type PRT struct {
 	count    int
 	horizon  int64
 	// bulk counts reservations appended by BulkAdd but not yet committed by
-	// FinishBulk.
-	bulk int
+	// FinishBulk; bulkTouched marks the timelines they landed on, bit 2i for
+	// input port i and bit 2i+1 for output port i.
+	bulk        int
+	bulkTouched []uint64
 	// intra is the fast intra search's working set, allocated on first use.
 	// It lives with the table because searches on one table are serialized
 	// (each mutates it) and callers reuse their table pass after pass; unlike
@@ -357,6 +360,7 @@ func (p *PRT) Reset() {
 	p.blackout = nil
 	p.count = 0
 	p.bulk = 0
+	clear(p.bulkTouched)
 	p.horizon = math.MinInt64
 }
 
@@ -465,28 +469,40 @@ func (p *PRT) Preload(rs []Reservation) {
 // suspended and every query is undefined; FinishBulk restores them. Only
 // valid on a table with no archived intervals (any fresh Reset qualifies).
 func (p *PRT) BulkAdd(rs []Reservation) {
+	if p.bulkTouched == nil {
+		p.bulkTouched = make([]uint64, (2*p.n+63)/64)
+	}
 	for i := range rs {
 		r := &rs[i]
 		p.in[r.In].iv = append(p.in[r.In].iv, interval{start: r.Start, end: r.End, peer: r.Out})
 		p.out[r.Out].iv = append(p.out[r.Out].iv, interval{start: r.Start, end: r.End, peer: r.In})
+		setBit(p.bulkTouched, 2*r.In)
+		setBit(p.bulkTouched, 2*r.Out+1)
 	}
 	p.bulk += len(rs)
 }
 
 // FinishBulk restores the timeline invariants after one or more BulkAdd
 // calls: each touched timeline is re-sorted (skipped when the appends arrived
-// already ordered) and verified non-overlapping, as insert checks. On error
+// already ordered) and verified non-overlapping, as insert checks. Untouched
+// timelines already hold the invariants and are not visited; touched ones
+// are visited in port order, input before output. On error
 // (ErrEmptyReservation, ErrDoubleBooked, or a compacted timeline) the table
 // state is unspecified and the caller must Reset before reusing it.
 func (p *PRT) FinishBulk() error {
 	added := p.bulk
 	p.bulk = 0
-	for i := range p.in {
-		if err := p.in[i].finishBulk("input", i); err != nil {
-			return err
-		}
-		if err := p.out[i].finishBulk("output", i); err != nil {
-			return err
+	for w, word := range p.bulkTouched {
+		p.bulkTouched[w] = 0
+		for ; word != 0; word &= word - 1 {
+			b := w<<6 | bits.TrailingZeros64(word)
+			tl, side := &p.in[b>>1], "input"
+			if b&1 == 1 {
+				tl, side = &p.out[b>>1], "output"
+			}
+			if err := tl.finishBulk(side, b>>1); err != nil {
+				return err
+			}
 		}
 	}
 	p.count += added
@@ -499,8 +515,11 @@ func (tl *timeline) finishBulk(side string, port int) error {
 		return fmt.Errorf("core: bulk load on compacted %s port %d timeline", side, port)
 	}
 	iv := tl.iv
-	if !slices.IsSortedFunc(iv, func(a, b interval) int { return cmp.Compare(a.start, b.start) }) {
-		slices.SortFunc(iv, func(a, b interval) int { return cmp.Compare(a.start, b.start) })
+	for k := 1; k < len(iv); k++ {
+		if iv[k].start < iv[k-1].start {
+			slices.SortFunc(iv, func(a, b interval) int { return cmp.Compare(a.start, b.start) })
+			break
+		}
 	}
 	for k := range iv {
 		if iv[k].end <= iv[k].start {

@@ -5,98 +5,6 @@ import (
 	"sync"
 )
 
-// MaxMinFairReference allocates max-min fair rates with textbook progressive
-// filling: at each step the most contended port's capacity is split equally
-// among its unfrozen flows, those flows are frozen at that rate, and the
-// residue propagates. The bottleneck scan is deterministic — input ports in
-// ascending order, then output ports, first strict minimum wins — so the
-// allocation is a pure function of its arguments. availIn and availOut are
-// mutated: the allocated rates are subtracted. The returned slice parallels
-// flows.
-//
-// This is the dense O(rounds × flows) oracle; MaxMinFair replicates its
-// selection with a lazy-invalidation heap and is proven bit-identical by the
-// differential suite (DESIGN.md §8).
-func MaxMinFairReference(flows []FlowKey, availIn, availOut []float64) []float64 {
-	rates := make([]float64, len(flows))
-	frozen := make([]bool, len(flows))
-	remaining := len(flows)
-	inCount := make([]int, len(availIn))
-	outCount := make([]int, len(availOut))
-
-	for remaining > 0 {
-		// Count unfrozen flows per port.
-		for p := range inCount {
-			inCount[p] = 0
-		}
-		for p := range outCount {
-			outCount[p] = 0
-		}
-		for idx, f := range flows {
-			if frozen[idx] {
-				continue
-			}
-			inCount[f.Src]++
-			outCount[f.Dst]++
-		}
-
-		// Find the bottleneck: the port with the smallest equal share.
-		// Ascending port order, in-side before out-side, strict < — the
-		// deterministic tie-break the fast path's heap ordering mirrors.
-		bottleShare := -1.0
-		bottleIn, bottlePort := false, -1
-		for p, c := range inCount {
-			if c == 0 {
-				continue
-			}
-			share := availIn[p] / float64(c)
-			if bottleShare < 0 || share < bottleShare {
-				bottleShare, bottleIn, bottlePort = share, true, p
-			}
-		}
-		for p, c := range outCount {
-			if c == 0 {
-				continue
-			}
-			share := availOut[p] / float64(c)
-			if bottleShare < 0 || share < bottleShare {
-				bottleShare, bottleIn, bottlePort = share, false, p
-			}
-		}
-		if bottlePort < 0 {
-			break
-		}
-		if bottleShare < 0 {
-			bottleShare = 0
-		}
-
-		// Freeze every unfrozen flow on the bottleneck port at the share, in
-		// ascending flow order (the subtraction order is load-bearing for
-		// bit-identity with the fast path).
-		for idx, f := range flows {
-			if frozen[idx] {
-				continue
-			}
-			onPort := (bottleIn && f.Src == bottlePort) || (!bottleIn && f.Dst == bottlePort)
-			if !onPort {
-				continue
-			}
-			rates[idx] = bottleShare
-			frozen[idx] = true
-			remaining--
-			availIn[f.Src] -= bottleShare
-			availOut[f.Dst] -= bottleShare
-			if availIn[f.Src] < 0 {
-				availIn[f.Src] = 0
-			}
-			if availOut[f.Dst] < 0 {
-				availOut[f.Dst] = 0
-			}
-		}
-	}
-	return rates
-}
-
 // mmEntry is one heap candidate: the equal share a port would give its
 // unfrozen flows at the time the entry was pushed. Entries go stale when the
 // port's availability or flow count changes; staleness is detected at pop
@@ -231,8 +139,15 @@ func (sc *maxminScratch) pop() mmEntry {
 	return top
 }
 
-// MaxMinFair is the fast progressive-filling allocator: the bottleneck
-// search runs on a min-heap of (share, side, port) candidates with lazy
+// MaxMinFair allocates max-min fair rates by progressive filling: at each
+// step the most contended port's capacity is split equally among its
+// unfrozen flows, those flows are frozen at that rate, and the residue
+// propagates. Ties between bottlenecks go to the input side, then to the
+// lower port, so the allocation is a pure function of its arguments.
+// availIn and availOut are mutated: the allocated rates are subtracted. The
+// returned slice parallels flows.
+//
+// The bottleneck search runs on a min-heap of (share, side, port) candidates with lazy
 // invalidation — a popped candidate is used only if its share still equals
 // the port's current availability over its current unfrozen-flow count — and
 // the freeze step walks a per-port flow list instead of rescanning all
@@ -242,8 +157,8 @@ func (sc *maxminScratch) pop() mmEntry {
 //
 // The heap ordering and the ascending freeze/subtraction order replicate
 // MaxMinFairReference exactly, so the two return bit-identical rates (the
-// differential suite pins this). availIn and availOut are mutated as in the
-// reference.
+// differential suite pins this against the dense oracle in the package
+// tests).
 func MaxMinFair(flows []FlowKey, availIn, availOut []float64) []float64 {
 	rates := make([]float64, len(flows))
 	if len(flows) == 0 {

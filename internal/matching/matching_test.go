@@ -227,3 +227,31 @@ func TestQuickHopcroftKarpMaximal(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// MatchingWeight sums w[i][match[i]] over matched pairs.
+func MatchingWeight(w [][]float64, match []int) float64 {
+	var sum float64
+	for i, j := range match {
+		if j >= 0 {
+			sum += w[i][j]
+		}
+	}
+	return sum
+}
+
+// IsMatching reports whether match (left-to-right, -1 for unmatched) pairs
+// each right vertex at most once. Out-of-range right vertices (>= len(match))
+// also fail: on an n-port fabric there are only n output ports.
+func IsMatching(match []int) bool {
+	seen := make([]bool, len(match))
+	for _, j := range match {
+		if j < 0 {
+			continue
+		}
+		if j >= len(match) || seen[j] {
+			return false
+		}
+		seen[j] = true
+	}
+	return true
+}

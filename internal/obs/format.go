@@ -31,12 +31,12 @@ func FormatSummaries(o *Observer) string {
 	}
 	var sb strings.Builder
 	w := tabwriter.NewWriter(&sb, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(w, "scope\tcircuits\tδ seconds\tduty\tbytes\tsched passes\tsched s\tplanner\treservations\texamined\tcredit visits\torder keys")
+	fmt.Fprintln(w, "scope\tcircuits\tδ seconds\tduty\tbytes\tsched passes\tsched s\tintra s\treservations\texamined\tcredit visits\torder keys")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%d\t%.3f\t%s\t%s\t%d\t%.4f\t%s\t%d\t%d\t%d\t%d\n",
+		fmt.Fprintf(w, "%s\t%d\t%.3f\t%s\t%s\t%d\t%.4f\t%.4f\t%d\t%d\t%d\t%d\n",
 			r.name, r.s.CircuitSetups, r.s.SetupSeconds, formatDuty(r.s),
 			formatBytes(r.s.BytesDelivered), r.s.SchedPasses, r.s.SchedSeconds,
-			formatPlanner(r.s), r.s.Reservations, r.s.IntraExamined,
+			r.s.IntraSeconds, r.s.Reservations, r.s.IntraExamined,
 			r.s.CreditVisits, r.s.OrderKeys)
 	}
 	w.Flush()
@@ -55,22 +55,6 @@ func formatDuty(s Summary) string {
 		return "-"
 	}
 	return fmt.Sprintf("%.3f", s.DutyCycle)
-}
-
-// formatPlanner renders which intra-Coflow planner path produced the passes
-// — the trace stream is path-invariant by design, so this column (and the
-// underlying counters) is the only record. "-" when no intra pass ran.
-func formatPlanner(s Summary) string {
-	switch {
-	case s.IntraFastSeconds > 0 && s.IntraRefSeconds > 0:
-		return fmt.Sprintf("mixed %.4f/%.4f", s.IntraFastSeconds, s.IntraRefSeconds)
-	case s.IntraRefSeconds > 0:
-		return fmt.Sprintf("ref %.4f", s.IntraRefSeconds)
-	case s.IntraFastSeconds > 0:
-		return fmt.Sprintf("fast %.4f", s.IntraFastSeconds)
-	default:
-		return "-"
-	}
 }
 
 // formatBytes renders a byte count with a binary-free SI unit.

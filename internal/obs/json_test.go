@@ -20,7 +20,7 @@ func TestEventJSONRoundTrip(t *testing.T) {
 		{Kind: KindSpan, Scope: "sunflow", Coflow: -1, Src: -1, Dst: -1,
 			Name: "sched.pass", Span: 3, Parent: 1, Wall: 0.125, Dur: 0.002},
 		{Kind: KindSpan, Coflow: -1, Src: -1, Dst: -1, Name: "intra",
-			Span: 9, Wall: 1.5, Dur: 0.25, Attrs: map[string]string{"planner": "fast"}},
+			Span: 9, Wall: 1.5, Dur: 0.25, Attrs: map[string]string{"scheduler": "tms"}},
 	}
 	for _, want := range cases {
 		b, err := json.Marshal(want)

@@ -28,8 +28,6 @@ const (
 	NameOrderKeys        = "sched.order_keys"
 	NameIntraExamined    = "sched.intra_examined"
 	NameIntraSeconds     = "sched.intra_seconds"
-	NameIntraFastSeconds = "sched.intra_fast_seconds"
-	NameIntraRefSeconds  = "sched.intra_ref_seconds"
 	NameReservations     = "sched.reservations"
 	NameResShortened     = "sched.reservations_shortened"
 	NameInBusySeconds    = "port.in_busy_seconds"
@@ -89,14 +87,8 @@ type Observer struct {
 	// Reservations / IntraExamined is the search's useful-work ratio.
 	IntraExamined *Counter
 	IntraSeconds  *FloatCounter
-	// IntraSeconds split by planner path: the event-driven fast path versus
-	// the scan-based reference path (core.Options.Reference). The trace
-	// stream is path-invariant by design, so this is the only record of
-	// which planner produced a run.
-	IntraFastSeconds *FloatCounter
-	IntraRefSeconds  *FloatCounter
-	Reservations     *Counter // reservations/assignments planned (incl. replanned ones)
-	ResShortened     *Counter // reservations cut short by a later commitment (extra δ paid later)
+	Reservations  *Counter // reservations/assignments planned (incl. replanned ones)
+	ResShortened  *Counter // reservations cut short by a later commitment (extra δ paid later)
 
 	// Per-port busy time of executed circuits (input and output sides are
 	// independent on an optical switch).
@@ -155,8 +147,6 @@ func newScoped(reg *Registry, sink Sink, prefix string) *Observer {
 		OrderKeys:        reg.Counter(prefix + NameOrderKeys),
 		IntraExamined:    reg.Counter(prefix + NameIntraExamined),
 		IntraSeconds:     reg.FloatCounter(prefix + NameIntraSeconds),
-		IntraFastSeconds: reg.FloatCounter(prefix + NameIntraFastSeconds),
-		IntraRefSeconds:  reg.FloatCounter(prefix + NameIntraRefSeconds),
 		Reservations:     reg.Counter(prefix + NameReservations),
 		ResShortened:     reg.Counter(prefix + NameResShortened),
 		InBusySeconds:    reg.FloatVec(prefix + NameInBusySeconds),
@@ -249,8 +239,7 @@ type Summary struct {
 	PeakQueueDepth   int64   `json:"peak_queue_depth"`
 	SchedPasses      int64   `json:"sched_passes"`
 	SchedSeconds     float64 `json:"sched_seconds"`
-	IntraFastSeconds float64 `json:"intra_fast_seconds"`
-	IntraRefSeconds  float64 `json:"intra_ref_seconds"`
+	IntraSeconds     float64 `json:"intra_seconds"`
 	Reservations     int64   `json:"reservations"`
 	// IntraExamined counts intra-scheduler demand visits; Reservations /
 	// IntraExamined is the search's useful-work ratio.
@@ -279,8 +268,7 @@ func (o *Observer) Summary() Summary {
 		PeakQueueDepth:   o.QueueDepth.High(),
 		SchedPasses:      o.SchedPasses.Load(),
 		SchedSeconds:     o.SchedSeconds.Load(),
-		IntraFastSeconds: o.IntraFastSeconds.Load(),
-		IntraRefSeconds:  o.IntraRefSeconds.Load(),
+		IntraSeconds:     o.IntraSeconds.Load(),
 		Reservations:     o.Reservations.Load(),
 		IntraExamined:    o.IntraExamined.Load(),
 		CreditVisits:     o.CreditVisits.Load(),
@@ -305,8 +293,7 @@ func (s Summary) Sub(prev Summary) Summary {
 		PeakQueueDepth:   s.PeakQueueDepth,
 		SchedPasses:      s.SchedPasses - prev.SchedPasses,
 		SchedSeconds:     s.SchedSeconds - prev.SchedSeconds,
-		IntraFastSeconds: s.IntraFastSeconds - prev.IntraFastSeconds,
-		IntraRefSeconds:  s.IntraRefSeconds - prev.IntraRefSeconds,
+		IntraSeconds:     s.IntraSeconds - prev.IntraSeconds,
 		Reservations:     s.Reservations - prev.Reservations,
 		IntraExamined:    s.IntraExamined - prev.IntraExamined,
 		CreditVisits:     s.CreditVisits - prev.CreditVisits,

@@ -17,7 +17,7 @@ func spanScope(t *testing.T) *replay.Scope {
 		}
 	}
 	a := replay.Analyze([]obs.Event{
-		sev("intra", 3, 2, 0.2, 0.3, map[string]string{"planner": "fast"}),
+		sev("intra", 3, 2, 0.2, 0.3, map[string]string{"scheduler": "tms"}),
 		sev("sched.pass", 2, 1, 0.1, 0.5, nil),
 		sev("sim.run", 1, 0, 0.0, 1.0, nil),
 	})
@@ -36,7 +36,7 @@ func TestFlameSVG(t *testing.T) {
 	if !strings.HasPrefix(svg, "<svg") || !strings.HasSuffix(strings.TrimSpace(svg), "</svg>") {
 		t.Fatalf("output is not a closed SVG document")
 	}
-	for _, want := range []string{"sim.run", "sched.pass", "intra", "planner=fast", "3 spans (3 drawn)"} {
+	for _, want := range []string{"sim.run", "sched.pass", "intra", "scheduler=tms", "3 spans (3 drawn)"} {
 		if !strings.Contains(svg, want) {
 			t.Errorf("SVG is missing %q", want)
 		}

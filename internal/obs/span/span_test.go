@@ -179,7 +179,7 @@ func TestSinkEmission(t *testing.T) {
 	st := p.NewStack("sunflow")
 
 	parent := st.Start("sched.pass")
-	child := st.Start("intra").Attr("planner", "fast")
+	child := st.Start("intra").Attr("scheduler", "tms")
 	child.FinishWith(0.1)
 	parent.FinishWith(0.4)
 
@@ -210,8 +210,8 @@ func TestSinkEmission(t *testing.T) {
 	if ce.Dur != 0.1 || pe.Dur != 0.4 {
 		t.Fatalf("durations: child=%v parent=%v", ce.Dur, pe.Dur)
 	}
-	if ce.Attrs["planner"] != "fast" {
-		t.Fatalf("child attrs = %v, want planner=fast", ce.Attrs)
+	if ce.Attrs["scheduler"] != "tms" {
+		t.Fatalf("child attrs = %v, want scheduler=tms", ce.Attrs)
 	}
 	if ce.Wall < 0 || pe.Wall < 0 || ce.Wall < pe.Wall {
 		t.Fatalf("wall offsets: child=%v parent=%v (child must start at or after parent)", ce.Wall, pe.Wall)

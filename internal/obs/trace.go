@@ -69,7 +69,7 @@ type Event struct {
 	// Span is the span's id (ids are unique within a trace, never 0);
 	// Parent is the enclosing span's id, 0 for a root; Wall is the span's
 	// wall-clock start as a seconds offset from the profiler's epoch; Attrs
-	// carries optional key/value annotations (planner=fast, scheduler=tms).
+	// carries optional key/value annotations (scheduler=tms).
 	Name   string            `json:"name,omitempty"`
 	Span   int64             `json:"span,omitempty"`
 	Parent int64             `json:"parent,omitempty"`

@@ -55,12 +55,6 @@ type CircuitOptions struct {
 	// simulation goroutine and must not retain the record's address.
 	OnArchive func(Archived)
 
-	// reference plans with the scan-based reference scheduler loop and the
-	// full-rebuild pass (circuit.Config.Reference); only the differential
-	// tests set it. The full-rebuild pass alone is forced process-wide with
-	// SUNFLOW_FULL_REPLAN=1.
-	reference bool
-
 	// faultModel, when set, overrides the Faults plan with a pre-compiled —
 	// and possibly port-restricted — model. Only the sharded runner sets it,
 	// to give each port-disjoint component a private Model scoped to its own
@@ -134,17 +128,16 @@ func runCircuit(src Source, opts CircuitOptions, checkDups bool) (Result, error)
 	}
 	s := &circuitState{opts: opts, res: &res, src: src, checkDups: checkDups}
 	s.eng = circuit.New(circuit.Config{
-		Ports:     opts.Ports,
-		LinkBps:   opts.LinkBps,
-		Delta:     delta,
-		Policy:    opts.Policy,
-		Order:     opts.Order,
-		Seed:      opts.Seed,
-		Fair:      opts.Fair,
-		Reference: opts.reference,
-		Obs:       opts.Obs,
-		Prof:      opts.Prof,
-		Sink:      s,
+		Ports:   opts.Ports,
+		LinkBps: opts.LinkBps,
+		Delta:   delta,
+		Policy:  opts.Policy,
+		Order:   opts.Order,
+		Seed:    opts.Seed,
+		Fair:    opts.Fair,
+		Obs:     opts.Obs,
+		Prof:    opts.Prof,
+		Sink:    s,
 	}, math.MinInt64)
 	if o := opts.Obs; o != nil {
 		defer func() { o.SimEvents.Add(int64(res.Events)) }()

@@ -6,14 +6,6 @@ import (
 	"sunflow/internal/core"
 )
 
-// withReference returns opts planning with the scan-based reference
-// scheduler loop and the full-rebuild pass — the oracle side of the
-// differential tests.
-func withReference(opts CircuitOptions) CircuitOptions {
-	opts.reference = true
-	return opts
-}
-
 // setFullReplan sets SUNFLOW_FULL_REPLAN for the runs that follow: on forces
 // the full-rebuild pass, off restores schedule reuse. The test's cleanup
 // restores the caller's environment.

@@ -8,7 +8,6 @@ import (
 	"testing/quick"
 
 	"sunflow/internal/coflow"
-	"sunflow/internal/core"
 	"sunflow/internal/fabric"
 	"sunflow/internal/fault"
 	"sunflow/internal/obs"
@@ -213,58 +212,6 @@ func TestPermanentFailureQuarantines(t *testing.T) {
 		if v := replay.Lint(ev); len(v) != 0 {
 			t.Fatalf("%s: trace has lint violations: %v", name, v)
 		}
-	}
-}
-
-// TestQuickReferencePathBitExact is the sim-layer differential property for
-// the event-driven scheduler fast path: across random workloads and seeded
-// fault plans — setup failures, transient outages, degraded links,
-// stragglers, permanent port deaths — a run planned by the fast path must be
-// bit-identical to one planned by the scan-based reference, down to the
-// trace event stream and the stranded-flow accounting. The trace being
-// path-invariant is what lets obs.IntraFastSeconds/IntraRefSeconds be the
-// only record of which planner ran.
-func TestQuickReferencePathBitExact(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		cs := randomWorkload(rng, 6, 5, 6, 2)
-		var plan *fault.Plan
-		if rng.Intn(3) > 0 {
-			plan = &fault.Plan{
-				Seed:          seed,
-				SetupFailProb: 0.3,
-				TransientRate: 0.15, MeanOutage: 0.25, Horizon: 8,
-				DegradedLinkProb: 0.25,
-				StragglerProb:    0.25,
-			}
-		}
-		opts := CircuitOptions{Ports: 5, LinkBps: gbps, Delta: 0.01, Faults: plan}
-		// Fair windows and permanent port deaths are mutually exclusive here:
-		// a +Inf outage under a recurring blackout keeps the scheduler alive
-		// forever (each window end is a finite next event, so ErrStalled — and
-		// with it the quarantine path — never fires). Both planner paths share
-		// that behavior, so the differential property draws one or the other.
-		if plan != nil && rng.Intn(4) == 0 {
-			plan.PortFailures = []fault.PortFailure{{Port: rng.Intn(5), At: rng.Float64() * 2}}
-		} else if rng.Intn(3) == 0 {
-			opts.Fair = &core.FairWindows{N: 5, T: ns(1), Tau: ns(0.05)}
-		}
-		fast, fastEv := tracedCircuit(t, cs, opts)
-		want, wantEv := tracedCircuit(t, cs, withReference(opts))
-		if !sameResult(fast, want) || !sameEvents(fastEv, wantEv) {
-			t.Logf("seed %d: fast/reference divergence", seed)
-			return false
-		}
-		if (fast.Partial == nil) != (want.Partial == nil) {
-			return false
-		}
-		if fast.Partial != nil && len(fast.Partial.Stranded) != len(want.Partial.Stranded) {
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
 	}
 }
 

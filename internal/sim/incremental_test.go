@@ -29,7 +29,7 @@ func observedCircuit(t *testing.T, cs []*coflow.Coflow, opts CircuitOptions) (Re
 
 // TestQuickIncrementalBitExact is the differential property the incremental
 // replanner stands on: across arrival-dense random workloads — with fair
-// windows, seeded fault plans, or the reference intra path mixed in — a run
+// windows or seeded fault plans mixed in, or neither — a run
 // with dirty-prefix schedule reuse must be bit-identical to one with
 // SUNFLOW_FULL_REPLAN=1, down to the full Result and the trace event stream.
 func TestQuickIncrementalBitExact(t *testing.T) {
@@ -39,7 +39,7 @@ func TestQuickIncrementalBitExact(t *testing.T) {
 		// once, so replans have deep priority orders to reuse.
 		cs := randomWorkload(rng, 14, 5, 6, 1.0)
 		opts := CircuitOptions{Ports: 5, LinkBps: gbps, Delta: 0.01}
-		switch rng.Intn(5) {
+		switch rng.Intn(4) {
 		case 0:
 			opts.Fair = &core.FairWindows{N: 5, T: ns(1), Tau: ns(0.05)}
 		case 1:
@@ -54,8 +54,6 @@ func TestQuickIncrementalBitExact(t *testing.T) {
 			}
 		case 2:
 			opts.Faults = &fault.Plan{Seed: seed} // zero plan: fault machinery on, no faults
-		case 3:
-			opts = withReference(opts)
 		}
 		setFullReplan(t, false)
 		got, gotEv, _ := observedCircuit(t, cs, opts)

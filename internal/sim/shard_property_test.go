@@ -157,10 +157,7 @@ func runSharded(t *testing.T, cs []*coflow.Coflow, opts CircuitOptions, workers 
 		t.Fatalf("sharded run (workers=%d) failed: %v", workers, err)
 	}
 	snap := opts.Obs.Registry().Snapshot()
-	for _, name := range []string{
-		obs.NameSchedSeconds, obs.NameSchedPassTime, obs.NameIntraSeconds,
-		obs.NameIntraFastSeconds, obs.NameIntraRefSeconds,
-	} {
+	for _, name := range []string{obs.NameSchedSeconds, obs.NameSchedPassTime, obs.NameIntraSeconds} {
 		delete(snap, name)
 	}
 	return res, sink.Events(), snap
