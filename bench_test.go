@@ -182,8 +182,8 @@ func BenchmarkSunflowIntra_Shuffle40(b *testing.B) {
 
 // benchFacebook150 is the full-scale inter-Coflow pass: the 526-Coflow
 // Facebook-derived trace on a 150-port fabric, priority-ordered shortest
-// first — the workload whose planning cost the indexed PRT and horizon
-// compaction target.
+// first — the offline pass ScheduleAll runs, whose schedule
+// TestScheduleAllFacebook150Digest pins.
 func benchFacebook150() []*Coflow {
 	cs := bench.Config{Seed: 1, Ports: 150}.Workload()
 	return core.ShortestFirst{LinkBps: 1e9}.Sort(cs)
@@ -336,47 +336,6 @@ func BenchmarkPRT_Preload1k(b *testing.B) {
 		for _, r := range rs {
 			if err := p.TryReserve(r); err != nil {
 				b.Fatal(err)
-			}
-		}
-	}
-}
-
-func BenchmarkPRT_ReleasesAfter1k(b *testing.B) {
-	rs := benchPRTLoad(64, 1000)
-	p := core.NewPRT(64)
-	for _, r := range rs {
-		if err := p.TryReserve(r); err != nil {
-			b.Fatal(err)
-		}
-	}
-	ins := []int{0, 1, 2, 3}
-	outs := []int{3, 4, 5, 6}
-	var dst []int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for q := 0; q < 100; q++ {
-			dst = p.ReleasesAfter(int64(q)*15e6, ins, outs, dst[:0])
-		}
-	}
-}
-
-func BenchmarkPRT_Compact1k(b *testing.B) {
-	rs := benchPRTLoad(64, 1000)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		p := core.NewPRT(64)
-		for _, r := range rs {
-			if err := p.TryReserve(r); err != nil {
-				b.Fatal(err)
-			}
-		}
-		// Sweep the horizon forward the way an inter pass does, probing the
-		// live window after each advance.
-		for h := int64(0); h < 17e8; h += 1e8 {
-			p.CompactBefore(h)
-			for q := 0; q < 32; q++ {
-				p.FreeAt(q%64, (q*7+3)%64, h+5e7)
 			}
 		}
 	}

@@ -237,21 +237,18 @@ func (e *Engine) order() []ranked {
 // would produce — DESIGN.md §7) or runs IntraCoflow against the table built
 // so far. The caller has Reset the table (with blackout and fault blocks
 // applied) and cut the plan down to the locked circuits, which are seeded
-// here — bulk-loaded in reuse mode, Preloaded otherwise (the fault repair
-// seeded them already).
+// here by Preload on fault-free passes (a faulted pass's repair seeded them
+// already).
 func (e *Engine) schedulePass(now int64, ordered []ranked, reuse bool) (int, error) {
 	prt := e.prt
 	sc := &e.scratch
 	skips, continued := int64(0), int64(0)
-	if reuse {
+	if e.faults == nil {
 		// Locked circuits held their ports in the last plan, so they cannot
-		// conflict: a failure here is a bug, as a panicking Preload is.
-		prt.BulkAdd(e.plan)
-		if err := prt.FinishBulk(); err != nil {
+		// conflict: a failure here is a bug.
+		if err := prt.Preload(e.plan); err != nil {
 			panic(err)
 		}
-	} else if e.faults == nil {
-		prt.Preload(e.plan)
 	}
 	for _, it := range ordered {
 		tmp, lc := it.tmp, it.lc

@@ -8,15 +8,20 @@ import (
 	"testing/quick"
 )
 
-// bulkLoad runs the two-phase bulk API over one reservation set.
-func bulkLoad(p *PRT, rs []Reservation) error {
-	p.BulkAdd(rs)
-	return p.FinishBulk()
+// reserveAll seeds the table one TryReserve at a time — the sorted-insert
+// path Preload's append-then-sort load must agree with.
+func reserveAll(p *PRT, rs []Reservation) error {
+	for _, r := range rs {
+		if err := p.TryReserve(r); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // randomDisjointPlan builds a conflict-free reservation set by scheduling a
 // random Coflow-like demand through IntraCoflow — the same way the replanner
-// produces the sets it bulk-loads.
+// produces the locked sets it preloads.
 func randomDisjointPlan(t *testing.T, rng *rand.Rand, ports int) []Reservation {
 	t.Helper()
 	prt := NewPRT(ports)
@@ -33,16 +38,16 @@ func randomDisjointPlan(t *testing.T, rng *rand.Rand, ports int) []Reservation {
 	return out
 }
 
-// TestQuickBulkLoadEquivalentToPreload: a table seeded through
-// BulkAdd/FinishBulk must answer every query exactly like one seeded through
-// Preload — same FreeAt, NextCommitment and Len — whether the input arrives
+// TestQuickBulkLoadEquivalentToPreload: a table seeded through Preload's bulk
+// load must answer every query exactly like one seeded one TryReserve at a
+// time — same FreeAt, NextCommitment and Len — whether the input arrives
 // sorted or shuffled. The trials draw, and the test fails if any goes
 // undrawn:
 //   - a sparse load on 64–127 ports, which leaves most timelines untouched
 //     and spans several words of the touched-timeline bitset;
 //   - a double-booking: one extra reservation overlapping a planned one on
-//     its input port, which FinishBulk must reject with ErrDoubleBooked
-//     before a Reset and a clean reload.
+//     its input port, which Preload must reject with ErrDoubleBooked before
+//     a Reset and a clean reload.
 func TestQuickBulkLoadEquivalentToPreload(t *testing.T) {
 	var sparse, doubleBooked int
 	f := func(seed int64) bool {
@@ -61,7 +66,9 @@ func TestQuickBulkLoadEquivalentToPreload(t *testing.T) {
 		}
 
 		ref := NewPRT(ports)
-		ref.Preload(rs)
+		if err := reserveAll(ref, rs); err != nil {
+			t.Fatal(err)
+		}
 
 		shuffled := append([]Reservation(nil), rs...)
 		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
@@ -70,14 +77,14 @@ func TestQuickBulkLoadEquivalentToPreload(t *testing.T) {
 			r := rs[rng.Intn(len(rs))]
 			mid := r.Start + (r.End-r.Start)/2
 			clash := Reservation{CoflowID: -1, In: r.In, Out: rng.Intn(ports), Start: mid, End: mid + ns(0.5)}
-			if err := bulkLoad(bulk, append(shuffled[:len(shuffled):len(shuffled)], clash)); !errors.Is(err, ErrDoubleBooked) {
+			if err := bulk.Preload(append(shuffled[:len(shuffled):len(shuffled)], clash)); !errors.Is(err, ErrDoubleBooked) {
 				t.Logf("seed %d: double-booked bulk load returned %v, want ErrDoubleBooked", seed, err)
 				return false
 			}
 			doubleBooked++
 			bulk.Reset()
 		}
-		if err := bulkLoad(bulk, shuffled); err != nil {
+		if err := bulk.Preload(shuffled); err != nil {
 			t.Logf("seed %d: bulk load of a conflict-free plan failed: %v", seed, err)
 			return false
 		}
@@ -98,7 +105,7 @@ func TestQuickBulkLoadEquivalentToPreload(t *testing.T) {
 			}
 		}
 		// The bulk-loaded table must accept exactly the follow-on schedule
-		// the preloaded one accepts.
+		// the one-by-one table accepts.
 		cf := randomCoflow(rng, ports, 5)
 		cf.ID = 99
 		sb, errB := IntraCoflow(bulk, cf, Options{LinkBps: 1e9, Delta: ns(0.01)})
@@ -129,83 +136,65 @@ func TestQuickBulkLoadEquivalentToPreload(t *testing.T) {
 	}
 }
 
-func TestBulkAddSplitAcrossCalls(t *testing.T) {
+func TestPreloadSplitAcrossCalls(t *testing.T) {
 	rs := []Reservation{
 		{CoflowID: 1, In: 0, Out: 1, Start: 0, End: ns(1), Setup: ns(0.01), Bytes: 1e6},
 		{CoflowID: 2, In: 0, Out: 1, Start: ns(1), End: ns(2), Setup: ns(0.01), Bytes: 1e6},
 		{CoflowID: 3, In: 1, Out: 0, Start: ns(0.5), End: ns(1.5), Setup: ns(0.01), Bytes: 1e6},
 	}
 	p := NewPRT(2)
-	p.BulkAdd(rs[:1])
-	p.BulkAdd(rs[1:])
-	if err := p.FinishBulk(); err != nil {
-		t.Fatalf("FinishBulk: %v", err)
+	// The second call lands before the first's interval on in.0: it must be
+	// sorted in, not appended after.
+	if err := p.Preload(rs[1:]); err != nil {
+		t.Fatalf("Preload: %v", err)
+	}
+	if err := p.Preload(rs[:1]); err != nil {
+		t.Fatalf("Preload: %v", err)
 	}
 	if p.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", p.Len())
 	}
 	if p.FreeAt(0, 1, ns(0.5)) {
-		t.Fatal("port pair reported free inside a bulk-loaded reservation")
+		t.Fatal("port pair reported free inside a preloaded reservation")
+	}
+	if got := p.NextCommitment(0, 1, -1); got != 0 {
+		t.Fatalf("NextCommitment = %v, want 0: the later call's interval was not sorted in", got)
 	}
 }
 
-func TestFinishBulkRejectsOverlap(t *testing.T) {
+func TestPreloadRejectsOverlap(t *testing.T) {
 	p := NewPRT(2)
-	p.BulkAdd([]Reservation{
+	if err := p.Preload([]Reservation{
 		{CoflowID: 1, In: 0, Out: 1, Start: 0, End: ns(1)},
 		{CoflowID: 2, In: 0, Out: 1, Start: ns(0.5), End: ns(1.5)},
-	})
-	if err := p.FinishBulk(); !errors.Is(err, ErrDoubleBooked) {
-		t.Fatalf("overlapping bulk load: got %v, want ErrDoubleBooked", err)
+	}); !errors.Is(err, ErrDoubleBooked) {
+		t.Fatalf("overlapping preload: got %v, want ErrDoubleBooked", err)
 	}
 }
 
-func TestFinishBulkRejectsEmptyReservation(t *testing.T) {
+func TestPreloadRejectsEmptyReservation(t *testing.T) {
 	p := NewPRT(2)
-	p.BulkAdd([]Reservation{{CoflowID: 1, In: 0, Out: 1, Start: 1, End: 1}})
-	if err := p.FinishBulk(); !errors.Is(err, ErrEmptyReservation) {
-		t.Fatalf("empty bulk reservation: got %v, want ErrEmptyReservation", err)
+	if err := p.Preload([]Reservation{{CoflowID: 1, In: 0, Out: 1, Start: 1, End: 1}}); !errors.Is(err, ErrEmptyReservation) {
+		t.Fatalf("empty preloaded reservation: got %v, want ErrEmptyReservation", err)
 	}
 }
 
-func TestFinishBulkRejectsCompactedTimeline(t *testing.T) {
-	p := NewPRT(2)
-	p.Preload([]Reservation{{CoflowID: 1, In: 0, Out: 1, Start: 0, End: 1}})
-	p.CompactBefore(2)
-	if old, _ := p.Compacted(); old == 0 {
-		t.Fatal("CompactBefore archived nothing; test premise broken")
-	}
-	p.BulkAdd([]Reservation{{CoflowID: 2, In: 0, Out: 1, Start: 3, End: 4}})
-	if err := p.FinishBulk(); err == nil {
-		t.Fatal("bulk load on a compacted timeline must error")
-	}
-	// Reset restores the table for normal use, as the fallback contract
-	// requires.
-	p.Reset()
-	if err := bulkLoad(p, []Reservation{{CoflowID: 2, In: 0, Out: 1, Start: 3, End: 4}}); err != nil {
-		t.Fatalf("bulk load after Reset: %v", err)
-	}
-	if p.Len() != 1 {
-		t.Fatalf("Len after reset+bulk = %d, want 1", p.Len())
-	}
-}
-
-func TestFinishBulkAcceptsAbutment(t *testing.T) {
+func TestPreloadAcceptsAbutment(t *testing.T) {
 	// Insert accepts a reservation starting at the tick its neighbour ends;
-	// FinishBulk must too, or valid cached schedules would spuriously fail
-	// to reload. One tick more overlaps.
+	// Preload must too, or valid locked circuits would spuriously fail to
+	// reload. One tick more overlaps.
 	p := NewPRT(2)
-	if err := bulkLoad(p, []Reservation{
+	if err := p.Preload([]Reservation{
 		{CoflowID: 1, In: 0, Out: 1, Start: 0, End: 1},
 		{CoflowID: 2, In: 0, Out: 1, Start: 1, End: 2},
 	}); err != nil {
-		t.Fatalf("abutting bulk load: %v", err)
+		t.Fatalf("abutting preload: %v", err)
 	}
 	if p.NextCommitment(0, 1, math.MinInt64) != 0 {
-		t.Fatal("NextCommitment lost the first bulk interval")
+		t.Fatal("NextCommitment lost the first preloaded interval")
 	}
 	p.Reset()
-	if err := bulkLoad(p, []Reservation{
+	if err := p.Preload([]Reservation{
 		{CoflowID: 1, In: 0, Out: 1, Start: 0, End: 2},
 		{CoflowID: 2, In: 0, Out: 1, Start: 1, End: 3},
 	}); !errors.Is(err, ErrDoubleBooked) {

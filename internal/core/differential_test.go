@@ -16,20 +16,18 @@ import (
 // property drives the fast and the scan-based reference implementations over
 // the same inputs and requires bit-identical results — reflect.DeepEqual on
 // whole Schedule structs (reservation sequences, and with them every flow's
-// finish, and Finish instants) and on the merged port timelines left behind. Determinism is
-// load-bearing for the fault subsystem's reproducibility guarantees, so exact
-// equality, not approximate equality, is the bar.
+// finish, and Finish instants) and equality of the port timelines left
+// behind. Determinism is load-bearing for the fault subsystem's
+// reproducibility guarantees, so exact equality, not approximate equality,
+// is the bar.
 
 // quickCount is the iteration floor the acceptance criteria require for the
 // seeded differential properties.
 const quickCount = 200
 
 // prtScenario deterministically prepares one PRT for the given seed:
-// preloaded reservations, optional blackout windows, optional fault-style
-// Block calls (including permanent +Inf outages), and optional compaction at
-// a horizon that can lie past the search start — so the intra search meets
-// archived intervals after its start instant, reserves into the archive and
-// queries instants preceding the live window. Called twice per trial, it
+// preloaded reservations, optional blackout windows and optional fault-style
+// Block calls (including permanent +Inf outages). Called twice per trial, it
 // yields two independently built but identical tables.
 func prtScenario(rng *rand.Rand, ports int) *PRT {
 	prt := NewPRT(ports)
@@ -64,9 +62,6 @@ func prtScenario(rng *rand.Rand, ports int) *PRT {
 		}
 		prt.Block(rng.Intn(ports), start, end)
 	}
-	if rng.Intn(2) == 0 {
-		prt.CompactBefore(ns(rng.Float64() * 3))
-	}
 	return prt
 }
 
@@ -85,7 +80,7 @@ func randomOptions(rng *rand.Rand) Options {
 }
 
 // permanentOutage reports whether some port of p is blocked for good: a
-// timeline's last live interval ends at Forever.
+// timeline's last interval ends at Forever.
 func permanentOutage(p *PRT) bool {
 	for i := range p.in {
 		if iv := p.in[i].iv; len(iv) > 0 && iv[len(iv)-1].end == Forever {
@@ -95,26 +90,14 @@ func permanentOutage(p *PRT) bool {
 	return false
 }
 
-// mergedIntervals flattens a timeline's archive and live window into one
-// list, so equality checks see through compaction.
-func mergedIntervals(tl *timeline) []interval {
-	out := make([]interval, 0, len(tl.old)+len(tl.iv))
-	out = append(out, tl.old...)
-	out = append(out, tl.iv...)
-	return out
-}
-
 // samePRT reports whether two tables hold identical reservations, bit for
-// bit, regardless of how each has been compacted.
+// bit.
 func samePRT(a, b *PRT) bool {
-	if a.n != b.n || a.count != b.count {
+	if a.n != b.n {
 		return false
 	}
 	for i := 0; i < a.n; i++ {
-		if !reflect.DeepEqual(mergedIntervals(&a.in[i]), mergedIntervals(&b.in[i])) {
-			return false
-		}
-		if !reflect.DeepEqual(mergedIntervals(&a.out[i]), mergedIntervals(&b.out[i])) {
+		if !slices.Equal(a.in[i].iv, b.in[i].iv) || !slices.Equal(a.out[i].iv, b.out[i].iv) {
 			return false
 		}
 	}
@@ -127,7 +110,7 @@ func samePRT(a, b *PRT) bool {
 func sameSchedule(a, b *Schedule) bool { return reflect.DeepEqual(a, b) }
 
 // TestQuickFastMatchesReferenceIntra is the core acceptance property: over
-// random Coflows, preloads, blackouts, fault-degraded and compacted tables,
+// random Coflows, preloads, blackouts and fault-degraded tables,
 // the event-driven fast path and the scan-based reference produce
 // bit-identical Schedules and leave bit-identical PRTs behind. The trials
 // draw the table shapes the fast path's bitsets must handle, and the test
@@ -237,7 +220,7 @@ func TestQuickFastMatchesReferenceIntra(t *testing.T) {
 
 // TestQuickIntraSuffixInvariance is the plan cache's continuation
 // certificate (DESIGN.md §7) on one search. R = IntraCoflow(T0, F0, s0) runs
-// on a prtScenario table (blackouts, outage blocks, compaction, quantum). At
+// on a prtScenario table (blackouts, outage blocks, quantum). At
 // an instant now — a reservation's Start, a reservation's End, or a random
 // instant — the reservations starting before now form the prefix P = R[:k].
 // A fresh search over T0 ∪ P ∪ X on F0 − P from max(s0, now), where X are
@@ -444,9 +427,8 @@ func adjacentPair(rng *rand.Rand, fast, ref *PRT, c *coflow.Coflow, opts Options
 }
 
 // TestQuickFastMatchesReferenceInter runs whole inter-Coflow passes — the
-// shared-PRT regime where Coflows shorten each other's reservations and the
-// horizon compaction kicks in — and requires every schedule in the pass to
-// match bit for bit.
+// shared-PRT regime where Coflows shorten each other's reservations — and
+// requires every schedule in the pass to match bit for bit.
 func TestQuickFastMatchesReferenceInter(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -481,77 +463,9 @@ func TestQuickFastMatchesReferenceInter(t *testing.T) {
 	}
 }
 
-// TestQuickCompactionIsExact pins the tentpole invariant down directly:
-// an InterCoflow pass over a compacting PRT equals, bit for bit, the
-// pre-compaction semantics — an uncompacted PRT driven Coflow by Coflow —
-// and utilization accounting over any slice is unchanged.
-func TestQuickCompactionIsExact(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		ports := 4 + rng.Intn(6)
-		var cs []*coflow.Coflow
-		for k, n := 0, 3+rng.Intn(6); k < n; k++ {
-			c := randomCoflow(rng, ports, ports)
-			c.ID = k
-			c.Arrival = rng.Float64() * 5
-			cs = append(cs, c)
-		}
-		opts := randomOptions(rng)
-		ordered := FIFO{}.Sort(cs)
-
-		compacted := NewPRT(ports)
-		got, err1 := InterCoflow(compacted, ordered, opts)
-
-		plain := NewPRT(ports)
-		var want []*Schedule
-		var err2 error
-		for _, c := range ordered {
-			co := opts
-			co.Start = max(opts.Start, ns(c.Arrival))
-			var s *Schedule
-			if s, err2 = IntraCoflow(plain, c, co); err2 != nil {
-				break
-			}
-			want = append(want, s)
-		}
-
-		if (err1 == nil) != (err2 == nil) {
-			return false
-		}
-		if err1 != nil {
-			return true
-		}
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range got {
-			if !sameSchedule(got[i], want[i]) {
-				return false
-			}
-		}
-		if !samePRT(compacted, plain) {
-			return false
-		}
-		// busyTime over random slices must agree despite the archives.
-		for k := 0; k < 10; k++ {
-			i := rng.Intn(ports)
-			from := ns(rng.Float64() * 10)
-			to := from + ns(rng.Float64()*10)
-			if compacted.busyTime(i, from, to) != plain.busyTime(i, from, to) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: quickCount}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestQuickRemoveExact: satellite guarantee for timeline.remove — a
 // TryReserve rollback removes the interval starting exactly at the given
-// tick, in the live window or the archive, and a start one tick off removes
-// nothing.
+// tick, and a start one tick off removes nothing.
 func TestQuickRemoveExact(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -563,23 +477,18 @@ func TestQuickRemoveExact(t *testing.T) {
 				starts = append(starts, s)
 			}
 		}
-		// Sometimes compact a prefix into the archive, so removal is
-		// exercised on both halves.
-		if rng.Intn(2) == 0 {
-			tl.compact(ns(float64(rng.Intn(9))))
-		}
 		pick := starts[rng.Intn(len(starts))]
 		tl.remove(pick + 1)
-		if got := len(tl.iv) + len(tl.old); got != len(starts) {
+		if got := len(tl.iv); got != len(starts) {
 			t.Logf("seed %d: a start one tick off removed an interval", seed)
 			return false
 		}
 		tl.remove(pick)
-		if got := len(tl.iv) + len(tl.old); got != len(starts)-1 {
+		if got := len(tl.iv); got != len(starts)-1 {
 			t.Logf("seed %d: remove missed, %d intervals left of %d", seed, got, len(starts))
 			return false
 		}
-		for _, iv := range mergedIntervals(&tl) {
+		for _, iv := range tl.iv {
 			if iv.start == pick {
 				return false // removed the wrong one
 			}

@@ -123,36 +123,18 @@ func (PriorityClasses) Name() string { return "priority-classes" }
 //
 // Each Coflow's scheduling starts at max(opts.Start, its arrival), the
 // arrival converted to ticks by Nanos. Returned schedules parallel the input
-// order.
-//
-// As the pass advances, the PRT is compacted up to the earliest scheduling
-// start of the Coflows still to place (a suffix minimum): intervals the
-// remaining passes can only ever see as "already ended" retire into the
-// per-port archives, keeping the live windows the hot queries walk small on
-// long workloads. Compaction is exact — see PRT.CompactBefore — so the
-// schedules are unchanged by it.
+// order; on error they are those of the Coflows before the failing one.
 func InterCoflow(prt *PRT, ordered []*coflow.Coflow, opts Options) ([]*Schedule, error) {
 	sp := opts.Prof.Start("inter")
 	defer sp.Finish()
-	// own[k] is ordered[k]'s scheduling start; starts[k] = min(own[k:]).
-	own := make([]int64, len(ordered))
-	starts := make([]int64, len(ordered)+1)
-	starts[len(ordered)] = Forever
-	for k := len(ordered) - 1; k >= 0; k-- {
-		arrival, err := Nanos(ordered[k].Arrival)
-		if err != nil {
-			return nil, fmt.Errorf("core: coflow %d arrival: %w", ordered[k].ID, err)
-		}
-		own[k] = max(opts.Start, arrival)
-		starts[k] = min(starts[k+1], own[k])
-	}
 	scheds := make([]*Schedule, 0, len(ordered))
-	for k, c := range ordered {
-		csp := opts.Prof.Start("prt.compact")
-		prt.CompactBefore(starts[k])
-		csp.Finish()
+	for _, c := range ordered {
+		arrival, err := Nanos(c.Arrival)
+		if err != nil {
+			return scheds, fmt.Errorf("core: coflow %d arrival: %w", c.ID, err)
+		}
 		co := opts
-		co.Start = own[k]
+		co.Start = max(opts.Start, arrival)
 		s, err := IntraCoflow(prt, c, co)
 		if err != nil {
 			return scheds, err

@@ -66,9 +66,9 @@ type Options struct {
 	// made, reservations shortened by later commitments). Nil disables
 	// instrumentation.
 	Obs *obs.Observer
-	// Prof optionally records profiling spans ("inter", "intra",
-	// "prt.compact") on the calling goroutine's span stack. Nil disables
-	// profiling at the cost of one nil-check.
+	// Prof optionally records profiling spans ("inter", "intra") on the
+	// calling goroutine's span stack. Nil disables profiling at the cost of
+	// one nil-check.
 	Prof *span.Stack
 }
 
@@ -321,13 +321,12 @@ type portSide struct {
 	// list[p] holds port p's demands sorted by peer port — a window of
 	// intraScratch.flat, finished demands included.
 	list [][]int32
-	// cur[p] is a monotone finger into p's live window: at most the index of
-	// the first live interval starting after the latest refresh instant.
-	// Round instants strictly increase, so each refresh seeks it forward
-	// from there in amortised O(1) instead of a binary search. A reservation
-	// the pass makes at its current instant lands at the first start > t, at
-	// or after the finger, or in the archive; either way the finger stays
-	// valid.
+	// cur[p] is a monotone finger into p's timeline: at most the index of
+	// the first interval starting after the latest refresh instant. Round
+	// instants strictly increase, so each refresh seeks it forward from
+	// there in amortised O(1) instead of a binary search. A reservation the
+	// pass makes at its current instant t lands just before the first start
+	// > t, at or after the finger, so the finger stays valid.
 	cur  []int
 	free []uint64
 	next []int64
@@ -372,7 +371,7 @@ func (ps *portSide) refresh(p int, t int64) bool {
 	tl := &ps.tls[p]
 	c := tl.seek(ps.cur[p], t)
 	ps.cur[p] = c
-	ps.next[p] = tl.nextStartFrom(c, t)
+	ps.next[p] = tl.nextStartFrom(c)
 	if tl.freeFrom(c, t) {
 		setBit(ps.free, p)
 		return true

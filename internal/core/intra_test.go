@@ -270,7 +270,9 @@ func TestIntraAroundPreloadedReservation(t *testing.T) {
 	// reservation (inter-Coflow mechanics, Figure 2): the flow wants
 	// δ+0.08 = 0.09s but only 0.05s is available, so it is split.
 	prt := NewPRT(2)
-	prt.Preload([]Reservation{{CoflowID: 99, In: 0, Out: 1, Start: ns(0.05), End: ns(0.10), Setup: ns(0.01), Bytes: 0.04 * gbps / 8}})
+	if err := prt.Preload([]Reservation{{CoflowID: 99, In: 0, Out: 1, Start: ns(0.05), End: ns(0.10), Setup: ns(0.01), Bytes: 0.04 * gbps / 8}}); err != nil {
+		t.Fatal(err)
+	}
 	c := coflow.New(1, 0, []coflow.Flow{{Src: 0, Dst: 0, Bytes: 10e6}}) // p = 80ms
 	s, err := IntraCoflow(prt, c, testOpts)
 	if err != nil {
@@ -298,7 +300,9 @@ func TestIntraGapShorterThanDeltaIsSkipped(t *testing.T) {
 	// A free gap of only δ/2 before a commitment cannot host a circuit; the
 	// flow must wait for the release.
 	prt := NewPRT(2)
-	prt.Preload([]Reservation{{CoflowID: 99, In: 0, Out: 1, Start: ns(0.005), End: ns(0.10)}})
+	if err := prt.Preload([]Reservation{{CoflowID: 99, In: 0, Out: 1, Start: ns(0.005), End: ns(0.10)}}); err != nil {
+		t.Fatal(err)
+	}
 	c := coflow.New(1, 0, []coflow.Flow{{Src: 0, Dst: 0, Bytes: 1e6}})
 	s, err := IntraCoflow(prt, c, testOpts)
 	if err != nil {

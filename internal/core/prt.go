@@ -14,7 +14,6 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"math"
 	"math/bits"
 	"slices"
 	"sort"
@@ -73,68 +72,29 @@ type interval struct {
 	peer       int // the port on the other side of the circuit
 }
 
-// timeline holds the sorted non-overlapping busy intervals of one port, split
-// at the compaction horizon into a small live window and a cold archive.
-//
-// Invariant: old ++ iv is the full timeline in ascending start order. Every
-// archived interval starts before every live one (an interval whose end is at
-// or below the horizon cannot start after one whose end is above it without
-// overlapping), so the hot queries — freeAt, nextStart, insert — bind against
-// the live window and consult the archive only when the query time precedes
-// the whole window. Because sorted non-overlapping intervals are also sorted
-// by end, binary search is valid on ends as well as starts in both halves.
-// The archived intervals are kept so every query — a fault Block straddling
-// the horizon, a rollback remove — stays exact.
+// timeline holds the sorted, non-overlapping busy intervals of one port.
+// Sorted non-overlapping intervals are sorted by end as well as by start, so
+// binary search is valid on either.
 type timeline struct {
-	iv  []interval // live window: intervals ending after the horizon
-	old []interval // archive: retired intervals, ascending start
+	iv []interval
 }
 
-// halves returns the archive and the live window, in merged start order.
-func (tl *timeline) halves() [2][]interval { return [2][]interval{tl.old, tl.iv} }
-
-// searchAfter returns the index of the first live interval with start > t.
+// searchAfter returns the index of the first interval with start > t.
 func (tl *timeline) searchAfter(t int64) int {
 	return sort.Search(len(tl.iv), func(i int) bool { return tl.iv[i].start > t })
 }
 
-// searchOldAfter returns the index of the first archived interval with
-// start > t.
-func (tl *timeline) searchOldAfter(t int64) int {
-	return sort.Search(len(tl.old), func(i int) bool { return tl.old[i].start > t })
-}
-
-// freeAt reports whether the port is free at time t, i.e. no interval
-// contains t.
-func (tl *timeline) freeAt(t int64) bool { return tl.freeFrom(tl.searchAfter(t), t) }
-
-// freeFrom is freeAt given i, the index of the first live interval with
-// start > t.
+// freeFrom reports whether the port is free at t, i.e. no interval contains
+// t, given i, the index of the first interval with start > t: only the
+// interval before i can contain t.
 func (tl *timeline) freeFrom(i int, t int64) bool {
-	if i > 0 {
-		// The candidate containing interval is the one before index i; any
-		// archived interval ends at or before this one's start.
-		return tl.iv[i-1].end <= t
-	}
-	// t precedes the live window: the candidate is in the archive.
-	if k := tl.searchOldAfter(t); k > 0 {
-		return tl.old[k-1].end <= t
-	}
-	return true
+	return i == 0 || tl.iv[i-1].end <= t
 }
 
-// nextStart returns the start of the earliest interval beginning after t, or
-// Forever when the port has no later commitment.
-func (tl *timeline) nextStart(t int64) int64 { return tl.nextStartFrom(tl.searchAfter(t), t) }
-
-// nextStartFrom is nextStart given i, the index of the first live interval
-// with start > t.
-func (tl *timeline) nextStartFrom(i int, t int64) int64 {
-	// Archived intervals all start before live ones, so if any archived start
-	// lies after t it is the answer.
-	if n := len(tl.old); n > 0 && tl.old[n-1].start > t {
-		return tl.old[tl.searchOldAfter(t)].start
-	}
+// nextStartFrom returns the port's next commitment after t given i, the
+// index of the first interval with start > t: that interval's start, or
+// Forever when there is none.
+func (tl *timeline) nextStartFrom(i int) int64 {
 	if i == len(tl.iv) {
 		return Forever
 	}
@@ -142,17 +102,14 @@ func (tl *timeline) nextStartFrom(i int, t int64) int64 {
 }
 
 // nextEndFrom returns the earliest end after t of an interval on the
-// timeline, given i, the index of the first live interval with start > t; ok
-// is false when every interval ends by t. The interval before i is the only
-// live one that can hold t; when i is 0, t precedes the live window and the
-// answer may lie in the archive.
+// timeline, given i, the index of the first interval with start > t; ok is
+// false when every interval ends by t. The interval before i is the only one
+// that can hold t.
 func (tl *timeline) nextEndFrom(i int, t int64) (end int64, ok bool) {
 	if i > 0 {
 		if e := tl.iv[i-1].end; e > t {
 			return e, true
 		}
-	} else if n := len(tl.old); n > 0 && tl.old[n-1].end > t {
-		return tl.old[endsAfter(tl.old, t)].end, true
 	}
 	if i < len(tl.iv) {
 		return tl.iv[i].end, true
@@ -160,8 +117,8 @@ func (tl *timeline) nextEndFrom(i int, t int64) (end int64, ok bool) {
 	return 0, false
 }
 
-// seek advances i, an index into the live window at or before the first
-// interval with start > t, to exactly that interval.
+// seek advances i, an index at or before the first interval with start > t,
+// to exactly that interval.
 func (tl *timeline) seek(i int, t int64) int {
 	for i < len(tl.iv) && tl.iv[i].start <= t {
 		i++
@@ -170,53 +127,29 @@ func (tl *timeline) seek(i int, t int64) int {
 }
 
 // gap locates the interval [start, end) on the timeline: ok reports that it
-// overlaps no existing interval, and then it belongs at index k of the
-// archive (archived) or of the live window. An interval sorting before an
-// archived one goes into the archive, so the old-before-live start order is
-// preserved.
-func (tl *timeline) gap(start, end int64) (archived bool, k int, ok bool) {
-	if no := len(tl.old); no > 0 && tl.old[no-1].start > start {
-		k := tl.searchOldAfter(start)
-		// The successor old[k] exists (old[no-1].start > start) and already
-		// precedes every live interval, so clearing it clears the window too.
-		return true, k, (k == 0 || tl.old[k-1].end <= start) && tl.old[k].start >= end
-	}
-	i := tl.searchAfter(start)
-	if i > 0 {
-		if tl.iv[i-1].end > start {
-			return false, i, false
-		}
-	} else if no := len(tl.old); no > 0 && tl.old[no-1].end > start {
-		return false, i, false
-	}
-	return false, i, i == len(tl.iv) || tl.iv[i].start >= end
+// overlaps no existing interval, and then it belongs at index k.
+func (tl *timeline) gap(start, end int64) (k int, ok bool) {
+	k = tl.searchAfter(start)
+	return k, tl.freeFrom(k, start) && tl.nextStartFrom(k) >= end
 }
 
 // insert adds the interval [start, end) and reports whether it was free of
-// overlap, keeping both halves sorted.
+// overlap, keeping the timeline sorted.
 func (tl *timeline) insert(start, end int64, peer int) bool {
-	archived, k, ok := tl.gap(start, end)
+	k, ok := tl.gap(start, end)
 	if !ok {
 		return false
 	}
-	ivs := &tl.iv
-	if archived {
-		ivs = &tl.old
-	}
-	*ivs = append(*ivs, interval{})
-	copy((*ivs)[k+1:], (*ivs)[k:])
-	(*ivs)[k] = interval{start: start, end: end, peer: peer}
+	tl.iv = append(tl.iv, interval{})
+	copy(tl.iv[k+1:], tl.iv[k:])
+	tl.iv[k] = interval{start: start, end: end, peer: peer}
 	return true
 }
 
 // remove deletes the interval starting at start, if present.
-// The live window is tried first — rollback of a just-inserted reservation is
-// the hot case — then the archive.
 func (tl *timeline) remove(start int64) {
 	if i, ok := slices.BinarySearchFunc(tl.iv, start, byStart); ok {
 		tl.iv = slices.Delete(tl.iv, i, i+1)
-	} else if i, ok := slices.BinarySearchFunc(tl.old, start, byStart); ok {
-		tl.old = slices.Delete(tl.old, i, i+1)
 	}
 }
 
@@ -224,22 +157,18 @@ func (tl *timeline) remove(start int64) {
 func byStart(v interval, t int64) int { return cmp.Compare(v.start, t) }
 
 // block fills the free gaps of [start, end) with busy intervals (peer -1),
-// leaving existing intervals untouched. The walk runs over the archive then
-// the live window — the merged ascending order — so windows straddling the
-// compaction horizon compose exactly as on an uncompacted timeline.
+// leaving existing intervals untouched.
 func (tl *timeline) block(start, end int64) {
 	if end <= start {
 		return
 	}
 	cur := start
 	var gaps []interval
-	for _, ivs := range tl.halves() {
-		for k := endsAfter(ivs, start); k < len(ivs) && ivs[k].start < end; k++ {
-			if ivs[k].start > cur {
-				gaps = append(gaps, interval{start: cur, end: min(ivs[k].start, end), peer: -1})
-			}
-			cur = max(cur, ivs[k].end)
+	for k := endsAfter(tl.iv, start); k < len(tl.iv) && tl.iv[k].start < end; k++ {
+		if tl.iv[k].start > cur {
+			gaps = append(gaps, interval{start: cur, end: min(tl.iv[k].start, end), peer: -1})
 		}
+		cur = max(cur, tl.iv[k].end)
 	}
 	if cur < end {
 		gaps = append(gaps, interval{start: cur, end: end, peer: -1})
@@ -249,36 +178,13 @@ func (tl *timeline) block(start, end int64) {
 	}
 }
 
-// endsAfter appends to dst the end times of all intervals ending after t.
-// Sorted starts plus non-overlap make ends sorted too, so the suffix of each
-// half is found by binary search.
-func (tl *timeline) endsAfter(t int64, dst []int64) []int64 {
-	for _, ivs := range tl.halves() {
-		for _, v := range ivs[endsAfter(ivs, t):] {
-			dst = append(dst, v.end)
-		}
-	}
-	return dst
-}
-
 // endsAfter returns the index of the first of the sorted intervals ivs that
 // ends after t.
 func endsAfter(ivs []interval, t int64) int {
 	return sort.Search(len(ivs), func(i int) bool { return ivs[i].end > t })
 }
 
-// compact retires the live intervals ending at or before h into the archive.
-func (tl *timeline) compact(h int64) {
-	k := endsAfter(tl.iv, h)
-	if k == 0 {
-		return
-	}
-	tl.old = append(tl.old, tl.iv[:k]...)
-	n := copy(tl.iv, tl.iv[k:])
-	tl.iv = tl.iv[:n]
-}
-
-// grow reserves capacity for n more live intervals, so a scheduling pass that
+// grow reserves capacity for n more intervals, so a scheduling pass that
 // knows its demand can avoid repeated append growth.
 func (tl *timeline) grow(n int) {
 	tl.iv = slices.Grow(tl.iv, n)
@@ -287,7 +193,6 @@ func (tl *timeline) grow(n int) {
 // reset empties the timeline, keeping capacity for reuse.
 func (tl *timeline) reset() {
 	tl.iv = tl.iv[:0]
-	tl.old = tl.old[:0]
 }
 
 // Blackout describes recurring periods during which ports may not accept
@@ -312,13 +217,10 @@ type PRT struct {
 	n        int
 	in, out  []timeline
 	blackout Blackout
-	count    int
-	horizon  int64
-	// bulk counts reservations appended by BulkAdd but not yet committed by
-	// FinishBulk; bulkTouched marks the timelines they landed on, bit 2i for
-	// input port i and bit 2i+1 for output port i.
-	bulk        int
-	bulkTouched []uint64
+	// touched marks the timelines a Preload appended to, bit 2i for input
+	// port i and bit 2i+1 for output port i. A Preload clears it as it goes,
+	// and Reset clears what a failed one left.
+	touched []uint64
 	// intra is the fast intra search's working set, allocated on first use.
 	// It lives with the table because searches on one table are serialized
 	// (each mutates it) and callers reuse their table pass after pass; unlike
@@ -337,14 +239,11 @@ func (p *PRT) intraScratch() *intraScratch {
 
 // NewPRT returns an empty PRT for an n-port switch.
 func NewPRT(n int) *PRT {
-	return &PRT{n: n, in: make([]timeline, n), out: make([]timeline, n), horizon: math.MinInt64}
+	return &PRT{n: n, in: make([]timeline, n), out: make([]timeline, n)}
 }
 
 // Ports returns the switch port count N.
 func (p *PRT) Ports() int { return p.n }
-
-// Len returns the number of reservations recorded.
-func (p *PRT) Len() int { return p.count }
 
 // SetBlackout installs recurring no-reservation windows (nil disables).
 func (p *PRT) SetBlackout(b Blackout) { p.blackout = b }
@@ -358,52 +257,7 @@ func (p *PRT) Reset() {
 		p.out[i].reset()
 	}
 	p.blackout = nil
-	p.count = 0
-	p.bulk = 0
-	clear(p.bulkTouched)
-	p.horizon = math.MinInt64
-}
-
-// CompactBefore retires, on every port timeline, the intervals ending at or
-// before t into the per-port archive. The horizon only advances: calls with
-// t at or below the current horizon are no-ops. Compaction never changes any
-// query's answer — archived intervals still back freeAt, Block and remove on
-// the cold side — it only keeps the live windows the hot queries
-// bind against small. InterCoflow drives it with the schedule cursor.
-func (p *PRT) CompactBefore(t int64) {
-	if t <= p.horizon || t == Forever {
-		return
-	}
-	p.horizon = t
-	for i := range p.in {
-		p.in[i].compact(t)
-		p.out[i].compact(t)
-	}
-}
-
-// Horizon returns the current compaction horizon, math.MinInt64 before any
-// compaction.
-func (p *PRT) Horizon() int64 { return p.horizon }
-
-// FreeAt reports whether both in.i and out.j are free at time t and t is not
-// inside a blackout window.
-func (p *PRT) FreeAt(i, j int, t int64) bool {
-	if p.blackout != nil && p.blackout.Covers(t) {
-		return false
-	}
-	return p.in[i].freeAt(t) && p.out[j].freeAt(t)
-}
-
-// NextCommitment returns tm, the earliest next reservation start on in.i or
-// out.j after t — the bound that shortens reservations at the inter-Coflow
-// level (Algorithm 1, line 16) — also accounting for the next blackout
-// window.
-func (p *PRT) NextCommitment(i, j int, t int64) int64 {
-	tm := min(p.in[i].nextStart(t), p.out[j].nextStart(t))
-	if p.blackout != nil {
-		tm = min(tm, p.blackout.NextStart(t))
-	}
-	return tm
+	clear(p.touched)
 }
 
 // ErrDoubleBooked reports a reservation overlapping an existing one on a
@@ -430,7 +284,6 @@ func (p *PRT) TryReserve(r Reservation) error {
 		p.in[r.In].remove(r.Start)
 		return fmt.Errorf("%w: output port %d at [%d,%d)", ErrDoubleBooked, r.Out, r.Start, r.End)
 	}
-	p.count++
 	return nil
 }
 
@@ -454,66 +307,45 @@ func (p *PRT) Block(port int, start, end int64) {
 	p.out[port].block(start, end)
 }
 
-// Preload seeds the PRT with reservations that must not be preempted —
-// circuits already established when an online reschedule happens.
-func (p *PRT) Preload(rs []Reservation) {
-	for _, r := range rs {
-		p.Reserve(r)
-	}
-}
-
-// BulkAdd appends reservations to the port timelines without searching for
-// their sorted position — the fast path an incremental replan uses to re-seed
-// a freshly Reset table with the locked set, known conflict-free from the
-// previous pass. Between BulkAdd and FinishBulk the timeline invariants are
-// suspended and every query is undefined; FinishBulk restores them. Only
-// valid on a table with no archived intervals (any fresh Reset qualifies).
-func (p *PRT) BulkAdd(rs []Reservation) {
-	if p.bulkTouched == nil {
-		p.bulkTouched = make([]uint64, (2*p.n+63)/64)
+// Preload seeds the table with reservations that must not be preempted —
+// the circuits already established when an online reschedule happens. It
+// appends each to its two port timelines without searching for its sorted
+// position, then restores the invariants of each timeline it touched: the
+// timeline is re-sorted (skipped when the appends arrived in order) and
+// verified non-overlapping, as TryReserve checks. Untouched timelines are not
+// visited; touched ones are visited in port order, input before output. On
+// error (ErrEmptyReservation, ErrDoubleBooked) the table state is unspecified
+// and the caller must Reset before reusing it.
+func (p *PRT) Preload(rs []Reservation) error {
+	if p.touched == nil {
+		p.touched = make([]uint64, (2*p.n+63)/64)
 	}
 	for i := range rs {
 		r := &rs[i]
 		p.in[r.In].iv = append(p.in[r.In].iv, interval{start: r.Start, end: r.End, peer: r.Out})
 		p.out[r.Out].iv = append(p.out[r.Out].iv, interval{start: r.Start, end: r.End, peer: r.In})
-		setBit(p.bulkTouched, 2*r.In)
-		setBit(p.bulkTouched, 2*r.Out+1)
+		setBit(p.touched, 2*r.In)
+		setBit(p.touched, 2*r.Out+1)
 	}
-	p.bulk += len(rs)
-}
-
-// FinishBulk restores the timeline invariants after one or more BulkAdd
-// calls: each touched timeline is re-sorted (skipped when the appends arrived
-// already ordered) and verified non-overlapping, as insert checks. Untouched
-// timelines already hold the invariants and are not visited; touched ones
-// are visited in port order, input before output. On error
-// (ErrEmptyReservation, ErrDoubleBooked, or a compacted timeline) the table
-// state is unspecified and the caller must Reset before reusing it.
-func (p *PRT) FinishBulk() error {
-	added := p.bulk
-	p.bulk = 0
-	for w, word := range p.bulkTouched {
-		p.bulkTouched[w] = 0
+	for w, word := range p.touched {
+		p.touched[w] = 0
 		for ; word != 0; word &= word - 1 {
 			b := w<<6 | bits.TrailingZeros64(word)
 			tl, side := &p.in[b>>1], "input"
 			if b&1 == 1 {
 				tl, side = &p.out[b>>1], "output"
 			}
-			if err := tl.finishBulk(side, b>>1); err != nil {
+			if err := tl.settle(side, b>>1); err != nil {
 				return err
 			}
 		}
 	}
-	p.count += added
 	return nil
 }
 
-// finishBulk re-establishes one timeline's sorted non-overlap invariant.
-func (tl *timeline) finishBulk(side string, port int) error {
-	if len(tl.old) != 0 {
-		return fmt.Errorf("core: bulk load on compacted %s port %d timeline", side, port)
-	}
+// settle re-establishes one timeline's sorted non-overlap invariant after
+// Preload's appends.
+func (tl *timeline) settle(side string, port int) error {
 	iv := tl.iv
 	for k := 1; k < len(iv); k++ {
 		if iv[k].start < iv[k-1].start {
@@ -557,17 +389,14 @@ func (p *PRT) SpansOn(t, horizon int64, ins, outs []int, dst []PortSpan) []PortS
 	return dst
 }
 
-// spansOn appends the timeline's intervals with end > t and start < horizon.
-// The archive precedes the live window in start order, so the concatenated
-// walk is sorted.
+// spansOn appends the timeline's intervals with end > t and start < horizon,
+// in start order.
 func (tl *timeline) spansOn(t, horizon int64, port int32, out bool, dst []PortSpan) []PortSpan {
-	for _, ivs := range tl.halves() {
-		for _, v := range ivs[endsAfter(ivs, t):] {
-			if v.start >= horizon {
-				break
-			}
-			dst = append(dst, PortSpan{Start: v.start, End: v.end, Port: port, Out: out})
+	for _, v := range tl.iv[endsAfter(tl.iv, t):] {
+		if v.start >= horizon {
+			break
 		}
+		dst = append(dst, PortSpan{Start: v.start, End: v.end, Port: port, Out: out})
 	}
 	return dst
 }
@@ -601,34 +430,32 @@ func (p *PRT) ContainsSpans(spans []PortSpan, t int64) bool {
 // holds reports whether the timeline holds every span of group, one port's
 // spans in start order, that ends after t. Spans and intervals are sorted by
 // start and so by end: the expired spans are a prefix, and the visible ones
-// are matched in one walk over the merged archive and live window from the
-// first interval at or after the first visible span's start. Starts are
-// unique, so passing a span's start without meeting it means it is missing.
+// are matched in one walk from the first interval at or after the first
+// visible span's start. Starts are unique, so passing a span's start without
+// meeting it means it is missing.
 func (tl *timeline) holds(group []PortSpan, t int64) bool {
 	k := 0
 	for k < len(group) && group[k].End <= t {
 		k++
 	}
 	group = group[k:]
-	for _, ivs := range tl.halves() {
-		if len(group) == 0 {
+	if len(group) == 0 {
+		return true
+	}
+	i, _ := slices.BinarySearchFunc(tl.iv, group[0].Start, byStart)
+	for ; i < len(tl.iv); i++ {
+		v, sp := tl.iv[i], group[0]
+		if v.start < sp.Start {
+			continue // occupancy the snapshot lacks
+		}
+		if v.start != sp.Start || v.end != sp.End {
+			return false
+		}
+		if group = group[1:]; len(group) == 0 {
 			return true
 		}
-		i, _ := slices.BinarySearchFunc(ivs, group[0].Start, byStart)
-		for ; i < len(ivs); i++ {
-			v, sp := ivs[i], group[0]
-			if v.start < sp.Start {
-				continue // occupancy the snapshot lacks
-			}
-			if v.start != sp.Start || v.end != sp.End {
-				return false
-			}
-			if group = group[1:]; len(group) == 0 {
-				return true
-			}
-		}
 	}
-	return len(group) == 0
+	return false
 }
 
 // Fits reports whether TryReserve(r) would succeed, without changing the
@@ -637,20 +464,7 @@ func (p *PRT) Fits(r Reservation) bool {
 	if r.End <= r.Start {
 		return false
 	}
-	_, _, okIn := p.in[r.In].gap(r.Start, r.End)
-	_, _, okOut := p.out[r.Out].gap(r.Start, r.End)
+	_, okIn := p.in[r.In].gap(r.Start, r.End)
+	_, okOut := p.out[r.Out].gap(r.Start, r.End)
 	return okIn && okOut
-}
-
-// ReleasesAfter appends to dst the end times, strictly after t, of existing
-// reservations touching any of the given input and output ports. The intra
-// scheduler advances through these instants (Algorithm 1, line 10).
-func (p *PRT) ReleasesAfter(t int64, ins, outs []int, dst []int64) []int64 {
-	for _, i := range ins {
-		dst = p.in[i].endsAfter(t, dst)
-	}
-	for _, j := range outs {
-		dst = p.out[j].endsAfter(t, dst)
-	}
-	return dst
 }

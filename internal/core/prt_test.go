@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -117,8 +116,7 @@ func TestPRTReleasesAfter(t *testing.T) {
 // TestPRTContainsSpans pins the plan cache's context containment check: a
 // snapshot is contained while every span still visible at t is on the table
 // with the same Start and End, whatever else the table gained, and spans that
-// ended by t no longer count. Spans on an archived (compacted) interval are
-// found as well.
+// ended by t no longer count.
 func TestPRTContainsSpans(t *testing.T) {
 	p := NewPRT(3)
 	p.Reserve(Reservation{In: 0, Out: 1, Start: 10, End: 20})
@@ -152,15 +150,12 @@ func TestPRTContainsSpans(t *testing.T) {
 	if !p.ContainsSpans(snap, 0) {
 		t.Fatal("an added interval broke containment")
 	}
-	p.CompactBefore(35)
-	if !p.ContainsSpans(snap, 0) || p.ContainsSpans([]PortSpan{{Start: 10, End: 19, Port: 0}}, 0) {
-		t.Fatal("containment must read archived intervals exactly")
-	}
 }
 
 // TestPRTFits: Fits answers what TryReserve would, without changing the
 // table — a suffix reservation overlapping an extra interval does not fit,
-// one touching its end does, on live and archived intervals alike.
+// one touching its end does — and a TryReserve that fails on its output port
+// rolls its input side back.
 func TestPRTFits(t *testing.T) {
 	extra := Reservation{In: 2, Out: 2, Start: 30, End: 40}
 	for _, c := range []struct {
@@ -175,134 +170,81 @@ func TestPRTFits(t *testing.T) {
 		{"ends at its start", Reservation{In: 1, Out: 2, Start: 20, End: 30}, true},
 		{"free ports", Reservation{In: 1, Out: 0, Start: 0, End: 100}, true},
 		{"empty", Reservation{In: 1, Out: 0, Start: 5, End: 5}, false},
-		{"before an archived interval", Reservation{In: 0, Out: 0, Start: 0, End: 10}, true},
-		{"over an archived interval", Reservation{In: 0, Out: 0, Start: 5, End: 11}, false},
+		{"before an earlier interval", Reservation{In: 0, Out: 0, Start: 0, End: 10}, true},
+		{"over an earlier interval", Reservation{In: 0, Out: 0, Start: 5, End: 11}, false},
 	} {
-		for _, compacted := range []bool{false, true} {
-			q := NewPRT(3)
-			q.Reserve(Reservation{In: 0, Out: 1, Start: 10, End: 20})
-			q.Reserve(extra)
-			if compacted {
-				q.CompactBefore(25)
-			}
-			if got := q.Fits(c.r); got != c.want {
-				t.Errorf("%s (compacted %v): Fits = %v, want %v", c.name, compacted, got, c.want)
-			}
-			if q.Len() != 2 {
-				t.Fatalf("%s: Fits changed the table", c.name)
-			}
-			if got := q.TryReserve(c.r) == nil; got != c.want {
-				t.Errorf("%s (compacted %v): TryReserve succeeded = %v, Fits said %v", c.name, compacted, got, c.want)
-			}
+		q := NewPRT(3)
+		q.Reserve(Reservation{In: 0, Out: 1, Start: 10, End: 20})
+		q.Reserve(extra)
+		if got := q.Fits(c.r); got != c.want {
+			t.Errorf("%s: Fits = %v, want %v", c.name, got, c.want)
+		}
+		if q.Len() != 2 {
+			t.Fatalf("%s: Fits changed the table", c.name)
+		}
+		if got := q.TryReserve(c.r) == nil; got != c.want {
+			t.Errorf("%s: TryReserve succeeded = %v, Fits said %v", c.name, got, c.want)
+		}
+		want := 2
+		if c.want {
+			want = 3
+		}
+		if q.Len() != want {
+			t.Errorf("%s: Len after TryReserve = %d, want %d", c.name, q.Len(), want)
 		}
 	}
 }
 
-// TestPRTBlockStraddlesHorizon: a fault outage window that straddles the
-// compaction horizon must compose with archived reservations exactly as it
-// would on an uncompacted table — same gap fills, same truncation against
-// preloaded circuits, same answers afterwards.
-func TestPRTBlockStraddlesHorizon(t *testing.T) {
-	build := func() *PRT {
-		p := NewPRT(2)
-		p.Preload([]Reservation{
-			{CoflowID: 1, In: 0, Out: 1, Start: ns(0.5), End: ns(1.0), Setup: ns(0.01)},
-			{CoflowID: 2, In: 0, Out: 1, Start: ns(1.5), End: ns(2.0), Setup: ns(0.01)},
-			{CoflowID: 3, In: 0, Out: 1, Start: ns(3.0), End: ns(3.5), Setup: ns(0.01)},
-		})
-		return p
+// TestPRTBlockFillsGaps: a fault outage window over preloaded reservations
+// fills only the free gaps — it begins inside one reservation and ends inside
+// another, leaving every reservation as it was — and on a port with no
+// reservations it is one interval.
+func TestPRTBlockFillsGaps(t *testing.T) {
+	p := NewPRT(2)
+	if err := p.Preload([]Reservation{
+		{CoflowID: 1, In: 0, Out: 1, Start: ns(0.5), End: ns(1.0), Setup: ns(0.01)},
+		{CoflowID: 2, In: 0, Out: 1, Start: ns(1.5), End: ns(2.0), Setup: ns(0.01)},
+		{CoflowID: 3, In: 0, Out: 1, Start: ns(3.0), End: ns(3.5), Setup: ns(0.01)},
+	}); err != nil {
+		t.Fatal(err)
 	}
-	compacted, plain := build(), build()
-	compacted.CompactBefore(ns(2.25))
-	if n, busy := compacted.Compacted(); n != 4 || busy != ns(2.0) {
-		t.Fatalf("Compacted() = %d, %v; want 4 intervals, 2.0s", n, busy)
+	p.Block(0, ns(0.75), ns(3.25))
+	p.Block(1, ns(0.75), ns(3.25))
+	want := []interval{
+		{start: ns(0.5), end: ns(1.0), peer: 1},
+		{start: ns(1.0), end: ns(1.5), peer: -1},
+		{start: ns(1.5), end: ns(2.0), peer: 1},
+		{start: ns(2.0), end: ns(3.0), peer: -1},
+		{start: ns(3.0), end: ns(3.5), peer: 1},
 	}
-
-	// The outage [0.75, 3.25) begins inside an archived reservation, spans the
-	// horizon at 2.25, and ends inside a live one.
-	for _, p := range []*PRT{compacted, plain} {
-		p.Block(0, ns(0.75), ns(3.25))
-		p.Block(1, ns(0.75), ns(3.25))
+	if !slices.Equal(p.in[0].iv, want) {
+		t.Fatalf("in.0 after Block = %+v, want %+v", p.in[0].iv, want)
 	}
-	if !samePRT(compacted, plain) {
-		t.Fatalf("block across horizon diverges:\ncompacted in0: %+v %+v\nplain in0: %+v",
-			compacted.in[0].old, compacted.in[0].iv, plain.in[0].iv)
+	if want := []interval{{start: ns(0.75), end: ns(3.25), peer: -1}}; !slices.Equal(p.in[1].iv, want) {
+		t.Fatalf("in.1 after Block = %+v, want %+v", p.in[1].iv, want)
 	}
-	for _, sec := range []float64{0, 0.6, 1.2, 2.24, 2.26, 3.2, 3.6} {
-		tt := ns(sec)
-		if a, b := compacted.FreeAt(0, 1, tt), plain.FreeAt(0, 1, tt); a != b {
-			t.Fatalf("FreeAt(%v) diverges: compacted=%v plain=%v", tt, a, b)
+	for _, c := range []struct {
+		sec  float64
+		free bool
+		next int64
+	}{
+		{0, true, ns(0.5)},
+		{0.6, false, ns(1.0)},
+		{1.2, false, ns(1.5)},
+		{2.24, false, ns(3.0)},
+		{3.2, false, Forever},
+		{3.6, true, Forever},
+	} {
+		tt := ns(c.sec)
+		if got := p.FreeAt(0, 1, tt); got != c.free {
+			t.Errorf("FreeAt(%v) = %v, want %v", tt, got, c.free)
 		}
-		if a, b := compacted.NextCommitment(0, 1, tt), plain.NextCommitment(0, 1, tt); a != b {
-			t.Fatalf("NextCommitment(%v) diverges: %v vs %v", tt, a, b)
-		}
-		if a, b := compacted.busyTime(0, 0, tt+ns(0.1)), plain.busyTime(0, 0, tt+ns(0.1)); a != b {
-			t.Fatalf("busyTime(0,0,%v) diverges: %v vs %v", tt+ns(0.1), a, b)
+		if got := p.NextCommitment(0, 1, tt); got != c.next {
+			t.Errorf("NextCommitment(%v) = %v, want %v", tt, got, c.next)
 		}
 	}
-	// The gap fills landed where an uncompacted walk would put them: the free
-	// gaps [1.0,1.5) and [2.0,3.0) filled, reservations untouched, so the
-	// whole [0.5,3.5) span is busy.
-	wantBusy := plain.busyTime(0, 0, ns(4))
-	if got := compacted.busyTime(0, 0, ns(4)); got != wantBusy {
-		t.Fatalf("total busy = %v, want %v", got, wantBusy)
-	}
-	if wantBusy != ns(3.0) {
-		t.Fatalf("blocked table busy = %v, want 3.0 ([0.5,3.5) fully covered)", wantBusy)
-	}
-}
-
-// TestPRTCompactionBookkeeping pins the horizon semantics: monotone advance,
-// Forever rejected, Reset rewinds, and TryReserve rollback still works when the
-// insert landed in the archive.
-func TestPRTCompactionBookkeeping(t *testing.T) {
-	p := NewPRT(1)
-	if p.Horizon() != math.MinInt64 {
-		t.Fatalf("fresh horizon = %v", p.Horizon())
-	}
-	p.Reserve(Reservation{In: 0, Out: 0, Start: 0, End: 10})
-	p.Reserve(Reservation{In: 0, Out: 0, Start: 14, End: 15})
-	p.Reserve(Reservation{In: 0, Out: 0, Start: 20, End: 30})
-	p.CompactBefore(15)
-	if p.Horizon() != 15 {
-		t.Fatalf("horizon = %v", p.Horizon())
-	}
-	p.CompactBefore(10) // regression must be a no-op
-	if p.Horizon() != 15 {
-		t.Fatalf("horizon moved backwards: %v", p.Horizon())
-	}
-	p.CompactBefore(Forever) // Forever would retire the whole live window
-	if p.Horizon() != 15 {
-		t.Fatalf("Forever advanced the horizon: %v", p.Horizon())
-	}
-	if n, busy := p.Compacted(); n != 4 || busy != 22 {
-		t.Fatalf("Compacted() = %d, %v; want 4 intervals, 2.2s", n, busy)
-	}
-
-	// A rollback whose input-side insert landed in the archive — the insert
-	// point precedes the last archived start — must remove it from the
-	// archive, restoring oldBusy. Occupy the output side directly so the
-	// second half of TryReserve fails.
-	if !p.out[0].insert(10, 13, -1) {
-		t.Fatal("scaffolding insert rejected")
-	}
-	wantN, wantBusy := p.Compacted()
-	if err := p.TryReserve(Reservation{In: 0, Out: 0, Start: 11, End: 13}); err == nil {
-		t.Fatal("reservation over an occupied output accepted")
-	}
-	if n, busy := p.Compacted(); n != wantN || busy != wantBusy {
-		t.Fatalf("rollback leaked into archive: Compacted() = %d, %v; want %d, %v", n, busy, wantN, wantBusy)
-	}
-	if !p.in[0].freeAt(12) {
-		t.Fatal("rolled-back input slot should be free")
-	}
-
-	p.Reset()
-	if p.Horizon() != math.MinInt64 || p.Len() != 0 {
-		t.Fatalf("Reset left horizon=%v len=%d", p.Horizon(), p.Len())
-	}
-	if n, busy := p.Compacted(); n != 0 || busy != 0 {
-		t.Fatalf("Reset left archive: %d, %v", n, busy)
+	if got := p.busyTime(0, 0, ns(4)); got != ns(3.0) {
+		t.Fatalf("blocked table busy = %v, want 3.0 ([0.5,3.5) fully covered)", got)
 	}
 }
 
@@ -320,30 +262,29 @@ func TestPRTBusyTime(t *testing.T) {
 	}
 }
 
-// busyTime sums reserved time on input port i within [from, to), over the
-// archive and the live window alike.
+// busyTime sums reserved time on input port i within [from, to).
 func (p *PRT) busyTime(i int, from, to int64) int64 {
 	var sum int64
-	for _, ivs := range p.in[i].halves() {
-		for _, v := range ivs {
-			if lo, hi := max(v.start, from), min(v.end, to); hi > lo {
-				sum += hi - lo
-			}
+	for _, v := range p.in[i].iv {
+		if lo, hi := max(v.start, from), min(v.end, to); hi > lo {
+			sum += hi - lo
 		}
 	}
 	return sum
 }
 
-// Compacted reports the archive size: how many intervals have been retired
-// across all port timelines and their total busy ticks.
-func (p *PRT) Compacted() (intervals int, busy int64) {
-	for _, tl := range append(slices.Clone(p.in), p.out...) {
-		for _, v := range tl.old {
-			intervals++
-			busy += v.end - v.start
+// Len returns the number of reservations recorded: the input-side intervals
+// that name a peer, as Block's gap fills do not.
+func (p *PRT) Len() int {
+	n := 0
+	for i := range p.in {
+		for _, v := range p.in[i].iv {
+			if v.peer >= 0 {
+				n++
+			}
 		}
 	}
-	return intervals, busy
+	return n
 }
 
 // containsSpansSearch is ContainsSpans as one binary search per visible
@@ -365,27 +306,20 @@ func containsSpansSearch(p *PRT, spans []PortSpan, t int64) bool {
 }
 
 // has reports whether the timeline holds exactly the interval [start, end).
-// Starts are unique across both halves, so one hit decides.
+// Starts are unique, so one hit decides.
 func (tl *timeline) has(start, end int64) bool {
-	for _, ivs := range tl.halves() {
-		if i, ok := slices.BinarySearchFunc(ivs, start, byStart); ok {
-			return ivs[i].end == end
-		}
-	}
-	return false
+	i, ok := slices.BinarySearchFunc(tl.iv, start, byStart)
+	return ok && tl.iv[i].end == end
 }
 
 // TestQuickContainsSpansMatchesSearch holds the merge walk to the per-span
 // search on random tables: a snapshot is taken (SpansOn, with a random
-// horizon) from a table that may already be compacted, then the table loses
-// intervals, has others moved by a few ticks, gains extra ones and may be
-// compacted again, at a horizon on either side of the snapshot's spans; the
-// check instant lies at or after the snapshot's, so spans expire, some at
-// exactly the check instant. The test
-// fails unless both verdicts, and the archive on both sides of a check, were
-// drawn.
+// horizon) from a table, then the table loses intervals, has others moved by
+// a few ticks and gains extra ones; the check instant lies at or after the
+// snapshot's, so spans expire, some at exactly the check instant. The test
+// fails unless both verdicts were drawn.
 func TestQuickContainsSpansMatchesSearch(t *testing.T) {
-	var held, broken, archived int
+	var held, broken int
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		ports := 1 + rng.Intn(4)
@@ -396,13 +330,7 @@ func TestQuickContainsSpansMatchesSearch(t *testing.T) {
 				_ = p.TryReserve(Reservation{In: rng.Intn(ports), Out: rng.Intn(ports), Start: start, End: start + 1 + int64(rng.Intn(60))})
 			}
 		}
-		compact := func() {
-			if rng.Intn(2) == 0 {
-				p.CompactBefore(int64(rng.Intn(1100)))
-			}
-		}
 		fill(rng.Intn(50))
-		compact()
 		var ins, outs []int
 		for q := 0; q < ports; q++ {
 			if rng.Intn(3) > 0 {
@@ -425,11 +353,7 @@ func TestQuickContainsSpansMatchesSearch(t *testing.T) {
 			if q >= ports {
 				tl = &p.out[q%ports]
 			}
-			var all []interval
-			for _, ivs := range tl.halves() {
-				all = append(all, ivs...)
-			}
-			for _, v := range all {
+			for _, v := range slices.Clone(tl.iv) {
 				switch rng.Intn(12) {
 				case 0:
 					tl.remove(v.start)
@@ -443,7 +367,6 @@ func TestQuickContainsSpansMatchesSearch(t *testing.T) {
 			}
 		}
 		fill(rng.Intn(10))
-		compact()
 		at := t0 + int64(rng.Intn(400))
 		if len(snap) > 0 && rng.Intn(4) == 0 {
 			at = max(t0, snap[rng.Intn(len(snap))].End) // a span ends exactly at the check
@@ -458,16 +381,13 @@ func TestQuickContainsSpansMatchesSearch(t *testing.T) {
 		} else {
 			broken++
 		}
-		if h := p.Horizon(); h > at && slices.ContainsFunc(snap, func(sp PortSpan) bool { return sp.End > at }) {
-			archived++
-		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("%d contained, %d broken, %d checked with visible spans below the horizon", held, broken, archived)
-	if held == 0 || broken == 0 || archived == 0 {
-		t.Fatalf("drew %d contained and %d broken snapshots, %d checks straddling the horizon; want all", held, broken, archived)
+	t.Logf("%d contained, %d broken", held, broken)
+	if held == 0 || broken == 0 {
+		t.Fatalf("drew %d contained and %d broken snapshots; want both", held, broken)
 	}
 }

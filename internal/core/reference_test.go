@@ -27,25 +27,16 @@ func intraReference(prt *PRT, c *coflow.Coflow, opts Options) (*Schedule, int, e
 }
 
 // interReference is InterCoflow with the reference planner: the same
-// compaction horizon and per-Coflow start, each Coflow planned by
-// intraReference.
+// per-Coflow start, each Coflow planned by intraReference.
 func interReference(prt *PRT, ordered []*coflow.Coflow, opts Options) ([]*Schedule, error) {
-	own := make([]int64, len(ordered))
-	starts := make([]int64, len(ordered)+1)
-	starts[len(ordered)] = Forever
-	for k := len(ordered) - 1; k >= 0; k-- {
-		arrival, err := Nanos(ordered[k].Arrival)
-		if err != nil {
-			return nil, fmt.Errorf("core: coflow %d arrival: %w", ordered[k].ID, err)
-		}
-		own[k] = max(opts.Start, arrival)
-		starts[k] = min(starts[k+1], own[k])
-	}
 	scheds := make([]*Schedule, 0, len(ordered))
-	for k, c := range ordered {
-		prt.CompactBefore(starts[k])
+	for _, c := range ordered {
+		arrival, err := Nanos(c.Arrival)
+		if err != nil {
+			return scheds, fmt.Errorf("core: coflow %d arrival: %w", c.ID, err)
+		}
 		co := opts
-		co.Start = own[k]
+		co.Start = max(opts.Start, arrival)
 		s, _, err := intraReference(prt, c, co)
 		if err != nil {
 			return scheds, err
@@ -146,4 +137,57 @@ func portSets(pending []demand) (ins, outs []int) {
 	slices.Sort(ins)
 	slices.Sort(outs)
 	return slices.Compact(ins), slices.Compact(outs)
+}
+
+// The point queries below are the scan planner's view of the table: each
+// binary-searches the timelines afresh, where the fast path keeps fingers.
+
+// FreeAt reports whether both in.i and out.j are free at time t and t is not
+// inside a blackout window.
+func (p *PRT) FreeAt(i, j int, t int64) bool {
+	if p.blackout != nil && p.blackout.Covers(t) {
+		return false
+	}
+	return p.in[i].freeAt(t) && p.out[j].freeAt(t)
+}
+
+// NextCommitment returns tm, the earliest next reservation start on in.i or
+// out.j after t — the bound that shortens reservations at the inter-Coflow
+// level (Algorithm 1, line 16) — also accounting for the next blackout
+// window.
+func (p *PRT) NextCommitment(i, j int, t int64) int64 {
+	tm := min(p.in[i].nextStart(t), p.out[j].nextStart(t))
+	if p.blackout != nil {
+		tm = min(tm, p.blackout.NextStart(t))
+	}
+	return tm
+}
+
+// ReleasesAfter appends to dst the end times, strictly after t, of existing
+// reservations touching any of the given input and output ports. The scan
+// planner advances through these instants (Algorithm 1, line 10).
+func (p *PRT) ReleasesAfter(t int64, ins, outs []int, dst []int64) []int64 {
+	for _, i := range ins {
+		dst = p.in[i].endsAfter(t, dst)
+	}
+	for _, j := range outs {
+		dst = p.out[j].endsAfter(t, dst)
+	}
+	return dst
+}
+
+// freeAt reports whether the port is free at time t, i.e. no interval
+// contains t.
+func (tl *timeline) freeAt(t int64) bool { return tl.freeFrom(tl.searchAfter(t), t) }
+
+// nextStart returns the start of the earliest interval beginning after t, or
+// Forever when the port has no later commitment.
+func (tl *timeline) nextStart(t int64) int64 { return tl.nextStartFrom(tl.searchAfter(t)) }
+
+// endsAfter appends to dst the end times of all intervals ending after t.
+func (tl *timeline) endsAfter(t int64, dst []int64) []int64 {
+	for _, v := range tl.iv[endsAfter(tl.iv, t):] {
+		dst = append(dst, v.end)
+	}
+	return dst
 }

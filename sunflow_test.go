@@ -1,10 +1,14 @@
 package sunflow
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"strings"
 	"testing"
 
+	"sunflow/internal/bench"
 	"sunflow/internal/varys"
 )
 
@@ -46,6 +50,42 @@ func TestScheduleAllDefaultPolicy(t *testing.T) {
 	}
 	if scheds[0].Finish > scheds[1].Finish {
 		t.Fatal("higher priority coflow finished later")
+	}
+}
+
+// TestScheduleAllFacebook150Digest pins the full-scale offline pass — the
+// 526-Coflow Facebook-derived workload on 150 ports, shortest first, the
+// BenchmarkSunflowInter_Facebook150 input — by a SHA-256 over every
+// reservation (CoflowID, In, Out, Start, End, Setup, Bytes) and every
+// Schedule's Finish, in policy order. It moves only with a deliberate,
+// explained change to the schedule.
+func TestScheduleAllFacebook150Digest(t *testing.T) {
+	cs := bench.Config{Seed: 1, Ports: 150}.Workload()
+	scheds, _, err := ScheduleAll(cs, 150, Options{LinkBps: gbps, Delta: 1e7}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	var buf [8]byte
+	put := func(v int64) {
+		binary.LittleEndian.PutUint64(buf[:], uint64(v))
+		h.Write(buf[:])
+	}
+	for _, s := range scheds {
+		for _, r := range s.Reservations {
+			put(int64(r.CoflowID))
+			put(int64(r.In))
+			put(int64(r.Out))
+			put(r.Start)
+			put(r.End)
+			put(r.Setup)
+			put(r.Bytes)
+		}
+		put(s.Finish)
+	}
+	const want = "457a51fb78c7ee22d4824cfa74da130ea5c5e99b4eaf29dce6ec8ee31a7b1f23"
+	if got := hex.EncodeToString(h.Sum(nil)); len(scheds) != 526 || got != want {
+		t.Errorf("%d schedules, digest %s; want 526, %s", len(scheds), got, want)
 	}
 }
 
